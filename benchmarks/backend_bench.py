@@ -18,15 +18,16 @@ import time
 
 
 def run_current_backend(sizes):
-    from negmoments._backend import BACKEND
-    from negmoments.moments import _build_matrix_cached, variance_negativity
+    from fractions import Fraction
+
+    from negmoments import BACKEND, DEFAULT_EXACT_VARIANCE_CEILING, build_pair_integral_matrix, variance_negativity
 
     results = {"backend": BACKEND, "matrix": {}, "variance": {}}
     for mu in sizes:
         t0 = time.perf_counter()
-        _build_matrix_cached(mu, 1)
+        build_pair_integral_matrix(mu, Fraction(1, 2))
         results["matrix"][mu] = time.perf_counter() - t0
-    for mu in (s for s in sizes if s <= 64):
+    for mu in (s for s in sizes if s <= DEFAULT_EXACT_VARIANCE_CEILING):
         t0 = time.perf_counter()
         variance_negativity(mu)
         results["variance"][mu] = time.perf_counter() - t0

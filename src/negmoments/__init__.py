@@ -49,6 +49,7 @@ from .laguerre import (
 from .moments import (
     DEFAULT_EXACT_MEAN_CEILING,
     DEFAULT_EXACT_VARIANCE_CEILING,
+    FallbackPrecisionError,
     MomentReport,
     PairIntegralMatrix,
     ResourceCeilingError,

@@ -5,7 +5,8 @@ deterministic for a fixed configuration: reruns with any --threads value
 produce byte-identical bytes.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 exact-mode
-resource ceiling exceeded, 4 I/O failure.
+resource ceiling exceeded, 4 I/O failure, 5 floating fallback failed to
+stabilize.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .bounds import RATIO_PRESET, build_bounds_report
 from .distribution import build_document, build_histogram, compare, gaussian_reference, render_csv, render_json
 from .exactring import Precision
 from .moments import (
+    FallbackPrecisionError,
     ResourceCeilingError,
     extrapolate_limit,
     generate_table,
@@ -37,6 +39,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_IO = 4
+EXIT_FALLBACK = 5
 
 
 class UsageError(ValueError):
@@ -326,6 +329,9 @@ def main(argv=None) -> int:
     except ResourceCeilingError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_RESOURCE
+    except FallbackPrecisionError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_FALLBACK
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return EXIT_IO

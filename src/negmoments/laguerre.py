@@ -14,6 +14,10 @@ terminating binomial sum,
 where reciprocal Gamma vanishing at its poles is what truncates the
 integer-beta cases. For beta = 1/2 every term carries a single factor of
 sqrt(pi); for integer beta the result is rational.
+
+The moment engine builds its pair-integral matrices by a two-term
+recurrence instead (see moments.py); this term sum is the independent oracle
+that the ``verify`` suites and the tests check those matrices against.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ symmetric observable reduces, through the squared-Vandermonde eigenvalue
 density and its Laguerre-basis expansion, to determinant sums over the pair
 integral matrices
 
-    A = [J(k, l, 1)]_{k,l < mu}     (rational entries)
+    A = [J(k, l, 1)]_{k,l < mu}     (integer tridiagonal)
     B = [J(k, l, 1/2)]_{k,l < mu}   (rational multiples of sqrt(pi)),
 
 where J is laguerre.laguerre_pair_integral. Everything here is exact: the
@@ -18,6 +18,18 @@ the same matrices. Unrestricted index sums are used throughout: repeated
 indices duplicate determinant rows and contribute exact zeros, so no
 distinct-index bookkeeping is needed.
 
+Both matrices are built by the two-term recurrence
+
+    (l+1) J(k, l+1) = (l-k-beta) J(k, l) + k J(k-1, l),
+
+seeded by J(0, 0) = Gamma(beta+1) (the k = 0 row is then
+J(0, l) = (-1)^l Gamma(beta+1)^2 / (l! Gamma(beta+1-l))), on the upper
+triangle only and in Python integers: every entry is scaled by
+4^mu ((mu-1)!)^2, a multiple of its denominator, so each step divides
+exactly by 2(l+1); the gcd of all entries is divided out at the end. Each
+matrix is cached once per (mu, beta) as integer numerators over one common
+denominator. The term sum in laguerre.py is the oracle for this builder.
+
 The determinant sums have two implementations. The naive path evaluates
 every small determinant explicitly and is kept as a correctness oracle for
 small mu. The trace path expands the permutation sum into power-sum traces,
@@ -26,11 +38,14 @@ small mu. The trace path expands the permutation sum into power-sum traces,
     triple : a1 b1^2 - a1 tr(B^2) - 2 b1 tr(AB) + 2 tr(A B^2)
     quad   : b1^4 - 6 b1^2 b2 + 3 b2^2 + 8 b1 b3 - 6 b4,
 
-which needs a single exact matrix square instead of O(mu^4) determinants.
+and evaluates them on the integer numerators: B^2 is formed once per mu and
+shared by triple and quad, A is read only on its band, and each sum becomes
+a rational once, at the end.
 
-Beyond the exact-mode ceilings the same term sums are evaluated in mpmath
-floating point with enough working precision for the alternating binomial
-sums, verified by recomputing at doubled precision.
+Exact arithmetic covers mu <= 128 for both moments by default. Beyond the
+exact-mode ceilings the term sums are evaluated in mpmath floating point
+with enough working precision for the alternating binomial sums, verified by
+recomputing at doubled precision.
 """
 
 from __future__ import annotations
@@ -39,6 +54,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Sequence
 
 from mpmath import mp
@@ -54,6 +70,7 @@ from .exactring import _gamma_half_twice, _reciprocal_gamma_half_twice
 
 __all__ = [
     "ResourceCeilingError",
+    "FallbackPrecisionError",
     "PairIntegralMatrix",
     "MomentReport",
     "TableRow",
@@ -72,84 +89,96 @@ __all__ = [
     "extrapolate_limit",
 ]
 
-#: Largest mu handled in exact big-rational arithmetic by default. The
-#: Gamma(t+3/2)^2 numerators reach hundreds of digits near the ceiling.
+#: Largest mu handled in exact arithmetic by default. The common denominator
+#: of B reaches 496 bits at mu = 128, and the variance's integer square of B
+#: costs O(mu^3) products of such numerators.
 DEFAULT_EXACT_MEAN_CEILING = 128
-DEFAULT_EXACT_VARIANCE_CEILING = 64
+DEFAULT_EXACT_VARIANCE_CEILING = 128
 
 #: Relative agreement required between successive precision doublings on the
 #: floating fallback path.
 _DOUBLING_RTOL = 1e-8
 _MAX_DOUBLINGS = 6
 
+_HALF = Fraction(1, 2)
+
 
 class ResourceCeilingError(RuntimeError):
     """Exact evaluation was forced beyond the configured size ceiling."""
+
+
+class FallbackPrecisionError(RuntimeError):
+    """The floating fallback did not stabilize within its precision doublings."""
 
 
 @dataclass(frozen=True)
 class PairIntegralMatrix:
     """Symmetric mu x mu matrix of exact Laguerre pair integrals.
 
-    Every entry shares one sqrt(pi) grade (``power``); ``rows`` holds the
-    rational coefficients.
+    Every entry shares one sqrt(pi) grade (``power``). The coefficients are
+    stored once, as integer ``numerators`` over one common ``denominator``;
+    ``rows`` converts them to reduced rationals on each access.
     """
 
     mu: int
     beta_twice: int
     power: int
-    rows: tuple
+    numerators: tuple
+    denominator: int
 
     @property
     def beta(self) -> Fraction:
         return Fraction(self.beta_twice, 2)
 
+    @property
+    def rows(self) -> tuple:
+        den = self.denominator
+        return tuple(tuple(rational(x, den) for x in row) for row in self.numerators)
+
     def entry(self, k: int, l: int) -> SqrtPiMonomial:
-        return SqrtPiMonomial(self.rows[k][l], self.power)
+        return SqrtPiMonomial(rational(self.numerators[k][l], self.denominator), self.power)
 
     def entries(self) -> list[list[SqrtPiMonomial]]:
         return [[self.entry(k, l) for l in range(self.mu)] for k in range(self.mu)]
 
 
-def _weight_tables(mu: int, beta_twice: int):
-    """Coefficient tables for the binomial term sum at a given weight.
-
-    g2[t] is the rational part of Gamma(t+beta+1)^2 and rc[m + mu] the
-    rational part of 1/Gamma(m+beta+1) for m in [-mu, mu], zero at poles.
-    """
-    g2 = []
-    for t in range(mu):
-        g = _gamma_half_twice(beta_twice + 2 * t + 2)
-        g2.append(g.coeff * g.coeff)
-    rc = [_reciprocal_gamma_half_twice(beta_twice + 2 * m + 2).coeff for m in range(-mu, mu + 1)]
-    return g2, rc
+def _scaled_rows(mu: int, beta_twice: int, scale: int):
+    """Yield scale * J(k, l, beta) for l >= k, one row k at a time."""
+    seed = _gamma_half_twice(beta_twice + 2).coeff  # Gamma(beta+1) / sqrt(pi)^power
+    prev: list[int] = []
+    for k in range(mu):
+        if k:
+            cur, row, first = prev[1], [], k - 1  # J(k, k-1) = J(k-1, k)
+        else:
+            cur = scale * int(seed.numerator) // int(seed.denominator)
+            row, first = [cur], 0
+        for l in range(first, mu - 1):
+            num = (2 * (l - k) - beta_twice) * cur
+            if k:
+                num += 2 * k * prev[l - k + 1]
+            cur = num // (2 * (l + 1))
+            row.append(cur)
+        yield row
+        prev = row
 
 
 @lru_cache(maxsize=None)
 def _build_matrix_cached(mu: int, beta_twice: int) -> PairIntegralMatrix:
-    g2, rc = _weight_tables(mu, beta_twice)
+    # Every J(k, l, beta) with k, l < mu is an integer over 4^mu ((mu-1)!)^2,
+    # by the term sum in laguerre.py, so the scaled recurrence stays in the
+    # integers and each division by 2(l+1) is exact. The rows are generated
+    # twice, once for their gcd and once to store them reduced, so the large
+    # scaled values never all live at once.
+    scale = 4**mu * math.factorial(mu - 1) ** 2
+    common = scale
+    for row in _scaled_rows(mu, beta_twice, scale):
+        common = math.gcd(common, *row)
+    rows = [[0] * mu for _ in range(mu)]
+    for k, row in enumerate(_scaled_rows(mu, beta_twice, scale)):
+        for l, value in enumerate(row, start=k):
+            rows[k][l] = rows[l][k] = value // common
     power = 1 if beta_twice % 2 else 0
-    rows = [[ZERO] * mu for _ in range(mu)]
-    for k in range(mu):
-        for l in range(k, mu):
-            # J(k, l, beta): the t-sum runs over the smaller index k <= l.
-            acc = ZERO
-            binom = 1
-            t_fact = 1
-            for t in range(k + 1):
-                if t:
-                    binom = binom * (k - t + 1) // t
-                    t_fact *= t
-                r = rc[t - l + mu]
-                if r != 0:
-                    term = g2[t] * r * rational(binom, t_fact)
-                    acc = acc - term if t % 2 else acc + term
-            if l % 2:
-                acc = -acc
-            acc = acc / math.factorial(l)
-            rows[k][l] = acc
-            rows[l][k] = acc
-    return PairIntegralMatrix(mu, beta_twice, power, tuple(tuple(r) for r in rows))
+    return PairIntegralMatrix(mu, beta_twice, power, tuple(map(tuple, rows)), scale // common)
 
 
 def build_pair_integral_matrix(mu: int, beta) -> PairIntegralMatrix:
@@ -166,38 +195,6 @@ def build_pair_integral_matrix(mu: int, beta) -> PairIntegralMatrix:
 # ---------------------------------------------------------------------------
 # determinant moment sums
 # ---------------------------------------------------------------------------
-
-
-def _trace(rows) -> object:
-    return sum((rows[i][i] for i in range(len(rows))), ZERO)
-
-
-def _overlap(a_rows, b_rows) -> object:
-    # tr(A B) for symmetric A, B: sum_ij A_ij B_ij
-    total = ZERO
-    for ra, rb in zip(a_rows, b_rows):
-        for x, y in zip(ra, rb):
-            total += x * y
-    return total
-
-
-def _mat_square(rows):
-    n = len(rows)
-    out = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        row_i = rows[i]
-        for j in range(i, n):
-            row_j = rows[j]
-            acc = ZERO
-            for x, y in zip(row_i, row_j):
-                acc += x * y
-            out[i][j] = acc
-            out[j][i] = acc
-    return out
-
-
-def _det2(m):
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
 def _det3(m):
@@ -219,52 +216,107 @@ def _det4(m):
     return total
 
 
-def _pair_sum(rows, naive: bool):
-    if naive:
-        total = ZERO
-        n = len(rows)
-        for k in range(n):
-            for l in range(n):
-                total += rows[k][k] * rows[l][l] - rows[k][l] * rows[l][k]
-        return total
-    t1 = _trace(rows)
-    return t1 * t1 - _overlap(rows, rows)
+def _naive_pair(rows):
+    total = ZERO
+    n = len(rows)
+    for k in range(n):
+        for l in range(n):
+            total += rows[k][k] * rows[l][l] - rows[k][l] * rows[l][k]
+    return total
 
 
-def _triple_sum(a_rows, b_rows, naive: bool):
+def _naive_triple(a_rows, b_rows):
+    total = ZERO
     n = len(a_rows)
-    if naive:
-        total = ZERO
-        for k in range(n):
-            for l in range(n):
-                for m_ in range(n):
-                    det = _det3([[a_rows[r][k], b_rows[r][l], b_rows[r][m_]] for r in (k, l, m_)])
-                    total += det
-        return total
-    b2 = _mat_square(b_rows)
-    a1 = _trace(a_rows)
-    b1 = _trace(b_rows)
-    return a1 * b1 * b1 - a1 * _overlap(b_rows, b_rows) - 2 * b1 * _overlap(a_rows, b_rows) + 2 * _overlap(a_rows, b2)
+    for k in range(n):
+        for l in range(n):
+            for m_ in range(n):
+                total += _det3([[a_rows[r][k], b_rows[r][l], b_rows[r][m_]] for r in (k, l, m_)])
+    return total
 
 
-def _quad_sum(b_rows, naive: bool):
+def _naive_quad(b_rows):
+    total = ZERO
     n = len(b_rows)
-    if naive:
-        total = ZERO
-        for k in range(n):
-            for l in range(n):
-                for m_ in range(n):
-                    for p in range(n):
-                        idx = (k, l, m_, p)
-                        det = _det4([[b_rows[r][c] for c in idx] for r in idx])
-                        total += det
-        return total
-    b2 = _mat_square(b_rows)
-    b1 = _trace(b_rows)
-    t2 = _overlap(b_rows, b_rows)
-    t3 = _overlap(b2, b_rows)
-    t4 = _overlap(b2, b2)
-    return b1**4 - 6 * b1 * b1 * t2 + 3 * t2 * t2 + 8 * b1 * t3 - 6 * t4
+    for k in range(n):
+        for l in range(n):
+            for m_ in range(n):
+                for p in range(n):
+                    idx = (k, l, m_, p)
+                    total += _det4([[b_rows[r][c] for c in idx] for r in idx])
+    return total
+
+
+# The trace path works on the integer numerators N of each matrix, so every
+# power sum is a plain int; the common denominator D is applied once at the
+# end (a degree-d power sum of N is D^d times that of the matrix).
+
+
+def _int_trace(nums) -> int:
+    return sum(nums[i][i] for i in range(len(nums)))
+
+
+def _band_overlap(a, diag, superdiag) -> int:
+    # sum_ij A_ij M_ij for the tridiagonal A and a symmetric M given by its
+    # diagonal and first superdiagonal
+    total = sum(a[i][i] * x for i, x in enumerate(diag))
+    return total + 2 * sum(a[i][i + 1] * x for i, x in enumerate(superdiag))
+
+
+@lru_cache(maxsize=None)
+def _square_sums(mu: int) -> tuple:
+    """Power sums of N = numerators of B(mu) that need N^2.
+
+    Returns the diagonal and first superdiagonal of N^2, tr(N^3) and
+    tr(N^4). N^2 is formed once, upper triangle only, and not kept; the
+    triple and quad sums share the result.
+    """
+    b = build_pair_integral_matrix(mu, _HALF).numerators
+    diag, superdiag = [], []
+    t3 = t4 = 0
+    for i, row_i in enumerate(b):
+        for j in range(i, mu):
+            s = sum(map(mul, row_i, b[j]))
+            if j == i:
+                diag.append(s)
+                t3 += s * row_i[i]
+                t4 += s * s
+            else:
+                if j == i + 1:
+                    superdiag.append(s)
+                t3 += 2 * s * row_i[j]
+                t4 += 2 * s * s
+    return tuple(diag), tuple(superdiag), t3, t4
+
+
+def _pair_trace(mat: PairIntegralMatrix):
+    nums = mat.numerators
+    t1 = _int_trace(nums)
+    t2 = sum(x * x for row in nums for x in row)
+    return rational(t1 * t1 - t2, mat.denominator**2)
+
+
+def _triple_trace(mu: int):
+    a = build_pair_integral_matrix(mu, 1)
+    b = build_pair_integral_matrix(mu, _HALF)
+    a_nums, b_nums = a.numerators, b.numerators
+    sq_diag, sq_superdiag, _, _ = _square_sums(mu)
+    a1 = _int_trace(a_nums)
+    b1 = _int_trace(b_nums)
+    b2 = sum(sq_diag)
+    ab = _band_overlap(a_nums, [b_nums[i][i] for i in range(mu)], [b_nums[i][i + 1] for i in range(mu - 1)])
+    ab2 = _band_overlap(a_nums, sq_diag, sq_superdiag)
+    num = a1 * b1 * b1 - a1 * b2 - 2 * b1 * ab + 2 * ab2
+    return rational(num, a.denominator * b.denominator**2)
+
+
+def _quad_trace(mu: int):
+    b = build_pair_integral_matrix(mu, _HALF)
+    sq_diag, _, t3, t4 = _square_sums(mu)
+    b1 = _int_trace(b.numerators)
+    t2 = sum(sq_diag)
+    num = b1**4 - 6 * b1 * b1 * t2 + 3 * t2 * t2 + 8 * b1 * t3 - 6 * t4
+    return rational(num, b.denominator**4)
 
 
 def det_moment_sum(mu: int, pattern: str, beta=None, method: str = "trace") -> SqrtPiPolynomial:
@@ -284,17 +336,19 @@ def det_moment_sum(mu: int, pattern: str, beta=None, method: str = "trace") -> S
         if beta is None:
             raise ValueError("pair pattern requires beta")
         mat = build_pair_integral_matrix(mu, beta)
-        coeff = _pair_sum(mat.rows, naive)
+        coeff = _naive_pair(mat.rows) if naive else _pair_trace(mat)
         return SqrtPiPolynomial({2 * mat.power: coeff})
     if beta is not None:
         raise ValueError(f"{pattern} pattern does not take beta")
     if pattern == "triple":
-        a = build_pair_integral_matrix(mu, 1)
-        b = build_pair_integral_matrix(mu, Fraction(1, 2))
-        return SqrtPiPolynomial({2: _triple_sum(a.rows, b.rows, naive)})
+        if naive:
+            coeff = _naive_triple(build_pair_integral_matrix(mu, 1).rows, build_pair_integral_matrix(mu, _HALF).rows)
+        else:
+            coeff = _triple_trace(mu)
+        return SqrtPiPolynomial({2: coeff})
     if pattern == "quad":
-        b = build_pair_integral_matrix(mu, Fraction(1, 2))
-        return SqrtPiPolynomial({4: _quad_sum(b.rows, naive)})
+        coeff = _naive_quad(build_pair_integral_matrix(mu, _HALF).rows) if naive else _quad_trace(mu)
+        return SqrtPiPolynomial({4: coeff})
     raise ValueError(f"unknown pattern {pattern!r}")
 
 
@@ -469,7 +523,7 @@ def _verified_float(compute, mu: int, precision: Precision):
         if all(abs(p - c) <= _DOUBLING_RTOL * abs(c) for p, c in zip(prev_t, cur_t)):
             return current
         previous = current
-    raise RuntimeError(f"floating fallback failed to stabilize for mu={mu}")
+    raise FallbackPrecisionError(f"floating fallback failed to stabilize for mu={mu}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Internal identity suites behind the ``verify`` command.
 
 Each check exercises one structural invariant of the exact engine against
-an independent route: symmetry of the asymmetric term sum, orthonormality
+an independent route: symmetry of the asymmetric term sum and its agreement
+with the recurrence-built pair matrices, orthonormality
 and tridiagonality at integer weights, the hypergeometric re-derivation,
 Gauss quadrature, and the naive determinant oracle against the trace
 expansion.
@@ -36,12 +37,19 @@ class CheckResult:
 
 
 def check_symmetry(max_index: int) -> CheckResult:
+    """Term sum symmetric in (k, l) and equal to the recurrence-built matrices."""
+    name = "pair-integral symmetry"
+    matrices = {beta: build_pair_integral_matrix(max_index + 1, beta) for beta in (_HALF, 1)}
     for k in range(max_index + 1):
-        for l in range(k + 1, max_index + 1):
+        for l in range(k, max_index + 1):
             for beta in (0, _HALF, 1):
-                if laguerre_pair_integral(k, l, beta) != laguerre_pair_integral(l, k, beta):
-                    return CheckResult("pair-integral symmetry", False, f"J({k},{l}) != J({l},{k}) at beta={beta}")
-    return CheckResult("pair-integral symmetry", True, f"k,l <= {max_index}, beta in {{0, 1/2, 1}}")
+                value = laguerre_pair_integral(k, l, beta)
+                if l > k and value != laguerre_pair_integral(l, k, beta):
+                    return CheckResult(name, False, f"J({k},{l}) != J({l},{k}) at beta={beta}")
+                mat = matrices.get(beta)
+                if mat is not None and not mat.entry(k, l) == value == mat.entry(l, k):
+                    return CheckResult(name, False, f"recurrence differs from term sum at ({k},{l}), beta={beta}")
+    return CheckResult(name, True, f"k,l <= {max_index}, beta in {{0, 1/2, 1}}; recurrence matrices match")
 
 
 def check_orthonormality(max_index: int) -> CheckResult:
@@ -104,8 +112,9 @@ def check_pair_trace_identity(max_mu: int) -> CheckResult:
     for mu in (1, 2, 3, max(4, max_mu // 2), max_mu):
         for beta in (_HALF, 1):
             mat = build_pair_integral_matrix(mu, beta)
-            t1 = sum(mat.rows[i][i] for i in range(mu))
-            t2 = sum(mat.rows[i][j] * mat.rows[i][j] for i in range(mu) for j in range(mu))
+            rows = mat.rows
+            t1 = sum(rows[i][i] for i in range(mu))
+            t2 = sum(rows[i][j] * rows[i][j] for i in range(mu) for j in range(mu))
             expected = det_moment_sum(mu, "pair", beta=beta)
             if expected.coefficient(2 * mat.power) != t1 * t1 - t2:
                 return CheckResult("pair sum trace identity", False, f"mu={mu} beta={beta}")

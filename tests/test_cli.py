@@ -42,6 +42,18 @@ class TestMoments:
     def test_exact_ceiling_exit_code(self):
         assert main(["moments", "--mu", "200", "--exact"]) == 3
 
+    def test_unstable_fallback_exit_code(self, capsys, monkeypatch):
+        from mpmath import mp
+
+        from negmoments import moments
+
+        def unstable(mu):
+            return mp.mpf(mp.prec), mp.mpf(mp.prec)
+
+        monkeypatch.setattr(moments, "_mpf_mean_and_variance", unstable)
+        assert main(["moments", "--mu", "129"]) == 5
+        assert "failed to stabilize" in capsys.readouterr().err
+
     def test_unknown_flag_is_usage_error(self):
         assert main(["moments", "--mu", "2", "--frobnicate"]) == 2
 

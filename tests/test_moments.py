@@ -1,11 +1,17 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import mp
 
 from negmoments.exactring import Precision, SqrtPiPolynomial, eval_float
+from negmoments.laguerre import laguerre_pair_integral
 from negmoments.moments import (
+    FallbackPrecisionError,
     ResourceCeilingError,
     TableRow,
     _mpf_mean,
@@ -60,6 +66,26 @@ class TestPairIntegralMatrix:
             for l in range(9):
                 assert mat.rows[k][l] == mat.rows[l][k]
 
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(0, 39), l=st.integers(0, 39), beta=st.sampled_from([HALF, 1]))
+    def test_recurrence_matches_term_sum(self, k, l, beta):
+        mat = build_pair_integral_matrix(40, beta)
+        assert mat.entry(k, l) == laguerre_pair_integral(k, l, beta)
+
+    def test_verify_suite_catches_a_wrong_entry(self, monkeypatch):
+        from negmoments import selfcheck
+
+        def corrupted(mu, beta):
+            mat = build_pair_integral_matrix(mu, beta)
+            nums = [list(row) for row in mat.numerators]
+            nums[2][3] += 1
+            return replace(mat, numerators=tuple(map(tuple, nums)))
+
+        monkeypatch.setattr(selfcheck, "build_pair_integral_matrix", corrupted)
+        result = selfcheck.check_symmetry(4)
+        assert result.name == "pair-integral symmetry"
+        assert not result.passed and "(2,3)" in result.detail
+
     def test_validation(self):
         with pytest.raises(ValueError):
             build_pair_integral_matrix(0, HALF)
@@ -80,6 +106,29 @@ class TestDetMomentSums:
                 naive = det_moment_sum(mu, pattern, method="naive", **kwargs)
                 trace = det_moment_sum(mu, pattern, method="trace", **kwargs)
                 assert naive == trace
+
+    @pytest.mark.parametrize("mu", [24, 32])
+    def test_trace_sums_match_term_sum_matrices(self, mu):
+        # A and B entry by entry from the term sum, as Fractions, then the
+        # power-sum formulas of the moments module docstring.
+        a = [[Fraction(laguerre_pair_integral(k, l, 1).coeff) for l in range(mu)] for k in range(mu)]
+        b = [[Fraction(laguerre_pair_integral(k, l, HALF).coeff) for l in range(mu)] for k in range(mu)]
+        b_sq = [[sum(b[i][m] * b[m][j] for m in range(mu)) for j in range(mu)] for i in range(mu)]
+
+        def trace(m):
+            return sum(m[i][i] for i in range(mu))
+
+        def overlap(x, y):
+            return sum(x[i][j] * y[i][j] for i in range(mu) for j in range(mu))
+
+        a1, b1 = trace(a), trace(b)
+        b2, b3, b4 = trace(b_sq), overlap(b_sq, b), overlap(b_sq, b_sq)
+        assert det_moment_sum(mu, "pair", beta=HALF) == poly({2: b1 * b1 - b2})
+        assert det_moment_sum(mu, "pair", beta=1) == poly({0: a1 * a1 - overlap(a, a)})
+        triple = a1 * b1 * b1 - a1 * b2 - 2 * b1 * overlap(a, b) + 2 * overlap(a, b_sq)
+        assert det_moment_sum(mu, "triple") == poly({2: triple})
+        quad = b1**4 - 6 * b1 * b1 * b2 + 3 * b2 * b2 + 8 * b1 * b3 - 6 * b4
+        assert det_moment_sum(mu, "quad") == poly({4: quad})
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
@@ -209,10 +258,12 @@ class TestNormalizedMoments:
             normalized_moments(1)
 
     def test_exact_ceiling(self):
+        # 129 is the first size above both exact ceilings (128 / 128).
         with pytest.raises(ResourceCeilingError):
-            normalized_moments(100, exact=True)
-        report = normalized_moments(8, exact=True)
-        assert report.mean_exact is not None and report.variance_exact is not None
+            normalized_moments(129, exact=True)
+        for mu in (8, 96):
+            report = normalized_moments(mu, exact=True)
+            assert report.mean_exact is not None and report.variance_exact is not None
 
     def test_float_path_matches_exact(self):
         exact = normalized_moments(16, exact=True)
@@ -243,6 +294,11 @@ class TestFloatFallback:
         mean, variance = _verified_float(_mpf_mean_and_variance, 12, Precision(128))
         assert abs(float(mean - mean_negativity(12).evaluate_mpf(256))) < 1e-20
         assert abs(float(variance - variance_negativity(12).evaluate_mpf(256))) < 1e-20
+
+    def test_unstable_fallback_raises_named_error(self):
+        # The value changes with every precision doubling, so it never settles.
+        with pytest.raises(FallbackPrecisionError):
+            _verified_float(lambda mu: mp.mpf(mp.prec), 4, Precision(64))
 
 
 class TestTable:
