@@ -72,6 +72,7 @@ from .quadrature import (
     laguerre_pair_integral_quadrature,
 )
 from .sampling import (
+    STREAM_ID,
     DensityMatrix,
     PureState,
     SampleBatch,

@@ -29,7 +29,7 @@ from .moments import (
     generate_table,
     normalized_moments,
 )
-from .sampling import SampleBatch, sample_negativities
+from .sampling import STREAM_ID, SampleBatch, sample_negativities
 from .selfcheck import run_all
 
 __all__ = ["main"]
@@ -59,12 +59,24 @@ def _default_threads() -> int:
     return os.cpu_count() or 1
 
 
-def _add_common(parser: argparse.ArgumentParser, with_output: bool = True) -> None:
-    if with_output:
-        parser.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
-        parser.add_argument("--output", default="-", help="output path, or - for stdout")
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
+    parser.add_argument("--output", default="-", help="output path, or - for stdout")
     parser.add_argument("--precision-bits", type=int, default=256, help="working precision for evaluation")
+
+
+def _add_sampling(parser: argparse.ArgumentParser) -> None:
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--mu", type=int)
+    group.add_argument("--n-qubits", type=int)
+    parser.add_argument("--nu", type=int, default=None, help="second dimension (defaults to mu)")
+    parser.add_argument("--generator", choices=("haar", "circuit"), default="haar")
+    parser.add_argument("--j", type=int, default=40, help="circuit rounds per sample")
+    parser.add_argument("--samples", type=int, required=True)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--bins", type=int, default=60)
     parser.add_argument("--threads", type=int, default=None, help="worker threads (env NEGMOMENTS_THREADS)")
+    _add_common(parser)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,29 +98,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extrapolate", action="store_true", help="append the geometric-tail limit")
     _add_common(p)
 
-    p = sub.add_parser("sample", help="sample negativities and histogram them")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--mu", type=int)
-    group.add_argument("--n-qubits", type=int)
-    p.add_argument("--nu", type=int, default=None, help="second dimension (defaults to mu)")
-    p.add_argument("--generator", choices=("haar", "circuit"), default="haar")
-    p.add_argument("--j", type=int, default=40, help="circuit rounds per sample")
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bins", type=int, default=60)
-    _add_common(p)
-
-    p = sub.add_parser("compare", help="sample and compare against the Gaussian reference")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--mu", type=int)
-    group.add_argument("--n-qubits", type=int)
-    p.add_argument("--nu", type=int, default=None)
-    p.add_argument("--generator", choices=("haar", "circuit"), default="haar")
-    p.add_argument("--j", type=int, default=40)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bins", type=int, default=60)
-    _add_common(p)
+    _add_sampling(sub.add_parser("sample", help="sample negativities and histogram them"))
+    _add_sampling(sub.add_parser("compare", help="sample and compare against the Gaussian reference"))
 
     p = sub.add_parser("bounds", help="singlet-distance / fidelity / distillation bounds")
     p.add_argument("--n-qubits", type=int, required=True)
@@ -117,7 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the internal identity suites")
     p.add_argument("--max-mu", type=int, default=16)
-    _add_common(p, with_output=False)
     return parser
 
 
@@ -223,26 +213,35 @@ def _sampling_run(args):
     n_max = (mu - 1) / 2.0
     hist = build_histogram(values / n_max, args.bins)
     ref = gaussian_reference(report)
-    return report, n, hist, ref
+    return batch, report, n, hist, ref
+
+
+def _sampler_json(batch: SampleBatch) -> dict:
+    """The stream, seed and size that produced the samples."""
+    return {"generator": batch.generator, "stream": STREAM_ID, "master_seed": batch.master_seed, "count": batch.count}
 
 
 def _cmd_sample(args) -> int:
-    report, n, hist, ref = _sampling_run(args)
+    batch, report, n, hist, ref = _sampling_run(args)
     if args.format == "csv":
         text = render_csv(hist, ref)
     else:
-        text = render_json(build_document(report, n_qubits=n, histogram=hist, reference=ref))
+        doc = build_document(report, n_qubits=n, histogram=hist, reference=ref)
+        doc["sampler"] = _sampler_json(batch)
+        text = render_json(doc)
     _write(text, args.output)
     return EXIT_OK
 
 
 def _cmd_compare(args) -> int:
-    report, n, hist, ref = _sampling_run(args)
+    batch, report, n, hist, ref = _sampling_run(args)
     comparison = compare(hist, ref)
     if args.format == "csv":
         text = render_csv(hist, ref)
     else:
-        text = render_json(build_document(report, n_qubits=n, histogram=hist, reference=ref, comparison=comparison))
+        doc = build_document(report, n_qubits=n, histogram=hist, reference=ref, comparison=comparison)
+        doc["sampler"] = _sampler_json(batch)
+        text = render_json(doc)
     _write(text, args.output)
     return EXIT_OK
 

@@ -7,10 +7,15 @@ circuit: each round applies an independent Haar-random 2x2 rotation to every
 qubit followed by a fixed controlled-phase layer on a nearest-neighbour
 ring.
 
-Sampling campaigns are reproducible and order-independent: sample i of a
-batch is driven by a seed sequence derived from (master_seed, i) alone, so
-results are bit-identical for any chunking or thread count. The chunked
-kernels vectorize over samples without changing any per-sample arithmetic.
+Every random number comes from one counter-based stream, named by
+``STREAM_ID``: Philox4x32-10 (Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3", SC'11) keyed by ``SeedSequence(master_seed)`` and
+evaluated at the counter (block, 0, low and high 32 bits of the sample
+index), each block turned into two standard normals by Box-Muller. Sample i
+of a batch is therefore a function of (master_seed, i) alone: results are
+bit-identical for any chunking or thread count, and the single-state
+functions at index i reproduce sample i of a batch. The chunked kernels
+vectorize over samples without changing any per-sample arithmetic.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
+    "STREAM_ID",
     "PureState",
     "SchmidtSpectrum",
     "DensityMatrix",
@@ -36,12 +42,17 @@ __all__ = [
     "reduced_state_a",
 ]
 
+#: Names the random stream behind every sampled value. Any change to the
+#: generator, its keying or the normal transform gets a new id.
+STREAM_ID = "philox4x32-10/box-muller/1"
+
 #: Squared singular values below this are round-off and clamped to zero
 #: before any square root is taken.
 SPECTRUM_CLIP = 1e-15
 
 #: Fixed vectorization width of the sampling kernels. Results are
-#: per-sample deterministic, so this constant only affects speed.
+#: per-sample deterministic, so this constant only affects speed and memory:
+#: the stream's temporaries hold _CHUNK x (normals per sample) words.
 _CHUNK = 512
 
 #: Schmidt spectra switch from SVD of the amplitude matrix to the
@@ -156,25 +167,119 @@ class SampleBatch:
         return (half, half)
 
 
-def _rng(seed) -> np.random.Generator:
-    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+# ---------------------------------------------------------------------------
+# the random stream
+# ---------------------------------------------------------------------------
+
+#: Philox4x32 round multipliers (M0, M1) and Weyl key increments.
+_PHILOX_M = (0xD2511F53, 0xCD9E8D57)
+_PHILOX_W = (0x9E3779B9, 0xBB67AE85)
+_PHILOX_ROUNDS = 10
+
+#: Explicit little-endian words, so the 32-bit halves of a 64-bit product
+#: sit at the same view positions on every platform.
+_U32 = np.dtype("<u4")
+_U64 = np.dtype("<u8")
 
 
-def _sample_seed(master_seed: int, index: int) -> np.random.SeedSequence:
-    # Same derivation SeedSequence.spawn uses, but stateless in the parent.
-    return np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
+@lru_cache(maxsize=64)
+def _stream_key(master_seed: int) -> tuple[int, int]:
+    """Philox key of a master seed; any nonnegative int is accepted."""
+    k0, k1 = np.random.SeedSequence(master_seed).generate_state(2, np.uint32)
+    return int(k0), int(k1)
 
 
-def _gaussian_amplitudes(rng: np.random.Generator, size: int) -> np.ndarray:
-    z = rng.standard_normal(2 * size).view(np.complex128)
-    return z / np.linalg.norm(z)
+def _philox4x32_10(key: tuple[int, int], c0, c1, c2, c3) -> tuple[np.ndarray, np.ndarray]:
+    """Philox4x32-10 of broadcastable counter words (values below 2**32).
+
+    Returns the output words (w0, w1, w2, w3) packed into two uint64 arrays
+    of the broadcast shape (at least one axis): w0 * 2**32 + w1 and
+    w2 * 2**32 + w3.
+    """
+    counter = np.broadcast(c0, c1, c2, c3)
+    lead = (2,) + (1,) * counter.ndim
+    # Both halves of a round run as one stacked operation: even holds the
+    # multiplied words (x0, x2), odd the xored ones (x1, x3).
+    even = np.empty((2,) + counter.shape, _U32)
+    odd = np.empty_like(even)
+    even[0], odd[0], even[1], odd[1] = c0, c1, c2, c3
+    multipliers = np.array(_PHILOX_M, dtype=np.uint64).reshape(lead)
+    keys = np.arange(_PHILOX_ROUNDS, dtype=np.uint64)[:, np.newaxis] * np.array(_PHILOX_W, dtype=np.uint64)
+    keys = ((keys + np.array(key, dtype=np.uint64)) & 0xFFFFFFFF).astype(_U32).reshape((_PHILOX_ROUNDS,) + lead)
+    # Products alternate between two buffers: the low words of one round's
+    # products are read while the next round's products are written.
+    buffers = [np.empty(even.shape, _U64) for _ in range(2)]
+    for r in range(_PHILOX_ROUNDS):
+        product = buffers[r % 2]
+        np.multiply(even, multipliers, out=product, dtype=np.uint64)
+        words = product.view(_U32)
+        hi, lo = words[..., 1::2], words[..., 0::2]
+        # (x0, x2) <- (hi1 ^ x1 ^ k0, hi0 ^ x3 ^ k1) and (x1, x3) <- (lo1, lo0).
+        # The last round writes over the products' own high words, which
+        # packs the output words with no further pass.
+        if r == _PHILOX_ROUNDS - 1:
+            even = hi[::-1]
+        np.bitwise_xor(hi[::-1], odd, out=even)
+        even ^= keys[r]
+        odd = lo[::-1]
+    return product[1], product[0]
 
 
-def haar_pure_state(mu: int, nu: int, seed) -> PureState:
-    """Haar-random pure state on a mu x nu space, deterministic per seed."""
+def _box_muller(x: np.ndarray, y: np.ndarray, z0: np.ndarray, z1: np.ndarray) -> None:
+    """Two standard normals per pair of 64-bit words, written to z0 and z1.
+
+    The top 53 bits of x, plus one, give u1 in (0, 1]; those of y give u2 in
+    [0, 1). Then z0 = r cos(2 pi u2) and z1 = r sin(2 pi u2) with
+    r = sqrt(-2 ln u1). x and y are overwritten.
+    """
+    x >>= 11
+    y >>= 11
+    r = x.astype(np.float64)
+    r += 1.0
+    r *= 2.0**-53
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta = y.astype(np.float64)
+    theta *= 2.0 * np.pi * 2.0**-53
+    np.multiply(r, np.cos(theta), out=z0)
+    np.multiply(r, np.sin(theta), out=z1)
+
+
+def _normals(key: tuple[int, int], start: int, stop: int, pairs: int) -> np.ndarray:
+    """Standard normals of samples start..stop-1, shape (2 * pairs, stop - start).
+
+    Normal k of sample start + s is entry [k, s]: samples run along the last
+    axis, which keeps every later per-sample operation contiguous. Block b of
+    sample i is Philox4x32-10 at the counter (b, 0, i mod 2**32, i >> 32);
+    Box-Muller turns its words into normals 2b and 2b + 1.
+    """
+    index = np.arange(start, stop, dtype=np.uint64)
+    blocks = np.arange(pairs, dtype=np.uint64)[:, np.newaxis]
+    x, y = _philox4x32_10(key, blocks, 0, index & 0xFFFFFFFF, index >> 32)
+    out = np.empty((pairs, 2, stop - start))
+    _box_muller(x, y, out[:, 0], out[:, 1])
+    return out.reshape(2 * pairs, stop - start)
+
+
+def _haar_amplitudes(mu: int, nu: int, key: tuple[int, int], start: int, stop: int) -> np.ndarray:
+    """Normalized complex Gaussian vectors of samples start..stop-1."""
+    z = np.ascontiguousarray(_normals(key, start, stop, mu * nu).T).view(np.complex128)
+    z /= np.linalg.norm(z, axis=-1, keepdims=True)
+    return z
+
+
+def haar_pure_state(mu: int, nu: int, master_seed: int, index: int = 0) -> PureState:
+    """Haar-random pure state on a mu x nu space: sample index of the stream.
+
+    Bit-identical to sample ``index`` of a Haar ``SampleBatch`` with the same
+    master seed and dimensions.
+    """
     if mu < 1 or nu < 1:
         raise ValueError("dimensions must be at least 1")
-    return PureState(_gaussian_amplitudes(_rng(seed), mu * nu), (mu, nu))
+    if not 0 <= index < 2**64:
+        raise ValueError("sample index must be in [0, 2**64)")
+    return PureState(_haar_amplitudes(mu, nu, _stream_key(master_seed), index, index + 1)[0], (mu, nu))
 
 
 def _spectra_from_matrices(matrices: np.ndarray) -> np.ndarray:
@@ -234,14 +339,20 @@ def reduced_state_a(state: PureState) -> np.ndarray:
 
 
 def _su2_from_gaussians(g: np.ndarray) -> np.ndarray:
-    """Map (..., 4) real Gaussians to Haar-random SU(2) matrices (..., 2, 2)."""
-    q = g / np.linalg.norm(g, axis=-1, keepdims=True)
-    a, b, c, d = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    u = np.empty(q.shape[:-1] + (2, 2), dtype=np.complex128)
-    u[..., 0, 0] = a + 1j * b
-    u[..., 0, 1] = c + 1j * d
-    u[..., 1, 0] = -c + 1j * d
-    u[..., 1, 1] = a - 1j * b
+    """Map (..., 4, batch) real Gaussians to Haar-random SU(2) (..., 2, 2, batch).
+
+    The quaternion (a, b, c, d) / |(a, b, c, d)| becomes
+    [[a + ib, c + id], [-c + id, a - ib]].
+    """
+    a, b, c, d = np.moveaxis(g, -2, 0)
+    norm = np.sqrt(a * a + b * b + c * c + d * d)
+    a, b, c, d = a / norm, b / norm, c / norm, d / norm
+    u = np.empty(g.shape[:-2] + (2, 2) + g.shape[-1:], dtype=np.complex128)
+    re, im = u.real, u.imag
+    re[..., 0, 0, :], im[..., 0, 0, :] = a, b
+    re[..., 0, 1, :], im[..., 0, 1, :] = c, d
+    re[..., 1, 0, :], im[..., 1, 0, :] = -c, d
+    re[..., 1, 1, :], im[..., 1, 1, :] = a, -b
     return u
 
 
@@ -259,47 +370,53 @@ def _cz_layer_diagonal(n_qubits: int) -> np.ndarray:
 
 
 def _apply_single_qubit(psi: np.ndarray, gates: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
-    """Apply per-sample 2x2 gates on one qubit of a (batch, 2**n) stack."""
-    batch = psi.shape[0]
+    """Apply per-sample 2x2 gates (2, 2, batch) on one qubit of a (2**n, batch) stack.
+
+    Samples run along the last axis, so each product below broadcasts the
+    gate entries over contiguous rows of the batch.
+    """
     pre = 2**qubit
     post = 2 ** (n_qubits - 1 - qubit)
-    view = psi.reshape(batch, pre, 2, post)
-    rotated = np.einsum("bij,bpjq->bpiq", gates, view)
-    return rotated.reshape(batch, -1)
+    view = psi.reshape(pre, 2, post, -1)
+    v0, v1 = view[:, 0], view[:, 1]
+    out = np.empty_like(view)
+    out[:, 0] = gates[0, 0] * v0 + gates[0, 1] * v1
+    out[:, 1] = gates[1, 0] * v0 + gates[1, 1] * v1
+    return out.reshape(psi.shape)
 
 
-def _circuit_states(n_qubits: int, rounds: int, seeds) -> np.ndarray:
-    """Stack of circuit statevectors, one per seed sequence."""
-    batch = len(seeds)
-    gaussians = np.empty((batch, rounds, n_qubits, 4))
-    for i, seed in enumerate(seeds):
-        gaussians[i] = np.random.default_rng(seed).standard_normal((rounds, n_qubits, 4))
-    dim = 2**n_qubits
-    psi = np.zeros((batch, dim), dtype=np.complex128)
-    psi[:, 0] = 1.0
+def _circuit_states(n_qubits: int, rounds: int, key: tuple[int, int], start: int, stop: int) -> np.ndarray:
+    """Circuit statevectors of samples start..stop-1, shape (2**n, stop - start)."""
+    batch = stop - start
+    psi = np.zeros((2**n_qubits, batch), dtype=np.complex128)
+    psi[0] = 1.0
     if rounds == 0:
         return psi
+    gaussians = _normals(key, start, stop, 2 * rounds * n_qubits).reshape(rounds, n_qubits, 4, batch)
     gates = _su2_from_gaussians(gaussians)
-    diag = _cz_layer_diagonal(n_qubits)
+    diag = _cz_layer_diagonal(n_qubits)[:, np.newaxis]
     for r in range(rounds):
         for q in range(n_qubits):
-            psi = _apply_single_qubit(psi, gates[:, r, q], q, n_qubits)
-        psi = psi * diag
+            psi = _apply_single_qubit(psi, gates[r, q], q, n_qubits)
+        psi *= diag
     return psi
 
 
-def pseudorandom_circuit_state(n_qubits: int, j: int, seed) -> PureState:
+def pseudorandom_circuit_state(n_qubits: int, j: int, master_seed: int, index: int = 0) -> PureState:
     """State after j rounds of random single-qubit rotations + fixed coupling.
 
     Qubit 0 is the most significant index; the bipartition used downstream
     splits the first n/2 qubits from the rest. j = 0 returns the fiducial
-    all-zeros state.
+    all-zeros state. Bit-identical to sample ``index`` of a circuit
+    ``SampleBatch`` with the same master seed, qubit count and rounds.
     """
     if n_qubits < 2 or n_qubits % 2:
         raise ValueError("n_qubits must be even and at least 2")
     if j < 0:
         raise ValueError("round count must be nonnegative")
-    psi = _circuit_states(n_qubits, j, [seed])[0]
+    if not 0 <= index < 2**64:
+        raise ValueError("sample index must be in [0, 2**64)")
+    psi = _circuit_states(n_qubits, j, _stream_key(master_seed), index, index + 1)[:, 0]
     half = 2 ** (n_qubits // 2)
     return PureState(psi, (half, half))
 
@@ -309,17 +426,15 @@ def pseudorandom_circuit_state(n_qubits: int, j: int, seed) -> PureState:
 # ---------------------------------------------------------------------------
 
 
-def _haar_chunk(mu: int, nu: int, seeds) -> np.ndarray:
-    amplitudes = np.empty((len(seeds), mu * nu), dtype=np.complex128)
-    for i, seed in enumerate(seeds):
-        amplitudes[i] = _gaussian_amplitudes(np.random.default_rng(seed), mu * nu)
+def _haar_chunk(mu: int, nu: int, key: tuple[int, int], start: int, stop: int) -> np.ndarray:
+    amplitudes = _haar_amplitudes(mu, nu, key, start, stop)
     return _negativities_from_spectra(_spectra_from_matrices(amplitudes.reshape(-1, mu, nu)))
 
 
-def _circuit_chunk(n_qubits: int, rounds: int, seeds) -> np.ndarray:
-    psi = _circuit_states(n_qubits, rounds, seeds)
+def _circuit_chunk(n_qubits: int, rounds: int, key: tuple[int, int], start: int, stop: int) -> np.ndarray:
+    psi = _circuit_states(n_qubits, rounds, key, start, stop)
     half = 2 ** (n_qubits // 2)
-    return _negativities_from_spectra(_spectra_from_matrices(psi.reshape(-1, half, half)))
+    return _negativities_from_spectra(_spectra_from_matrices(psi.T.reshape(-1, half, half)))
 
 
 def sample_negativities(batch: SampleBatch, threads: int = 1) -> np.ndarray:
@@ -333,7 +448,7 @@ def sample_negativities(batch: SampleBatch, threads: int = 1) -> np.ndarray:
     out = np.empty(batch.count)
     if batch.count == 0:
         return out
-    seeds = [_sample_seed(batch.master_seed, i) for i in range(batch.count)]
+    key = _stream_key(batch.master_seed)
     spans = [(start, min(start + _CHUNK, batch.count)) for start in range(0, batch.count, _CHUNK)]
 
     if batch.generator == "haar":
@@ -341,13 +456,13 @@ def sample_negativities(batch: SampleBatch, threads: int = 1) -> np.ndarray:
 
         def run(span):
             start, stop = span
-            out[start:stop] = _haar_chunk(mu, nu, seeds[start:stop])
+            out[start:stop] = _haar_chunk(mu, nu, key, start, stop)
 
     else:
 
         def run(span):
             start, stop = span
-            out[start:stop] = _circuit_chunk(batch.n_qubits, batch.j, seeds[start:stop])
+            out[start:stop] = _circuit_chunk(batch.n_qubits, batch.j, key, start, stop)
 
     if threads == 1:
         for span in spans:

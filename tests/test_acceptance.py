@@ -140,7 +140,7 @@ def test_criterion_8_concentration_demo():
     def pass_fraction(d_a, d_b, seed):
         hits = 0
         for i in range(1000):
-            state = haar_pure_state(d_a, d_b, np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+            state = haar_pure_state(d_a, d_b, seed, i)
             hits += cluster_check(reduced_state_a(state), 0.1)
         return hits / 1000
 

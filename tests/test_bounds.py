@@ -145,7 +145,7 @@ class TestClusterCheck:
 
     def test_lopsided_haar_mostly_passes(self):
         passes = sum(
-            cluster_check(reduced_state_a(haar_pure_state(2, 512, np.random.SeedSequence(entropy=9, spawn_key=(i,)))), 0.1)
+            cluster_check(reduced_state_a(haar_pure_state(2, 512, 9, i)), 0.1)
             for i in range(200)
         )
         assert passes >= 190

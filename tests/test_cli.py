@@ -119,6 +119,25 @@ class TestSampleAndCompare:
         doc = json.loads(out.read_text())
         assert doc["mu"] == 2
 
+    def test_sampler_provenance(self, tmp_path):
+        from negmoments.sampling import STREAM_ID
+
+        for command, generator, size in (
+            ("sample", "circuit", ["--n-qubits", "4", "--j", "3"]),
+            ("compare", "haar", ["--mu", "2"]),
+        ):
+            out = tmp_path / f"{command}.json"
+            # Seeds of any size key the stream.
+            args = [command, *size, "--generator", generator, "--samples", "300", "--seed", str(2**70)]
+            assert main(args + ["--output", str(out)]) == 0
+            doc = json.loads(out.read_text())
+            assert doc["sampler"] == {"generator": generator, "stream": STREAM_ID, "master_seed": 2**70, "count": 300}
+
+    def test_moments_document_has_no_sampler(self, tmp_path):
+        out = tmp_path / "m.json"
+        assert main(["moments", "--mu", "2", "--output", str(out)]) == 0
+        assert "sampler" not in json.loads(out.read_text())
+
     def test_circuit_requires_n_qubits(self):
         assert main(["sample", "--mu", "4", "--generator", "circuit", "--samples", "10"]) == 2
 
@@ -173,6 +192,27 @@ class TestVerify:
 
     def test_rejects_tiny_mu(self):
         assert main(["verify", "--max-mu", "1"]) == 2
+
+
+class TestIgnoredFlagsRejected:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["moments", "--mu", "2", "--threads", "2"],
+            ["table", "--n-max", "4", "--threads", "2"],
+            ["bounds", "--n-qubits", "4", "--c", "preset", "--threads", "2"],
+            ["verify", "--max-mu", "2", "--threads", "2"],
+            ["verify", "--max-mu", "2", "--precision-bits", "128"],
+        ],
+    )
+    def test_flag_without_effect_is_usage_error(self, args, capsys):
+        assert main(args) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_threads_still_accepted_by_samplers(self, tmp_path):
+        for command in ("sample", "compare"):
+            out = tmp_path / f"{command}.json"
+            assert main([command, "--mu", "2", "--samples", "200", "--threads", "2", "--output", str(out)]) == 0
 
 
 class TestEntryPoints:

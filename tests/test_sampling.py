@@ -19,10 +19,7 @@ from negmoments.sampling import (
     sample_negativities,
     schmidt_spectrum,
 )
-
-
-def seeded(master, index):
-    return np.random.SeedSequence(entropy=master, spawn_key=(index,))
+from negmoments.sampling import _apply_single_qubit, _box_muller, _normals, _philox4x32_10, _stream_key
 
 
 def bell_state():
@@ -66,13 +63,13 @@ class TestSchmidt:
 
     def test_spectrum_sums_to_one(self):
         for i in range(25):
-            state = haar_pure_state(3, 5, seeded(8, i))
+            state = haar_pure_state(3, 5, 8, i)
             p = schmidt_spectrum(state).p
             assert abs(p.sum() - 1.0) < 1e-10
             assert np.all(np.diff(p) <= 0)
 
     def test_lopsided_split_uses_consistent_spectrum(self):
-        state = haar_pure_state(2, 64, seeded(4, 0))
+        state = haar_pure_state(2, 64, 4, 0)
         p = schmidt_spectrum(state).p
         m = state.matrix()
         reference = np.sort(np.linalg.svd(m, compute_uv=False) ** 2)[::-1]
@@ -131,7 +128,7 @@ class TestNegativityGeneral:
     def test_matches_pure_path(self, dims):
         mu, nu = dims
         for i in range(100):
-            state = haar_pure_state(mu, nu, seeded(1000 + mu * nu, i))
+            state = haar_pure_state(mu, nu, 1000 + mu * nu, i)
             via_schmidt = negativity_pure(schmidt_spectrum(state))
             via_trace_norm = negativity_general(state.density_matrix())
             assert abs(via_schmidt - via_trace_norm) < 1e-8
@@ -150,7 +147,7 @@ class TestTopSchmidtDistribution:
         count = 8000
         p1 = np.empty(count)
         for i in range(count):
-            p1[i] = schmidt_spectrum(haar_pure_state(2, 2, seeded(5, i))).p[0]
+            p1[i] = schmidt_spectrum(haar_pure_state(2, 2, 5, i)).p[0]
         xs = np.sort(p1)
         model = (2.0 * xs - 1.0) ** 3
         ecdf_hi = np.arange(1, count + 1) / count
@@ -169,7 +166,7 @@ class TestHaarInvariance:
         def top_values(seed_base, transform):
             out = np.empty(8000)
             for i in range(8000):
-                m = haar_pure_state(4, 4, seeded(seed_base, i)).matrix()
+                m = haar_pure_state(4, 4, seed_base, i).matrix()
                 if transform is not None:
                     m = transform @ m
                 out[i] = np.linalg.svd(m, compute_uv=False)[0] ** 2
@@ -226,11 +223,11 @@ class TestSampleBatches:
     def test_matches_single_state_path(self):
         batch = SampleBatch(master_seed=7, count=9, n_qubits=4, generator="circuit", j=11)
         values = sample_negativities(batch)
-        state = pseudorandom_circuit_state(4, 11, seeded(7, 4))
+        state = pseudorandom_circuit_state(4, 11, 7, 4)
         assert negativity_pure(schmidt_spectrum(state)) == values[4]
         haar_batch = SampleBatch(master_seed=21, count=9, dims=(3, 3))
         haar_values = sample_negativities(haar_batch)
-        state = haar_pure_state(3, 3, seeded(21, 6))
+        state = haar_pure_state(3, 3, 21, 6)
         assert negativity_pure(schmidt_spectrum(state)) == haar_values[6]
 
     def test_range_invariant(self):
@@ -262,9 +259,99 @@ class TestSampleBatches:
             sample_negativities(SampleBatch(master_seed=0, count=4, dims=(2, 2)), threads=0)
 
 
+class TestStream:
+    # Random123 known-answer vectors for Philox4x32-10: (key, counter, output).
+    KNOWN_ANSWERS = [
+        ((0x00000000, 0x00000000), (0x00000000,) * 4, (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
+        ((0xFFFFFFFF, 0xFFFFFFFF), (0xFFFFFFFF,) * 4, (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD)),
+        (
+            (0xA4093822, 0x299F31D0),
+            (0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344),
+            (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1),
+        ),
+    ]
+
+    @pytest.mark.parametrize("key, counter, expected", KNOWN_ANSWERS)
+    def test_philox_known_answers(self, key, counter, expected):
+        x, y = _philox4x32_10(key, *(np.array([w], dtype=np.uint64) for w in counter))
+        x, y = int(x[0]), int(y[0])
+        assert (x >> 32, x & 0xFFFFFFFF, y >> 32, y & 0xFFFFFFFF) == expected
+
+    def test_philox_vectorises_elementwise(self):
+        key = (0xA4093822, 0x299F31D0)
+        counters = np.array([[7, 0, 1, 0], [0, 0, 0, 0], [0xFFFFFFFF, 3, 2**31, 5]], dtype=np.uint64)
+        x, y = _philox4x32_10(key, *counters.T)
+        for row, xi, yi in zip(counters, x, y):
+            x1, y1 = _philox4x32_10(key, *(np.array([w], dtype=np.uint64) for w in row))
+            assert (xi, yi) == (x1[0], y1[0])
+
+    @pytest.mark.parametrize("generator, kwargs", [("haar", {"dims": (3, 3)}), ("circuit", {"n_qubits": 4, "j": 3})])
+    def test_sample_depends_on_seed_and_index_only(self, generator, kwargs):
+        full = sample_negativities(SampleBatch(master_seed=19, count=1100, generator=generator, **kwargs), threads=3)
+        for count in (1, 511, 512, 513):
+            for threads in (1, 3):
+                batch = SampleBatch(master_seed=19, count=count, generator=generator, **kwargs)
+                assert np.array_equal(sample_negativities(batch, threads=threads), full[:count])
+        for index in (0, 1, 511, 512, 513, 1099):
+            if generator == "haar":
+                state = haar_pure_state(3, 3, 19, index)
+            else:
+                state = pseudorandom_circuit_state(4, 3, 19, index)
+            assert negativity_pure(schmidt_spectrum(state)) == full[index]
+
+    def test_seeds_of_any_size(self):
+        a = haar_pure_state(2, 2, 2**70, 3)
+        b = haar_pure_state(2, 2, 2**70 + 1, 3)
+        assert np.array_equal(a.amplitudes, haar_pure_state(2, 2, 2**70, 3).amplitudes)
+        assert not np.array_equal(a.amplitudes, b.amplitudes)
+        with pytest.raises(ValueError):
+            haar_pure_state(2, 2, -1)
+
+    def test_index_range(self):
+        last = 2**64 - 1
+        assert np.array_equal(haar_pure_state(2, 2, 5, last).amplitudes, haar_pure_state(2, 2, 5, last).amplitudes)
+        for index in (-1, 2**64):
+            with pytest.raises(ValueError):
+                haar_pure_state(2, 2, 5, index)
+            with pytest.raises(ValueError):
+                pseudorandom_circuit_state(2, 1, 5, index)
+
+    def test_box_muller_extremes_are_finite(self):
+        words = np.array([0, 1, 2**11, 2**63, 2**64 - 1], dtype=np.uint64)
+        x, y = np.meshgrid(words, words)
+        z0, z1 = np.empty(x.shape), np.empty(x.shape)
+        _box_muller(x.copy(), y.copy(), z0, z1)
+        assert np.all(np.isfinite(z0)) and np.all(np.isfinite(z1))
+        # u1 = 1 exactly at the largest word: the radius, and both normals, are 0.
+        assert np.all(z0[:, -1] == 0.0) and np.all(z1[:, -1] == 0.0)
+
+    def test_normals_moments(self):
+        z = _normals(_stream_key(2024), 0, 1000, 500).ravel()
+        assert z.size == 10**6
+        assert np.all(np.isfinite(z))
+        assert abs(z.mean()) < 5 / math.sqrt(z.size)
+        # The variance of the sample variance of unit normals is 2 / n.
+        assert abs(z.var() - 1.0) < 5 * math.sqrt(2.0 / z.size)
+
+
+class TestGateKernel:
+    @pytest.mark.parametrize("n_qubits", [2, 4, 6])
+    def test_matches_dense_operator(self, n_qubits):
+        rng = np.random.default_rng(n_qubits)
+        batch = 3
+        dim = 2**n_qubits
+        psi = rng.standard_normal((dim, batch)) + 1j * rng.standard_normal((dim, batch))
+        for qubit in range(n_qubits):
+            gates = rng.standard_normal((2, 2, batch)) + 1j * rng.standard_normal((2, 2, batch))
+            out = _apply_single_qubit(psi, gates, qubit, n_qubits)
+            for b in range(batch):
+                dense = np.kron(np.kron(np.eye(2**qubit), gates[:, :, b]), np.eye(2 ** (n_qubits - 1 - qubit)))
+                assert np.abs(out[:, b] - dense @ psi[:, b]).max() < 1e-12
+
+
 class TestReducedState:
     def test_reduced_state_is_normalized(self):
-        state = haar_pure_state(2, 16, seeded(77, 0))
+        state = haar_pure_state(2, 16, 77, 0)
         rho_a = reduced_state_a(state)
         assert rho_a.shape == (2, 2)
         assert np.trace(rho_a).real == pytest.approx(1.0, abs=1e-12)
