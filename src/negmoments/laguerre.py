@@ -17,13 +17,17 @@ sqrt(pi); for integer beta the result is rational.
 
 The moment engine builds its pair-integral matrices by a two-term
 recurrence instead (see moments.py); this term sum is the independent oracle
-that the ``verify`` suites and the tests check those matrices against.
+that the ``verify`` suites and the tests check those matrices against. Each
+(k, l, beta) is summed once and cached, since the suites read the same
+values many times. The terminating 3F2 form of the beta = 1/2 case is a
+second, separate route, summed by its own term ratio.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from ._backend import ONE, rational
 from .exactring import HalfInteger, SqrtPiMonomial, gamma_half, reciprocal_gamma_half
@@ -83,11 +87,15 @@ def laguerre_pair_integral(k: int, l: int, beta) -> SqrtPiMonomial:
 
     beta = 0 reproduces orthonormality (delta_{kl}); beta = 1 is tridiagonal
     in (k, l); beta = 1/2 is the generic case and returns a rational multiple
-    of sqrt(pi).
+    of sqrt(pi). Each (k, l, beta) is summed once and cached.
     """
     if k < 0 or l < 0:
         raise ValueError("polynomial indices must be nonnegative")
-    twice = _beta_twice(beta)
+    return _pair_integral_cached(k, l, _beta_twice(beta))
+
+
+@lru_cache(maxsize=None)
+def _pair_integral_cached(k: int, l: int, twice: int) -> SqrtPiMonomial:
     acc = SqrtPiMonomial(0, 0)
     binom = 1  # C(k, t), updated multiplicatively
     t_fact = 1
@@ -131,11 +139,14 @@ def laguerre_pair_integral_hyp3f2(k: int, l: int) -> SqrtPiMonomial:
         raise ValueError("polynomial indices must be nonnegative")
     three_halves = Fraction(3, 2)
     lower = three_halves - l
-    series = rational(0)
-    for t in range(k + 1):
-        num = pochhammer(three_halves, t) ** 2 * pochhammer(-k, t)
-        den = pochhammer(1, t) * pochhammer(lower, t) * math.factorial(t)
-        series = series + num / den
+    # Successive terms of the 3F2 series have the ratio
+    # (3/2+t)^2 (t-k) / ((1+t) (3/2-l+t) (t+1)); times 4/4 it is a ratio of
+    # integers.
+    term = rational(1)
+    series = term
+    for t in range(k):
+        term = term * rational((2 * t + 3) ** 2 * (t - k), 2 * (t + 1) ** 2 * (2 * t + 3 - 2 * l))
+        series = series + term
     g = gamma_half(three_halves)
     prefactor = SqrtPiMonomial(g.coeff * g.coeff, 2 * g.power) * reciprocal_gamma_half(lower)
     sign = -1 if l % 2 else 1

@@ -30,9 +30,8 @@ exactly by 2(l+1); the gcd of all entries is divided out at the end. Each
 matrix is cached once per (mu, beta) as integer numerators over one common
 denominator. The term sum in laguerre.py is the oracle for this builder.
 
-The determinant sums have two implementations. The naive path evaluates
-every small determinant explicitly and is kept as a correctness oracle for
-small mu. The trace path expands the permutation sum into power-sum traces,
+Each determinant sum is evaluated by expanding its permutation sum into
+power-sum traces,
 
     pair   : t1^2 - t2
     triple : a1 b1^2 - a1 tr(B^2) - 2 b1 tr(AB) + 2 tr(A B^2)
@@ -40,7 +39,9 @@ small mu. The trace path expands the permutation sum into power-sum traces,
 
 and evaluates them on the integer numerators: B^2 is formed once per mu and
 shared by triple and quad, A is read only on its band, and each sum becomes
-a rational once, at the end.
+a rational once, at the end. The naive oracle, which evaluates every small
+determinant explicitly, lives in selfcheck.py (naive_det_moment_sum) and is
+run by ``verify``.
 
 Exact arithmetic covers mu <= 128 for both moments by default. Beyond the
 exact-mode ceilings the term sums are evaluated in mpmath floating point
@@ -59,7 +60,7 @@ from typing import Iterable, Sequence
 
 from mpmath import mp
 
-from ._backend import ZERO, rational
+from ._backend import rational
 from .exactring import (
     DEFAULT_PRECISION,
     Precision,
@@ -197,56 +198,6 @@ def build_pair_integral_matrix(mu: int, beta) -> PairIntegralMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _det3(m):
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
-def _det4(m):
-    total = ZERO
-    sign = 1
-    for c in range(4):
-        minor = [[m[r][cc] for cc in range(4) if cc != c] for r in range(1, 4)]
-        term = m[0][c] * _det3(minor)
-        total = total + term if sign > 0 else total - term
-        sign = -sign
-    return total
-
-
-def _naive_pair(rows):
-    total = ZERO
-    n = len(rows)
-    for k in range(n):
-        for l in range(n):
-            total += rows[k][k] * rows[l][l] - rows[k][l] * rows[l][k]
-    return total
-
-
-def _naive_triple(a_rows, b_rows):
-    total = ZERO
-    n = len(a_rows)
-    for k in range(n):
-        for l in range(n):
-            for m_ in range(n):
-                total += _det3([[a_rows[r][k], b_rows[r][l], b_rows[r][m_]] for r in (k, l, m_)])
-    return total
-
-
-def _naive_quad(b_rows):
-    total = ZERO
-    n = len(b_rows)
-    for k in range(n):
-        for l in range(n):
-            for m_ in range(n):
-                for p in range(n):
-                    idx = (k, l, m_, p)
-                    total += _det4([[b_rows[r][c] for c in idx] for r in idx])
-    return total
-
-
 # The trace path works on the integer numerators N of each matrix, so every
 # power sum is a plain int; the common denominator D is applied once at the
 # end (a degree-d power sum of N is D^d times that of the matrix).
@@ -319,36 +270,27 @@ def _quad_trace(mu: int):
     return rational(num, b.denominator**4)
 
 
-def det_moment_sum(mu: int, pattern: str, beta=None, method: str = "trace") -> SqrtPiPolynomial:
+def det_moment_sum(mu: int, pattern: str, beta=None) -> SqrtPiPolynomial:
     """Unrestricted determinant moment sum over the pair integral matrices.
 
     pattern "pair" (requires beta in {1/2, 1}) sums 2x2 determinants of one
     matrix; "triple" sums the 3x3 determinants whose first column carries the
     integer weight and remaining columns the sqrt weight; "quad" sums the 4x4
-    all-sqrt-weight determinants. method "naive" evaluates each determinant
-    explicitly (correctness oracle, small mu only); "trace" uses the
-    power-sum expansion. Both are exact and agree term for term.
+    all-sqrt-weight determinants. Each sum is evaluated exactly by its
+    power-sum expansion; selfcheck.naive_det_moment_sum evaluates every
+    determinant explicitly and is the oracle it is checked against.
     """
-    if method not in ("trace", "naive"):
-        raise ValueError(f"unknown method {method!r}")
-    naive = method == "naive"
     if pattern == "pair":
         if beta is None:
             raise ValueError("pair pattern requires beta")
         mat = build_pair_integral_matrix(mu, beta)
-        coeff = _naive_pair(mat.rows) if naive else _pair_trace(mat)
-        return SqrtPiPolynomial({2 * mat.power: coeff})
+        return SqrtPiPolynomial({2 * mat.power: _pair_trace(mat)})
     if beta is not None:
         raise ValueError(f"{pattern} pattern does not take beta")
     if pattern == "triple":
-        if naive:
-            coeff = _naive_triple(build_pair_integral_matrix(mu, 1).rows, build_pair_integral_matrix(mu, _HALF).rows)
-        else:
-            coeff = _triple_trace(mu)
-        return SqrtPiPolynomial({2: coeff})
+        return SqrtPiPolynomial({2: _triple_trace(mu)})
     if pattern == "quad":
-        coeff = _naive_quad(build_pair_integral_matrix(mu, _HALF).rows) if naive else _quad_trace(mu)
-        return SqrtPiPolynomial({4: coeff})
+        return SqrtPiPolynomial({4: _quad_trace(mu)})
     raise ValueError(f"unknown pattern {pattern!r}")
 
 

@@ -12,11 +12,17 @@ eigenvector-based formula (first eigenvector components below sqrt(eps) are
 pure noise). With n nodes the rule is exact for integrands of polynomial
 degree <= 2n - 1, so it is an independent floating-point check of the
 closed-form pair-integral evaluator whenever n >= k + l + 2.
+
+Each rule is built once per (nodes, alpha) and cached as read-only arrays,
+so the ``verify`` suites, which integrate many (k, l) pairs on the same
+rule, do not repeat the eigenvalue solve; gauss_generalized_laguerre returns
+copies that the caller may modify.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,7 +55,14 @@ def gauss_generalized_laguerre(nodes: int, alpha: float) -> tuple[np.ndarray, np
         raise ValueError("need at least one node")
     if alpha <= -1.0:
         raise ValueError("weight exponent must exceed -1")
-    n = nodes
+    x, w = _gauss_rule(nodes, float(alpha))
+    return x.copy(), w.copy()
+
+
+@lru_cache(maxsize=None)
+def _gauss_rule(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    # Built once per (nodes, alpha) and shared, so the arrays are read-only;
+    # the public function hands out copies.
     i = np.arange(n, dtype=float)
     diagonal = 2.0 * i + alpha + 1.0
     off = np.sqrt(i[1:] * (i[1:] + alpha))
@@ -65,6 +78,8 @@ def gauss_generalized_laguerre(nodes: int, alpha: float) -> tuple[np.ndarray, np
     below, _ = _gen_laguerre_pair(n, alpha, x)
     norm = math.gamma(n + alpha + 1) / math.factorial(n)
     w = norm * x / ((n + alpha) ** 2 * below**2)
+    x.flags.writeable = False
+    w.flags.writeable = False
     return x, w
 
 

@@ -6,6 +6,12 @@ with the recurrence-built pair matrices, orthonormality
 and tridiagonality at integer weights, the hypergeometric re-derivation,
 Gauss quadrature, and the naive determinant oracle against the trace
 expansion.
+
+The naive oracle, naive_det_moment_sum, lives here rather than in the
+moment engine: it evaluates every small determinant of every ordered index
+tuple explicitly, on the integer numerators of the pair matrices, and
+divides by the common denominators once at the end. It is O(mu^4) and meant
+for small mu only.
 """
 
 from __future__ import annotations
@@ -13,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactring import eval_float
+from ._backend import rational
+from .exactring import SqrtPiPolynomial, eval_float
 from .laguerre import laguerre_pair_integral, laguerre_pair_integral_hyp3f2
 from .moments import (
     build_pair_integral_matrix,
@@ -24,9 +31,100 @@ from .moments import (
 )
 from .quadrature import laguerre_pair_integral_quadrature
 
-__all__ = ["CheckResult", "run_all"]
+__all__ = ["CheckResult", "naive_det_moment_sum", "run_all"]
 
 _HALF = Fraction(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# naive determinant oracle
+# ---------------------------------------------------------------------------
+
+
+def _det3(m):
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
+def _det4(m):
+    # Laplace expansion along the first two rows: each 2x2 minor of rows 0-1
+    # times its complementary minor of rows 2-3.
+    (a, b, c, d), (e, f, g, h), (i, j, k, l), (q, r, s, t) = m
+    return (
+        (a * f - b * e) * (k * t - l * s)
+        - (a * g - c * e) * (j * t - l * r)
+        + (a * h - d * e) * (j * s - k * r)
+        + (b * g - c * f) * (i * t - l * q)
+        - (b * h - d * f) * (i * s - k * q)
+        + (c * h - d * g) * (i * r - j * q)
+    )
+
+
+def _naive_pair(rows):
+    total = 0
+    n = len(rows)
+    for k in range(n):
+        for l in range(n):
+            total += rows[k][k] * rows[l][l] - rows[k][l] * rows[l][k]
+    return total
+
+
+def _naive_triple(a_rows, b_rows):
+    total = 0
+    n = len(a_rows)
+    for k in range(n):
+        for l in range(n):
+            for m_ in range(n):
+                total += _det3([[a_rows[r][k], b_rows[r][l], b_rows[r][m_]] for r in (k, l, m_)])
+    return total
+
+
+def _naive_quad(b_rows):
+    total = 0
+    n = len(b_rows)
+    for k in range(n):
+        for l in range(n):
+            for m_ in range(n):
+                for p in range(n):
+                    idx = (k, l, m_, p)
+                    total += _det4([[b_rows[r][c] for c in idx] for r in idx])
+    return total
+
+
+def naive_det_moment_sum(mu: int, pattern: str, beta=None) -> SqrtPiPolynomial:
+    """moments.det_moment_sum by explicit determinants: the correctness oracle.
+
+    Same patterns and arguments as det_moment_sum. Every ordered index tuple
+    is visited, repeated indices included. The determinants are taken of
+    integer numerators, so a 2x2 sum of one matrix carries D^2, the triple
+    sum D_a D_b^2 and the quad sum D_b^4, where D_a and D_b are the common
+    denominators of the weight-1 and weight-1/2 matrices; each sum is
+    divided by its factor once, at the end.
+    """
+    if pattern == "pair":
+        if beta is None:
+            raise ValueError("pair pattern requires beta")
+        mat = build_pair_integral_matrix(mu, beta)
+        coeff = rational(_naive_pair(mat.numerators), mat.denominator**2)
+        return SqrtPiPolynomial({2 * mat.power: coeff})
+    if beta is not None:
+        raise ValueError(f"{pattern} pattern does not take beta")
+    if pattern not in ("triple", "quad"):
+        raise ValueError(f"unknown pattern {pattern!r}")
+    b = build_pair_integral_matrix(mu, _HALF)
+    if pattern == "triple":
+        a = build_pair_integral_matrix(mu, 1)
+        coeff = rational(_naive_triple(a.numerators, b.numerators), a.denominator * b.denominator**2)
+        return SqrtPiPolynomial({2: coeff})
+    return SqrtPiPolynomial({4: rational(_naive_quad(b.numerators), b.denominator**4)})
+
+
+# ---------------------------------------------------------------------------
+# identity suites
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -101,8 +199,8 @@ def check_naive_vs_trace(max_mu: int) -> CheckResult:
     patterns = [("pair", {"beta": _HALF}), ("pair", {"beta": 1}), ("triple", {}), ("quad", {})]
     for mu in range(1, max_mu + 1):
         for pattern, kwargs in patterns:
-            naive = det_moment_sum(mu, pattern, method="naive", **kwargs)
-            trace = det_moment_sum(mu, pattern, method="trace", **kwargs)
+            naive = naive_det_moment_sum(mu, pattern, **kwargs)
+            trace = det_moment_sum(mu, pattern, **kwargs)
             if naive != trace:
                 return CheckResult("naive vs trace determinant sums", False, f"{pattern} differs at mu={mu}")
     return CheckResult("naive vs trace determinant sums", True, f"mu <= {max_mu}")

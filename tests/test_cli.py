@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import negmoments
 from negmoments.cli import main
 
 
@@ -217,10 +220,15 @@ class TestIgnoredFlagsRejected:
 
 class TestEntryPoints:
     def test_module_invocation(self):
+        # The child imports the package this process imported, also when
+        # only pytest's pythonpath setting put it on sys.path.
+        package_root = str(Path(negmoments.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "negmoments", "--version"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert result.returncode == 0
         assert result.stdout.startswith("negmoments ")

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from negmoments.exactring import (
     HalfInteger,
@@ -18,6 +20,10 @@ from negmoments.exactring import (
 
 def mono(num, den=1, power=0):
     return SqrtPiMonomial(Fraction(num, den), power)
+
+
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+polys = st.dictionaries(st.integers(0, 6), rationals, max_size=5).map(SqrtPiPolynomial)
 
 
 class TestHalfInteger:
@@ -100,6 +106,25 @@ class TestMonomial:
         with pytest.raises(TypeError):
             SqrtPiMonomial(0.5, 1)
 
+    @settings(max_examples=80, deadline=None)
+    @given(x=rationals, y=rationals, z=rationals, p=st.integers(-4, 4), q=st.integers(-4, 4), r=st.integers(-4, 4))
+    def test_ring_laws_property(self, x, y, z, p, q, r):
+        a, b, c = SqrtPiMonomial(x, p), SqrtPiMonomial(y, q), SqrtPiMonomial(z, r)
+        assert a * b == b * a
+        assert (a * b) * c == a * (b * c)
+        # Sums are defined within one grade: d and e share b's.
+        d, e = SqrtPiMonomial(x, q), SqrtPiMonomial(z, q)
+        assert b + e == e + b
+        assert (d + b) + e == d + (b + e)
+        assert a * (b + e) == a * b + a * e
+        assert b + SqrtPiMonomial(0, 0) == b
+
+    @settings(max_examples=80, deadline=None)
+    @given(x=rationals, y=rationals, p=st.integers(0, 6), q=st.integers(0, 6))
+    def test_polynomial_embedding_is_multiplicative(self, x, y, p, q):
+        a, b = SqrtPiMonomial(x, p), SqrtPiMonomial(y, q)
+        assert (a * b).to_polynomial() == a.to_polynomial() * b.to_polynomial()
+
 
 def random_poly(rng, max_degree=5):
     coeffs = {}
@@ -119,6 +144,16 @@ class TestPolynomialRing:
             assert (a + b) + c == a + (b + c)
             assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
+
+    @settings(max_examples=80, deadline=None)
+    @given(a=polys, b=polys, c=polys)
+    def test_ring_laws_property(self, a, b, c):
+        assert a + b == b + a
+        assert a * b == b * a
+        assert (a + b) + c == a + (b + c)
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert (a + b) * c == a * c + b * c
 
     def test_no_stored_zeros(self):
         rng = random.Random(11)

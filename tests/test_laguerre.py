@@ -117,10 +117,19 @@ class TestPairIntegral:
                     assert laguerre_pair_integral(k, l, beta) == pair_integral_by_expansion(k, l, beta)
 
     def test_rejects_unsupported_weight(self):
+        # Also once the values around the bad arguments are cached.
+        for k in range(3):
+            for l in range(3):
+                for beta in (0, HALF, 1):
+                    laguerre_pair_integral(k, l, beta)
         with pytest.raises(ValueError):
             laguerre_pair_integral(1, 1, Fraction(3, 2))
         with pytest.raises(ValueError):
+            laguerre_pair_integral(1, 1, 2)
+        with pytest.raises(ValueError):
             laguerre_pair_integral(-1, 0, HALF)
+        with pytest.raises(ValueError):
+            laguerre_pair_integral(0, -1, 1)
 
 
 class TestHyp3F2Path:
@@ -132,6 +141,18 @@ class TestHyp3F2Path:
         for k in range(13):
             for l in range(13):
                 assert laguerre_pair_integral_hyp3f2(k, l) == laguerre_pair_integral(k, l, HALF)
+
+    def test_verify_suite_catches_a_wrong_term_sum(self, monkeypatch):
+        from negmoments import selfcheck
+
+        def corrupted(k, l, beta):
+            value = laguerre_pair_integral(k, l, beta)
+            return value + SqrtPiMonomial(Fraction(1, 2**40), 1) if (k, l) == (3, 2) else value
+
+        monkeypatch.setattr(selfcheck, "laguerre_pair_integral", corrupted)
+        result = selfcheck.check_hyp3f2(4)
+        assert result.name == "3F2 re-derivation"
+        assert not result.passed and result.detail == "mismatch at (3,2)"
 
 
 class TestVandermondeNorm:

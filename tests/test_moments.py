@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -29,6 +31,7 @@ from negmoments.moments import (
     sqrt_sum_second_moment,
     variance_negativity,
 )
+from negmoments.selfcheck import _det4, naive_det_moment_sum
 
 HALF = Fraction(1, 2)
 
@@ -103,9 +106,31 @@ class TestDetMomentSums:
         patterns = [("pair", {"beta": HALF}), ("pair", {"beta": 1}), ("triple", {}), ("quad", {})]
         for mu in range(1, 6):
             for pattern, kwargs in patterns:
-                naive = det_moment_sum(mu, pattern, method="naive", **kwargs)
-                trace = det_moment_sum(mu, pattern, method="trace", **kwargs)
+                naive = naive_det_moment_sum(mu, pattern, **kwargs)
+                trace = det_moment_sum(mu, pattern, **kwargs)
                 assert naive == trace
+
+    def test_det4_matches_permutation_expansion(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            m = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
+            leibniz = 0
+            for perm in itertools.permutations(range(4)):
+                inversions = sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4))
+                leibniz += (-1) ** inversions * math.prod(m[r][perm[r]] for r in range(4))
+            assert _det4(m) == leibniz
+
+    def test_naive_suite_catches_a_trace_off_by_one_unit(self, monkeypatch):
+        from negmoments import moments, selfcheck
+
+        original = moments._quad_trace
+
+        def off_by_one(mu):
+            return original(mu) + Fraction(1, build_pair_integral_matrix(mu, HALF).denominator ** 4)
+
+        monkeypatch.setattr(moments, "_quad_trace", off_by_one)
+        result = selfcheck.check_naive_vs_trace(3)
+        assert not result.passed and result.detail == "quad differs at mu=1"
 
     @pytest.mark.parametrize("mu", [24, 32])
     def test_trace_sums_match_term_sum_matrices(self, mu):
@@ -138,7 +163,11 @@ class TestDetMomentSums:
         with pytest.raises(ValueError):
             det_moment_sum(2, "pentuple")
         with pytest.raises(ValueError):
-            det_moment_sum(2, "pair", beta=HALF, method="guess")
+            naive_det_moment_sum(2, "pair")
+        with pytest.raises(ValueError):
+            naive_det_moment_sum(2, "quad", beta=1)
+        with pytest.raises(ValueError):
+            naive_det_moment_sum(2, "pentuple")
 
 
 class TestExactMoments:

@@ -45,6 +45,17 @@ class TestNodesWeights:
         with pytest.raises(ValueError):
             gauss_generalized_laguerre(5, -1.0)
 
+    def test_returned_arrays_are_the_callers(self):
+        x_ref, w_ref = (a.copy() for a in gauss_generalized_laguerre(12, 0.5))
+        x, w = gauss_generalized_laguerre(12, 0.5)
+        x[:] = 0.0
+        w *= 2.0
+        x_again, w_again = gauss_generalized_laguerre(12, 0.5)
+        assert np.array_equal(x_again, x_ref) and np.array_equal(w_again, w_ref)
+        assert laguerre_pair_integral_quadrature(2, 3, 0.5, 12) == pytest.approx(
+            eval_float(laguerre_pair_integral(2, 3, HALF).to_polynomial()), abs=1e-12
+        )
+
 
 class TestLaguerreValues:
     def test_matches_coefficients(self):

@@ -19,7 +19,15 @@ from negmoments.sampling import (
     sample_negativities,
     schmidt_spectrum,
 )
-from negmoments.sampling import _apply_single_qubit, _box_muller, _normals, _philox4x32_10, _stream_key
+from negmoments.sampling import (
+    _apply_single_qubit,
+    _box_muller,
+    _haar_amplitudes,
+    _normals,
+    _philox4x32_10,
+    _spectra_from_matrices,
+    _stream_key,
+)
 
 
 def bell_state():
@@ -145,9 +153,8 @@ class TestTopSchmidtDistribution:
     def test_top_coefficient_matches_analytic_cdf(self):
         # For a 2x2 split the larger coefficient has CDF (2p-1)^3 on [1/2, 1].
         count = 8000
-        p1 = np.empty(count)
-        for i in range(count):
-            p1[i] = schmidt_spectrum(haar_pure_state(2, 2, 5, i)).p[0]
+        amplitudes = _haar_amplitudes(2, 2, _stream_key(5), 0, count)
+        p1 = _spectra_from_matrices(amplitudes.reshape(-1, 2, 2))[:, 0]
         xs = np.sort(p1)
         model = (2.0 * xs - 1.0) ** 3
         ecdf_hi = np.arange(1, count + 1) / count
@@ -164,13 +171,10 @@ class TestHaarInvariance:
         unitary = q * (np.diag(r) / np.abs(np.diag(r)))
 
         def top_values(seed_base, transform):
-            out = np.empty(8000)
-            for i in range(8000):
-                m = haar_pure_state(4, 4, seed_base, i).matrix()
-                if transform is not None:
-                    m = transform @ m
-                out[i] = np.linalg.svd(m, compute_uv=False)[0] ** 2
-            return out
+            matrices = _haar_amplitudes(4, 4, _stream_key(seed_base), 0, 8000).reshape(-1, 4, 4)
+            if transform is not None:
+                matrices = transform @ matrices
+            return _spectra_from_matrices(matrices)[:, 0]
 
         plain = top_values(100, None)
         rotated = top_values(200, unitary)
