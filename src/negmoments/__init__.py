@@ -5,7 +5,7 @@ equal bipartitions, a Monte Carlo and pseudorandom-circuit sampling lab to
 verify them, and the teleportation / distillation bounds they imply.
 """
 
-from ._backend import BACKEND, as_fraction, format_rational, parse_rational, rational
+from ._backend import BACKEND, format_rational, parse_rational
 from .bounds import (
     BoundsReport,
     CLUSTER_THRESHOLD_PRESETS,
@@ -47,9 +47,7 @@ from .laguerre import (
     squared_vandermonde_integral,
 )
 from .moments import (
-    DEFAULT_EXACT_MEAN_CEILING,
-    DEFAULT_EXACT_VARIANCE_CEILING,
-    FallbackPrecisionError,
+    EXACT_MODE_CEILING,
     MomentReport,
     PairIntegralMatrix,
     ResourceCeilingError,

@@ -1,45 +1,19 @@
-"""Exact rational arithmetic backend.
+"""Exact rational arithmetic: ``fractions.Fraction`` and its text form.
 
-The moment engine multiplies and reduces rationals whose numerators grow to
-hundreds of digits, so the hot kernels are really GMP workloads. When gmpy2
-is importable we use ``gmpy2.mpq`` (compiled, GMP-backed); otherwise we fall
-back to ``fractions.Fraction``. Both expose the same arithmetic surface
-(operators plus ``.numerator``/``.denominator``) and keep every value as a
-reduced fraction with positive denominator.
-
-Set ``NEGMOMENTS_PURE_RATIONAL=1`` to force the pure-Python backend. The
-benchmark script under ``benchmarks/`` uses this to compare the two.
+Every exact value in the package is a ``fractions.Fraction`` (reduced, with
+a positive denominator). The hot kernels of the moment engine run on plain
+Python integers and build one Fraction per result, so there is no other
+rational backend.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 
-__all__ = ["BACKEND", "rational", "as_fraction", "format_rational", "parse_rational"]
+__all__ = ["BACKEND", "format_rational", "parse_rational"]
 
-
-def _select():
-    if os.environ.get("NEGMOMENTS_PURE_RATIONAL", "") not in ("", "0"):
-        return Fraction, "fractions"
-    try:
-        from gmpy2 import mpq
-    except ImportError:
-        return Fraction, "fractions"
-    return mpq, "gmpy2"
-
-
-#: Rational constructor: ``rational(num, den=1)``.
-rational, BACKEND = _select()
-
-#: Cached zero/one, shared by the ring code.
-ZERO = rational(0)
-ONE = rational(1)
-
-
-def as_fraction(x) -> Fraction:
-    """Convert a backend rational (or any ``numbers.Rational``) to Fraction."""
-    return Fraction(int(x.numerator), int(x.denominator))
+#: Name of the rational arithmetic in use, reported with benchmark results.
+BACKEND = "fractions"
 
 
 def format_rational(x) -> str:
@@ -47,9 +21,7 @@ def format_rational(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_rational(text: str):
+def parse_rational(text: str) -> Fraction:
     """Inverse of :func:`format_rational`; bare integers are accepted too."""
     num, _, den = text.partition("/")
-    if den:
-        return rational(int(num), int(den))
-    return rational(int(num))
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))

@@ -4,9 +4,10 @@ Subcommands: moments, table, sample, compare, bounds, verify. All output is
 deterministic for a fixed configuration: reruns with any --threads value
 produce byte-identical bytes.
 
+Every moment is computed exactly; --exact only caps the size at mu <= 128.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 exact-mode
-resource ceiling exceeded, 4 I/O failure, 5 floating fallback failed to
-stabilize.
+resource ceiling exceeded, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .bounds import RATIO_PRESET, build_bounds_report
 from .distribution import build_document, build_histogram, compare, gaussian_reference, render_csv, render_json
 from .exactring import Precision
 from .moments import (
-    FallbackPrecisionError,
+    EXACT_MODE_CEILING,
     ResourceCeilingError,
     extrapolate_limit,
     generate_table,
@@ -39,7 +40,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_IO = 4
-EXIT_FALLBACK = 5
 
 
 class UsageError(ValueError):
@@ -84,17 +84,17 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"negmoments {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("moments", help="exact/floating mean and deviation for one size")
+    p = sub.add_parser("moments", help="exact mean and deviation for one size")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--mu", type=int, help="local dimension of the equal bipartition")
     group.add_argument("--n-qubits", type=int, help="even total qubit count (mu = 2^(n/2))")
-    p.add_argument("--exact", action="store_true", help="insist on exact arithmetic")
+    p.add_argument("--exact", action="store_true", help=f"refuse mu > {EXACT_MODE_CEILING} (exit 3)")
     _add_common(p)
 
     p = sub.add_parser("table", help="normalized-mean convergence table over qubit counts")
     p.add_argument("--n-min", type=int, default=2)
     p.add_argument("--n-max", type=int, default=14)
-    p.add_argument("--exact", action="store_true")
+    p.add_argument("--exact", action="store_true", help=f"refuse rows with mu > {EXACT_MODE_CEILING} (exit 3)")
     p.add_argument("--extrapolate", action="store_true", help="append the geometric-tail limit")
     _add_common(p)
 
@@ -141,7 +141,7 @@ def _write(text: str, output: str) -> None:
 
 def _cmd_moments(args) -> int:
     mu, n = _resolve_size(args)
-    report = normalized_moments(mu, _precision(args), exact=True if args.exact else None)
+    report = normalized_moments(mu, _precision(args), exact=args.exact)
     if args.format == "json":
         text = render_json(build_document(report, n_qubits=n))
     else:
@@ -167,7 +167,7 @@ def _cmd_table(args) -> int:
     if args.n_min < 2 or args.n_min % 2 or args.n_max < args.n_min or args.n_max % 2:
         raise UsageError("qubit counts must be even, n-min >= 2, n-max >= n-min")
     n_list = list(range(args.n_min, args.n_max + 1, 2))
-    rows = generate_table(n_list, _precision(args), exact=True if args.exact else None)
+    rows = generate_table(n_list, _precision(args), exact=args.exact)
     limit = extrapolate_limit(rows) if args.extrapolate else None
     if args.format == "json":
         doc = {
@@ -328,9 +328,6 @@ def main(argv=None) -> int:
     except ResourceCeilingError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_RESOURCE
-    except FallbackPrecisionError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_FALLBACK
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return EXIT_IO

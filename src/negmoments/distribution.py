@@ -163,9 +163,7 @@ def compare(hist: Histogram, ref: GaussianReference) -> ComparisonReport:
 # ---------------------------------------------------------------------------
 
 
-def _poly_json(poly) -> dict | None:
-    if poly is None:
-        return None
+def _poly_json(poly) -> dict:
     return {"pi_half_coeffs": poly.coeff_strings()}
 
 

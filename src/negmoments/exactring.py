@@ -17,7 +17,7 @@ from typing import Mapping, Union
 
 from mpmath import mp
 
-from ._backend import ONE, ZERO, format_rational, rational
+from ._backend import format_rational
 
 __all__ = [
     "PoleError",
@@ -69,10 +69,13 @@ class HalfInteger:
         return str(self.twice // 2) if self.is_integer else f"{self.twice}/2"
 
 
-def _coerce_rational(value):
+_ZERO = Fraction(0)
+
+
+def _coerce_rational(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError("exact ring does not accept floats")
-    return rational(value.numerator, value.denominator) if not isinstance(value, int) else rational(value)
+    return Fraction(value.numerator, value.denominator) if not isinstance(value, int) else Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -165,7 +168,7 @@ class SqrtPiPolynomial:
         return cls({mono.power: mono.coeff})
 
     def coefficient(self, degree: int):
-        return self._coeffs.get(degree, ZERO)
+        return self._coeffs.get(degree, _ZERO)
 
     def degrees(self):
         return sorted(self._coeffs)
@@ -196,7 +199,7 @@ class SqrtPiPolynomial:
         other = _as_poly(other)
         merged = dict(self._coeffs)
         for degree, value in other._coeffs.items():
-            merged[degree] = merged.get(degree, ZERO) + value
+            merged[degree] = merged.get(degree, _ZERO) + value
         return SqrtPiPolynomial(merged)
 
     __radd__ = __add__
@@ -211,7 +214,7 @@ class SqrtPiPolynomial:
         return _as_poly(other) + (-self)
 
     def __mul__(self, other) -> "SqrtPiPolynomial":
-        if isinstance(other, (int, Fraction)) or type(other) is type(ONE):
+        if isinstance(other, (int, Fraction)):
             scalar = _coerce_rational(other)
             return SqrtPiPolynomial({d: v * scalar for d, v in self._coeffs.items()})
         other = _as_poly(other)
@@ -219,7 +222,7 @@ class SqrtPiPolynomial:
         for d1, v1 in self._coeffs.items():
             for d2, v2 in other._coeffs.items():
                 key = d1 + d2
-                product[key] = product.get(key, ZERO) + v1 * v2
+                product[key] = product.get(key, _ZERO) + v1 * v2
         return SqrtPiPolynomial(product)
 
     __rmul__ = __mul__
@@ -299,10 +302,10 @@ def _gamma_half_twice(twice: int) -> SqrtPiMonomial:
         num = 1
         for i in range(m):
             num *= 2 * i + 1
-        return SqrtPiMonomial(rational(num, 2**m), 1)
+        return SqrtPiMonomial(Fraction(num, 2**m), 1)
     # Downward recurrence: Gamma(1/2 - s) = (-4)**s s! / (2s)! * sqrt(pi).
     s = -m
-    return SqrtPiMonomial(rational((-4) ** s * math.factorial(s), math.factorial(2 * s)), 1)
+    return SqrtPiMonomial(Fraction((-4) ** s * math.factorial(s), math.factorial(2 * s)), 1)
 
 
 def gamma_half(h: HalfIntLike) -> SqrtPiMonomial:
@@ -320,7 +323,7 @@ def _reciprocal_gamma_half_twice(twice: int) -> SqrtPiMonomial:
     if twice % 2 == 0 and twice <= 0:
         return SqrtPiMonomial(0, 0)
     g = _gamma_half_twice(twice)
-    return SqrtPiMonomial(ONE / g.coeff, -g.power)
+    return SqrtPiMonomial(1 / g.coeff, -g.power)
 
 
 def reciprocal_gamma_half(h: HalfIntLike) -> SqrtPiMonomial:

@@ -29,7 +29,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from ._backend import ONE, rational
 from .exactring import HalfInteger, SqrtPiMonomial, gamma_half, reciprocal_gamma_half
 
 __all__ = [
@@ -52,8 +51,8 @@ def pochhammer(a, n: int, direction: str = "rising"):
     if direction not in ("rising", "falling"):
         raise ValueError(f"unknown direction {direction!r}")
     step = 1 if direction == "rising" else -1
-    a = rational(a.numerator, a.denominator) if not isinstance(a, int) else rational(a)
-    result = ONE
+    a = Fraction(a.numerator, a.denominator) if not isinstance(a, int) else Fraction(a)
+    result = Fraction(1)
     for i in range(n):
         result = result * (a + step * i)
     return result
@@ -66,8 +65,8 @@ def laguerre_eval(k: int, x):
     """
     if k < 0:
         raise ValueError("Laguerre index must be nonnegative")
-    x = rational(x.numerator, x.denominator) if not isinstance(x, int) else rational(x)
-    prev, cur = ONE, ONE - x
+    x = Fraction(x.numerator, x.denominator) if not isinstance(x, int) else Fraction(x)
+    prev, cur = Fraction(1), 1 - x
     if k == 0:
         return prev
     for i in range(1, k):
@@ -106,12 +105,12 @@ def _pair_integral_cached(k: int, l: int, twice: int) -> SqrtPiMonomial:
         g = _gamma_half_shift(twice, t)
         r = _recip_gamma_half_shift(twice, t - l)
         if not r.is_zero:
-            term_coeff = g.coeff * g.coeff * r.coeff * rational(binom, t_fact)
+            term_coeff = g.coeff * g.coeff * r.coeff * Fraction(binom, t_fact)
             if t % 2:
                 term_coeff = -term_coeff
             acc = acc + SqrtPiMonomial(term_coeff, 2 * g.power + r.power)
     sign = -1 if l % 2 else 1
-    return acc * rational(sign, math.factorial(l))
+    return acc * Fraction(sign, math.factorial(l))
 
 
 def _gamma_half_shift(beta_twice: int, shift: int) -> SqrtPiMonomial:
@@ -142,15 +141,15 @@ def laguerre_pair_integral_hyp3f2(k: int, l: int) -> SqrtPiMonomial:
     # Successive terms of the 3F2 series have the ratio
     # (3/2+t)^2 (t-k) / ((1+t) (3/2-l+t) (t+1)); times 4/4 it is a ratio of
     # integers.
-    term = rational(1)
+    term = Fraction(1)
     series = term
     for t in range(k):
-        term = term * rational((2 * t + 3) ** 2 * (t - k), 2 * (t + 1) ** 2 * (2 * t + 3 - 2 * l))
+        term = term * Fraction((2 * t + 3) ** 2 * (t - k), 2 * (t + 1) ** 2 * (2 * t + 3 - 2 * l))
         series = series + term
     g = gamma_half(three_halves)
     prefactor = SqrtPiMonomial(g.coeff * g.coeff, 2 * g.power) * reciprocal_gamma_half(lower)
     sign = -1 if l % 2 else 1
-    return prefactor * (series * rational(sign, math.factorial(l)))
+    return prefactor * (series * Fraction(sign, math.factorial(l)))
 
 
 def squared_vandermonde_integral(mu: int):
@@ -160,7 +159,7 @@ def squared_vandermonde_integral(mu: int):
     """
     if mu < 1:
         raise ValueError("dimension must be at least 1")
-    total = rational(math.factorial(mu))
+    total = Fraction(math.factorial(mu))
     for k in range(1, mu + 1):
         f = math.factorial(k - 1)
         total = total * (f * f)

@@ -43,10 +43,11 @@ a rational once, at the end. The naive oracle, which evaluates every small
 determinant explicitly, lives in selfcheck.py (naive_det_moment_sum) and is
 run by ``verify``.
 
-Exact arithmetic covers mu <= 128 for both moments by default. Beyond the
-exact-mode ceilings the term sums are evaluated in mpmath floating point
-with enough working precision for the alternating binomial sums, verified by
-recomputing at doubled precision.
+Every moment is exact at every size: the floats in a MomentReport or a
+TableRow are the exact sqrt(pi) polynomials evaluated at the working
+precision, so there is no floating path to pick or to verify.
+``exact=True`` (the CLI's ``--exact``) only caps the size at
+EXACT_MODE_CEILING and raises ResourceCeilingError above it.
 """
 
 from __future__ import annotations
@@ -60,23 +61,20 @@ from typing import Iterable, Sequence
 
 from mpmath import mp
 
-from ._backend import rational
 from .exactring import (
     DEFAULT_PRECISION,
     Precision,
     SqrtPiMonomial,
     SqrtPiPolynomial,
 )
-from .exactring import _gamma_half_twice, _reciprocal_gamma_half_twice
+from .exactring import _gamma_half_twice
 
 __all__ = [
     "ResourceCeilingError",
-    "FallbackPrecisionError",
     "PairIntegralMatrix",
     "MomentReport",
     "TableRow",
-    "DEFAULT_EXACT_MEAN_CEILING",
-    "DEFAULT_EXACT_VARIANCE_CEILING",
+    "EXACT_MODE_CEILING",
     "build_pair_integral_matrix",
     "det_moment_sum",
     "mean_negativity",
@@ -90,26 +88,17 @@ __all__ = [
     "extrapolate_limit",
 ]
 
-#: Largest mu handled in exact arithmetic by default. The common denominator
-#: of B reaches 496 bits at mu = 128, and the variance's integer square of B
-#: costs O(mu^3) products of such numerators.
-DEFAULT_EXACT_MEAN_CEILING = 128
-DEFAULT_EXACT_VARIANCE_CEILING = 128
-
-#: Relative agreement required between successive precision doublings on the
-#: floating fallback path.
-_DOUBLING_RTOL = 1e-8
-_MAX_DOUBLINGS = 6
+#: Largest mu that exact=True (the CLI's --exact) accepts. Larger sizes are
+#: still exact without it; the cap only bounds the time of a run that asks
+#: for exactness: the variance's integer square of B costs O(mu^3) products
+#: of numerators that reach 496 bits at mu = 128.
+EXACT_MODE_CEILING = 128
 
 _HALF = Fraction(1, 2)
 
 
 class ResourceCeilingError(RuntimeError):
     """Exact evaluation was forced beyond the configured size ceiling."""
-
-
-class FallbackPrecisionError(RuntimeError):
-    """The floating fallback did not stabilize within its precision doublings."""
 
 
 @dataclass(frozen=True)
@@ -134,10 +123,10 @@ class PairIntegralMatrix:
     @property
     def rows(self) -> tuple:
         den = self.denominator
-        return tuple(tuple(rational(x, den) for x in row) for row in self.numerators)
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.numerators)
 
     def entry(self, k: int, l: int) -> SqrtPiMonomial:
-        return SqrtPiMonomial(rational(self.numerators[k][l], self.denominator), self.power)
+        return SqrtPiMonomial(Fraction(self.numerators[k][l], self.denominator), self.power)
 
     def entries(self) -> list[list[SqrtPiMonomial]]:
         return [[self.entry(k, l) for l in range(self.mu)] for k in range(self.mu)]
@@ -244,7 +233,7 @@ def _pair_trace(mat: PairIntegralMatrix):
     nums = mat.numerators
     t1 = _int_trace(nums)
     t2 = sum(x * x for row in nums for x in row)
-    return rational(t1 * t1 - t2, mat.denominator**2)
+    return Fraction(t1 * t1 - t2, mat.denominator**2)
 
 
 def _triple_trace(mu: int):
@@ -258,7 +247,7 @@ def _triple_trace(mu: int):
     ab = _band_overlap(a_nums, [b_nums[i][i] for i in range(mu)], [b_nums[i][i + 1] for i in range(mu - 1)])
     ab2 = _band_overlap(a_nums, sq_diag, sq_superdiag)
     num = a1 * b1 * b1 - a1 * b2 - 2 * b1 * ab + 2 * ab2
-    return rational(num, a.denominator * b.denominator**2)
+    return Fraction(num, a.denominator * b.denominator**2)
 
 
 def _quad_trace(mu: int):
@@ -267,7 +256,7 @@ def _quad_trace(mu: int):
     b1 = _int_trace(b.numerators)
     t2 = sum(sq_diag)
     num = b1**4 - 6 * b1 * b1 * t2 + 3 * t2 * t2 + 8 * b1 * t3 - 6 * t4
-    return rational(num, b.denominator**4)
+    return Fraction(num, b.denominator**4)
 
 
 def det_moment_sum(mu: int, pattern: str, beta=None) -> SqrtPiPolynomial:
@@ -328,8 +317,8 @@ def fourth_moment(mu: int) -> SqrtPiPolynomial:
     """
     if mu < 1:
         raise ValueError("dimension must be at least 1")
-    deg1 = rational(1, mu * mu)
-    deg2 = rational(1, mu * mu * (mu * mu + 1))
+    deg1 = Fraction(1, mu * mu)
+    deg2 = Fraction(1, mu * mu * (mu * mu + 1))
     a = det_moment_sum(mu, "pair", beta=Fraction(1, 2)) * deg1
     b = det_moment_sum(mu, "pair", beta=1) * deg2
     c = det_moment_sum(mu, "triple") * deg2
@@ -345,127 +334,7 @@ def variance_negativity(mu: int) -> SqrtPiPolynomial:
 
 def max_negativity(mu: int):
     """Largest negativity attainable on a mu x mu bipartition, (mu-1)/2."""
-    return rational(mu - 1, 2)
-
-
-# ---------------------------------------------------------------------------
-# floating fallback path (beyond the exact ceilings)
-# ---------------------------------------------------------------------------
-
-
-def _working_bits(mu: int, precision: Precision) -> int:
-    # The alternating t-sums cancel ~O(mu) digits; scale headroom with mu.
-    return max(precision.bits, 4 * mu + 64)
-
-
-def _mpf_matrix(mu: int, beta_twice: int):
-    """Coefficient matrix of J(k, l, beta) as mpf values at mp.prec.
-
-    Same term sums as the exact builder, with the sqrt(pi)-unit-free Gamma
-    tables generated by the upward recurrence Gamma(x+1) = x Gamma(x).
-    """
-    beta = mp.mpf(beta_twice) / 2
-    g2 = [mp.mpf(0)] * mu
-    g = mp.mpf(1) / 2 if beta_twice == 1 else mp.mpf(1)  # Gamma(beta+1) / sqrt(pi)^power
-    for t in range(mu):
-        if t:
-            g = g * (t + beta)
-        g2[t] = g * g
-    rc = [mp.mpf(0)] * (2 * mu + 1)
-    for m in range(-mu, mu + 1):
-        mono = _reciprocal_gamma_half_twice(beta_twice + 2 * m + 2)
-        rc[m + mu] = mp.mpf(int(mono.coeff.numerator)) / mp.mpf(int(mono.coeff.denominator))
-    rows = [[mp.mpf(0)] * mu for _ in range(mu)]
-    for k in range(mu):
-        for l in range(k, mu):
-            acc = mp.mpf(0)
-            binom = 1
-            t_fact = 1
-            for t in range(k + 1):
-                if t:
-                    binom = binom * (k - t + 1) // t
-                    t_fact *= t
-                r = rc[t - l + mu]
-                if r:
-                    term = g2[t] * r * mp.mpf(binom) / mp.mpf(t_fact)
-                    acc = acc - term if t % 2 else acc + term
-            acc = acc / mp.mpf(math.factorial(l))
-            if l % 2:
-                acc = -acc
-            rows[k][l] = acc
-            rows[l][k] = acc
-    return rows
-
-
-def _mpf_trace(rows):
-    return mp.fsum(rows[i][i] for i in range(len(rows)))
-
-
-def _mpf_overlap(a_rows, b_rows):
-    return mp.fsum(x * y for ra, rb in zip(a_rows, b_rows) for x, y in zip(ra, rb))
-
-
-def _mpf_square(rows):
-    n = len(rows)
-    out = [[mp.mpf(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            acc = mp.fsum(x * y for x, y in zip(rows[i], rows[j]))
-            out[i][j] = acc
-            out[j][i] = acc
-    return out
-
-
-def _mpf_mean(mu: int):
-    b = _mpf_matrix(mu, 1)
-    t1 = _mpf_trace(b)
-    pair = t1 * t1 - _mpf_overlap(b, b)
-    return pair * mp.pi / (2 * mu * mu)
-
-
-def _mpf_mean_and_variance(mu: int):
-    b = _mpf_matrix(mu, 1)
-    a = _mpf_matrix(mu, 2)
-    b2 = _mpf_square(b)
-    pi = mp.pi
-    t1 = _mpf_trace(b)
-    a1 = _mpf_trace(a)
-    b_over = _mpf_overlap(b, b)
-    pair_half = (t1 * t1 - b_over) * pi
-    pair_one = a1 * a1 - _mpf_overlap(a, a)
-    triple = (a1 * t1 * t1 - a1 * b_over - 2 * t1 * _mpf_overlap(a, b) + 2 * _mpf_overlap(a, b2)) * pi
-    t3 = _mpf_overlap(b2, b)
-    t4 = _mpf_overlap(b2, b2)
-    quad = (t1**4 - 6 * t1 * t1 * b_over + 3 * b_over * b_over + 8 * t1 * t3 - 6 * t4) * pi * pi
-    deg1 = mp.mpf(1) / (mu * mu)
-    deg2 = mp.mpf(1) / (mu * mu * (mu * mu + 1))
-    mean = pair_half / (2 * mu * mu)
-    s2 = 1 + 2 * mean
-    s4 = 1 + 2 * pair_half * deg1 + 2 * pair_one * deg2 + 4 * triple * deg2 + quad * deg2
-    variance = (s4 - s2 * s2) / 4
-    return mean, variance
-
-
-def _verified_float(compute, mu: int, precision: Precision):
-    """Run an mpf computation at doubling precision until stable.
-
-    Accepts once two consecutive precisions agree to _DOUBLING_RTOL
-    (componentwise relative agreement), returning the higher-precision
-    values.
-    """
-    bits = _working_bits(mu, precision)
-    with mp.workprec(bits):
-        previous = compute(mu)
-    for _ in range(_MAX_DOUBLINGS):
-        bits *= 2
-        with mp.workprec(bits):
-            current = compute(mu)
-        prev_t = previous if isinstance(previous, tuple) else (previous,)
-        cur_t = current if isinstance(current, tuple) else (current,)
-        if all(abs(p - c) <= _DOUBLING_RTOL * abs(c) for p, c in zip(prev_t, cur_t)):
-            return current
-        previous = current
-    raise FallbackPrecisionError(f"floating fallback failed to stabilize for mu={mu}")
+    return Fraction(mu - 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -475,11 +344,11 @@ def _verified_float(compute, mu: int, precision: Precision):
 
 @dataclass(frozen=True)
 class MomentReport:
-    """Exact and floating moments for one bipartition size."""
+    """Exact moments for one bipartition size and their float values."""
 
     mu: int
-    mean_exact: SqrtPiPolynomial | None
-    variance_exact: SqrtPiPolynomial | None
+    mean_exact: SqrtPiPolynomial
+    variance_exact: SqrtPiPolynomial
     mean_float: float
     sigma_float: float
     mean_normalized: float
@@ -497,44 +366,27 @@ class TableRow:
     delta: float | None
 
 
-def normalized_moments(
-    mu: int,
-    precision: Precision = DEFAULT_PRECISION,
-    exact: bool | None = None,
-    mean_ceiling: int = DEFAULT_EXACT_MEAN_CEILING,
-    variance_ceiling: int = DEFAULT_EXACT_VARIANCE_CEILING,
-) -> MomentReport:
-    """Mean and standard deviation, absolute and divided by (mu-1)/2.
+def _check_exact_mode(mu: int, exact: bool) -> None:
+    if exact and mu > EXACT_MODE_CEILING:
+        raise ResourceCeilingError(f"exact mode limited to mu <= {EXACT_MODE_CEILING} (requested {mu})")
 
-    exact=None picks exact arithmetic per component while it fits under the
-    ceilings and the verified floating path beyond; exact=True insists on
-    exact arithmetic (ResourceCeilingError when too large); exact=False
-    forces the floating path.
+
+def normalized_moments(mu: int, precision: Precision = DEFAULT_PRECISION, exact: bool = False) -> MomentReport:
+    """Exact mean and standard deviation, absolute and divided by (mu-1)/2.
+
+    Both moments are always computed exactly and evaluated at the given
+    precision. exact=True adds a size cap: ResourceCeilingError when mu
+    exceeds EXACT_MODE_CEILING.
     """
     if mu < 2:
         raise ValueError("normalized moments need mu >= 2")
-    if exact and (mu > mean_ceiling or mu > variance_ceiling):
-        raise ResourceCeilingError(
-            f"exact mode limited to mu <= {min(mean_ceiling, variance_ceiling)} (requested {mu})"
-        )
-    use_exact_mean = mu <= mean_ceiling if exact is None else exact
-    use_exact_var = mu <= variance_ceiling if exact is None else exact
-
+    _check_exact_mode(mu, exact)
     n_max = max_negativity(mu)
     bits = precision.bits
-    mean_exact = variance_exact = None
-    mean_mpf = var_mpf = None
-    if use_exact_mean:
-        mean_exact = mean_negativity(mu)
-        mean_mpf = mean_exact.evaluate_mpf(bits)
-    if use_exact_var:
-        variance_exact = variance_negativity(mu)
-        var_mpf = variance_exact.evaluate_mpf(bits)
-    if mean_mpf is None or var_mpf is None:
-        float_mean, float_var = _verified_float(_mpf_mean_and_variance, mu, precision)
-        mean_mpf = float_mean if mean_mpf is None else mean_mpf
-        var_mpf = float_var if var_mpf is None else var_mpf
-
+    mean_exact = mean_negativity(mu)
+    variance_exact = variance_negativity(mu)
+    mean_mpf = mean_exact.evaluate_mpf(bits)
+    var_mpf = variance_exact.evaluate_mpf(bits)
     with mp.workprec(bits):
         sigma_mpf = mp.sqrt(var_mpf)
         n_max_mpf = mp.mpf(int(n_max.numerator)) / mp.mpf(int(n_max.denominator))
@@ -552,25 +404,21 @@ def normalized_moments(
 
 
 def generate_table(
-    n_list: Iterable[int],
-    precision: Precision = DEFAULT_PRECISION,
-    exact: bool | None = None,
-    mean_ceiling: int = DEFAULT_EXACT_MEAN_CEILING,
+    n_list: Iterable[int], precision: Precision = DEFAULT_PRECISION, exact: bool = False
 ) -> list[TableRow]:
-    """Normalized-mean rows for the given even qubit counts, with deltas."""
+    """Exact normalized-mean rows for the given even qubit counts, with deltas.
+
+    exact=True adds a size cap: ResourceCeilingError when a row's mu exceeds
+    EXACT_MODE_CEILING.
+    """
     rows: list[TableRow] = []
     previous = None
     for n in n_list:
         if n < 2 or n % 2:
             raise ValueError("qubit counts must be even and at least 2")
         mu = 2 ** (n // 2)
-        use_exact = mu <= mean_ceiling if exact is None else exact
-        if exact and mu > mean_ceiling:
-            raise ResourceCeilingError(f"exact mode limited to mu <= {mean_ceiling} (requested {mu})")
-        if use_exact:
-            mean_mpf = mean_negativity(mu).evaluate_mpf(precision.bits)
-        else:
-            mean_mpf = _verified_float(_mpf_mean, mu, precision)
+        _check_exact_mode(mu, exact)
+        mean_mpf = mean_negativity(mu).evaluate_mpf(precision.bits)
         with mp.workprec(precision.bits):
             ratio = float(mean_mpf / (mp.mpf(mu - 1) / 2))
         delta = None if previous is None else ratio - previous

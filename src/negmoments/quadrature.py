@@ -14,9 +14,11 @@ degree <= 2n - 1, so it is an independent floating-point check of the
 closed-form pair-integral evaluator whenever n >= k + l + 2.
 
 Each rule is built once per (nodes, alpha) and cached as read-only arrays,
-so the ``verify`` suites, which integrate many (k, l) pairs on the same
-rule, do not repeat the eigenvalue solve; gauss_generalized_laguerre returns
-copies that the caller may modify.
+together with the table of L_k at its nodes for every k <= nodes - 2 (the
+largest index an exact rule of that size can take), so the ``verify``
+suites, which integrate many (k, l) pairs on the same rule, repeat neither
+the eigenvalue solve nor the Laguerre recurrence; gauss_generalized_laguerre
+returns copies that the caller may modify.
 """
 
 from __future__ import annotations
@@ -49,12 +51,16 @@ def _gen_laguerre_pair(n: int, alpha: float, x: np.ndarray) -> tuple[np.ndarray,
     return prev, cur
 
 
-def gauss_generalized_laguerre(nodes: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights for integral_0^inf f(x) x**alpha e**(-x) dx."""
+def _check_rule(nodes: int, alpha: float) -> None:
     if nodes < 1:
         raise ValueError("need at least one node")
     if alpha <= -1.0:
         raise ValueError("weight exponent must exceed -1")
+
+
+def gauss_generalized_laguerre(nodes: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights for integral_0^inf f(x) x**alpha e**(-x) dx."""
+    _check_rule(nodes, alpha)
     x, w = _gauss_rule(nodes, float(alpha))
     return x.copy(), w.copy()
 
@@ -105,6 +111,17 @@ def laguerre_pair_integral_quadrature(k: int, l: int, beta: float, nodes: int) -
         raise ValueError("polynomial indices must be nonnegative")
     if nodes < k + l + 2:
         raise InsufficientNodesError(f"need at least {k + l + 2} nodes for degrees ({k}, {l})")
-    x, w = gauss_generalized_laguerre(nodes, float(beta))
-    table = laguerre_values(max(k, l), x)
+    _check_rule(nodes, beta)
+    _, w = _gauss_rule(nodes, float(beta))
+    table = _laguerre_table(nodes, float(beta))
     return float(np.sum(w * table[k] * table[l]))
+
+
+@lru_cache(maxsize=None)
+def _laguerre_table(n: int, alpha: float) -> np.ndarray:
+    # L_k at the nodes of the (n, alpha) rule for k <= n - 2; each row comes
+    # from the same recurrence steps whatever the table's length, so row k
+    # is the one laguerre_values(k, x) gives. Shared, so read-only.
+    table = laguerre_values(n - 2, _gauss_rule(n, alpha)[0])
+    table.flags.writeable = False
+    return table

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._backend import rational
 from .exactring import SqrtPiPolynomial, eval_float
 from .laguerre import laguerre_pair_integral, laguerre_pair_integral_hyp3f2
 from .moments import (
@@ -108,7 +107,7 @@ def naive_det_moment_sum(mu: int, pattern: str, beta=None) -> SqrtPiPolynomial:
         if beta is None:
             raise ValueError("pair pattern requires beta")
         mat = build_pair_integral_matrix(mu, beta)
-        coeff = rational(_naive_pair(mat.numerators), mat.denominator**2)
+        coeff = Fraction(_naive_pair(mat.numerators), mat.denominator**2)
         return SqrtPiPolynomial({2 * mat.power: coeff})
     if beta is not None:
         raise ValueError(f"{pattern} pattern does not take beta")
@@ -117,9 +116,9 @@ def naive_det_moment_sum(mu: int, pattern: str, beta=None) -> SqrtPiPolynomial:
     b = build_pair_integral_matrix(mu, _HALF)
     if pattern == "triple":
         a = build_pair_integral_matrix(mu, 1)
-        coeff = rational(_naive_triple(a.numerators, b.numerators), a.denominator * b.denominator**2)
+        coeff = Fraction(_naive_triple(a.numerators, b.numerators), a.denominator * b.denominator**2)
         return SqrtPiPolynomial({2: coeff})
-    return SqrtPiPolynomial({4: rational(_naive_quad(b.numerators), b.denominator**4)})
+    return SqrtPiPolynomial({4: Fraction(_naive_quad(b.numerators), b.denominator**4)})
 
 
 # ---------------------------------------------------------------------------

@@ -44,18 +44,14 @@ class TestMoments:
 
     def test_exact_ceiling_exit_code(self):
         assert main(["moments", "--mu", "200", "--exact"]) == 3
+        assert main(["moments", "--mu", "129", "--exact"]) == 3
 
-    def test_unstable_fallback_exit_code(self, capsys, monkeypatch):
-        from mpmath import mp
-
-        from negmoments import moments
-
-        def unstable(mu):
-            return mp.mpf(mp.prec), mp.mpf(mp.prec)
-
-        monkeypatch.setattr(moments, "_mpf_mean_and_variance", unstable)
-        assert main(["moments", "--mu", "129"]) == 5
-        assert "failed to stabilize" in capsys.readouterr().err
+    def test_exact_moments_beyond_exact_mode_ceiling(self, tmp_path):
+        out = tmp_path / "m.json"
+        assert main(["moments", "--mu", "129", "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["mean_exact"]["pi_half_coeffs"] and doc["variance_exact"]["pi_half_coeffs"]
+        assert doc["mean_float"] == 45.9743202984628
 
     def test_unknown_flag_is_usage_error(self):
         assert main(["moments", "--mu", "2", "--frobnicate"]) == 2

@@ -8,17 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp
 
-from negmoments.exactring import Precision, SqrtPiPolynomial, eval_float
+from negmoments.exactring import SqrtPiPolynomial, eval_float
 from negmoments.laguerre import laguerre_pair_integral
 from negmoments.moments import (
-    FallbackPrecisionError,
+    EXACT_MODE_CEILING,
     ResourceCeilingError,
     TableRow,
-    _mpf_mean,
-    _mpf_mean_and_variance,
-    _verified_float,
     build_pair_integral_matrix,
     det_moment_sum,
     extrapolate_limit,
@@ -287,47 +283,28 @@ class TestNormalizedMoments:
             normalized_moments(1)
 
     def test_exact_ceiling(self):
-        # 129 is the first size above both exact ceilings (128 / 128).
+        # 129 is the first size above the exact-mode ceiling (128).
         with pytest.raises(ResourceCeilingError):
             normalized_moments(129, exact=True)
         for mu in (8, 96):
             report = normalized_moments(mu, exact=True)
             assert report.mean_exact is not None and report.variance_exact is not None
 
-    def test_float_path_matches_exact(self):
-        exact = normalized_moments(16, exact=True)
-        floating = normalized_moments(16, exact=False)
-        assert floating.mean_exact is None and floating.variance_exact is None
-        assert floating.mean_float == pytest.approx(exact.mean_float, rel=1e-12)
-        assert floating.sigma_float == pytest.approx(exact.sigma_float, rel=1e-12)
+    def test_exact_false_is_the_same_exact_report(self):
+        assert normalized_moments(16, exact=False) == normalized_moments(16, exact=True)
 
-    def test_mixed_path_beyond_variance_ceiling(self):
-        report = normalized_moments(10, variance_ceiling=8)
-        assert report.mean_exact is not None
-        assert report.variance_exact is None
-        exact = normalized_moments(10)
-        assert report.sigma_float == pytest.approx(exact.sigma_float, rel=1e-10)
+    def test_exact_beyond_exact_mode_ceiling(self):
+        mu = EXACT_MODE_CEILING + 1
+        report = normalized_moments(mu)
+        assert report.mean_exact == mean_negativity(mu)
+        assert report.variance_exact == variance_negativity(mu)
+        # The bits the verified mpf evaluation used to print for mu = 129.
+        assert report.mean_float == 45.9743202984628
+        assert report.sigma_float == 0.12738325947771068
 
     def test_monotone_in_mu(self):
         values = [normalized_moments(mu).mean_normalized for mu in (2, 4, 8, 16)]
         assert all(a < b for a, b in zip(values, values[1:]))
-
-
-class TestFloatFallback:
-    def test_verified_mean(self):
-        value = _verified_float(_mpf_mean, 24, Precision(128))
-        exact = mean_negativity(24).evaluate_mpf(256)
-        assert abs(float(value - exact)) < 1e-20
-
-    def test_verified_pair(self):
-        mean, variance = _verified_float(_mpf_mean_and_variance, 12, Precision(128))
-        assert abs(float(mean - mean_negativity(12).evaluate_mpf(256))) < 1e-20
-        assert abs(float(variance - variance_negativity(12).evaluate_mpf(256))) < 1e-20
-
-    def test_unstable_fallback_raises_named_error(self):
-        # The value changes with every precision doubling, so it never settles.
-        with pytest.raises(FallbackPrecisionError):
-            _verified_float(lambda mu: mp.mpf(mp.prec), 4, Precision(64))
 
 
 class TestTable:
@@ -352,13 +329,17 @@ class TestTable:
     def test_validation(self):
         with pytest.raises(ValueError):
             generate_table([3])
+        # n = 16 is mu = 256, above the exact-mode ceiling.
         with pytest.raises(ResourceCeilingError):
-            generate_table([14], exact=True, mean_ceiling=64)
+            generate_table([16], exact=True)
 
-    def test_float_rows_match_exact(self):
-        exact_row = generate_table([8])[0]
-        float_row = generate_table([8], exact=False)[0]
-        assert float_row.ratio == pytest.approx(exact_row.ratio, rel=1e-12)
+    def test_exact_table_to_n16_meets_spectral_limit(self):
+        rows = generate_table(range(2, 18, 2))
+        assert rows[-1].n_qubits == 16
+        assert rows[-1].ratio == pytest.approx(0.7194170982215217, abs=1e-12)
+        # Limit of the normalized mean: (8 / (3 pi))^2, the squared mean of
+        # sqrt(x) under the quarter-circle law.
+        assert extrapolate_limit(rows) == pytest.approx(64 / (9 * math.pi**2), abs=2e-5)
 
 
 class TestExtrapolation:

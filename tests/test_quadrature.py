@@ -100,3 +100,16 @@ class TestPairIntegralQuadrature:
             laguerre_pair_integral_quadrature(4, 4, 0.5, 9)
         with pytest.raises(ValueError):
             laguerre_pair_integral_quadrature(-1, 0, 0.5, 8)
+
+    def test_one_laguerre_table_per_rule(self):
+        from negmoments import quadrature
+
+        quadrature._laguerre_table.cache_clear()
+        for k in range(6):
+            for l in range(6):
+                x, w = gauss_generalized_laguerre(14, 0.5)
+                expected = float(np.sum(w * laguerre_values(k, x)[k] * laguerre_values(l, x)[l]))
+                # Bit-identical to a table of just max(k, l) + 1 rows.
+                assert laguerre_pair_integral_quadrature(k, l, 0.5, 14) == expected
+        assert quadrature._laguerre_table.cache_info().misses == 1
+        assert not quadrature._laguerre_table(14, 0.5).flags.writeable
