@@ -32,7 +32,6 @@ from .distribution import (
 from .exactring import (
     HalfInteger,
     PoleError,
-    Precision,
     SqrtPiMonomial,
     SqrtPiPolynomial,
     eval_float,

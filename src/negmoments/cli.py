@@ -4,10 +4,12 @@ Subcommands: moments, table, sample, compare, bounds, verify. All output is
 deterministic for a fixed configuration: reruns with any --threads value
 produce byte-identical bytes.
 
-Every moment is computed exactly; --exact only caps the size at mu <= 128.
+Every moment is computed exactly, and every float printed is its exact
+value rounded once; there is no precision option. moments --exact only caps
+the size at mu <= 128.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 exact-mode
-resource ceiling exceeded, 4 I/O failure.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 moments
+--exact asked for mu > 128, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import sys
 from . import __version__
 from .bounds import RATIO_PRESET, build_bounds_report
 from .distribution import build_document, build_histogram, compare, gaussian_reference, render_csv, render_json
-from .exactring import Precision
 from .moments import (
     EXACT_MODE_CEILING,
     ResourceCeilingError,
@@ -62,16 +63,14 @@ def _default_threads() -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
     parser.add_argument("--output", default="-", help="output path, or - for stdout")
-    parser.add_argument("--precision-bits", type=int, default=256, help="working precision for evaluation")
 
 
 def _add_sampling(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--mu", type=int)
     group.add_argument("--n-qubits", type=int)
-    parser.add_argument("--nu", type=int, default=None, help="second dimension (defaults to mu)")
     parser.add_argument("--generator", choices=("haar", "circuit"), default="haar")
-    parser.add_argument("--j", type=int, default=40, help="circuit rounds per sample")
+    parser.add_argument("--j", type=int, default=None, help="circuit rounds per sample (default 40)")
     parser.add_argument("--samples", type=int, required=True)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--bins", type=int, default=60)
@@ -94,7 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="normalized-mean convergence table over qubit counts")
     p.add_argument("--n-min", type=int, default=2)
     p.add_argument("--n-max", type=int, default=14)
-    p.add_argument("--exact", action="store_true", help=f"refuse rows with mu > {EXACT_MODE_CEILING} (exit 3)")
     p.add_argument("--extrapolate", action="store_true", help="append the geometric-tail limit")
     _add_common(p)
 
@@ -124,13 +122,6 @@ def _resolve_size(args) -> tuple[int, int | None]:
     return mu, n
 
 
-def _precision(args) -> Precision:
-    try:
-        return Precision(args.precision_bits)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _write(text: str, output: str) -> None:
     if output == "-":
         sys.stdout.write(text)
@@ -141,7 +132,7 @@ def _write(text: str, output: str) -> None:
 
 def _cmd_moments(args) -> int:
     mu, n = _resolve_size(args)
-    report = normalized_moments(mu, _precision(args), exact=args.exact)
+    report = normalized_moments(mu, exact=args.exact)
     if args.format == "json":
         text = render_json(build_document(report, n_qubits=n))
     else:
@@ -167,7 +158,7 @@ def _cmd_table(args) -> int:
     if args.n_min < 2 or args.n_min % 2 or args.n_max < args.n_min or args.n_max % 2:
         raise UsageError("qubit counts must be even, n-min >= 2, n-max >= n-min")
     n_list = list(range(args.n_min, args.n_max + 1, 2))
-    rows = generate_table(n_list, _precision(args), exact=args.exact)
+    rows = generate_table(n_list)
     limit = extrapolate_limit(rows) if args.extrapolate else None
     if args.format == "json":
         doc = {
@@ -199,17 +190,16 @@ def _sampling_run(args):
     if args.generator == "circuit":
         if args.n_qubits is None:
             raise UsageError("circuit generator needs --n-qubits")
-        batch = SampleBatch(args.seed, args.samples, n_qubits=args.n_qubits, generator="circuit", j=args.j)
+        j = 40 if args.j is None else args.j
+        batch = SampleBatch(args.seed, args.samples, n_qubits=args.n_qubits, generator="circuit", j=j)
         mu, n = _resolve_size(args)
-        nu = mu
     else:
+        if args.j is not None:
+            raise UsageError("--j applies only to --generator circuit")
         mu, n = _resolve_size(args)
-        nu = args.nu if args.nu is not None else mu
-        if nu < mu:
-            raise UsageError("--nu must be at least --mu")
-        batch = SampleBatch(args.seed, args.samples, dims=(mu, nu), generator="haar")
+        batch = SampleBatch(args.seed, args.samples, dims=(mu, mu), generator="haar")
     values = sample_negativities(batch, threads=threads)
-    report = normalized_moments(mu, _precision(args))
+    report = normalized_moments(mu)
     n_max = (mu - 1) / 2.0
     hist = build_histogram(values / n_max, args.bins)
     ref = gaussian_reference(report)
@@ -251,7 +241,7 @@ def _cmd_bounds(args) -> int:
     if n < 2 or n % 2:
         raise UsageError("--n-qubits must be even and at least 2")
     if args.c is None:
-        rows = generate_table(list(range(2, 14, 2)), _precision(args))
+        rows = generate_table(list(range(2, 14, 2)))
         c = extrapolate_limit(rows)
     elif args.c == "preset":
         c = RATIO_PRESET

@@ -4,7 +4,8 @@ Half-integer Gamma values are rational multiples of sqrt(pi), so every
 analytic moment computed by this package lives in the graded ring
 Q[sqrt(pi)]. This module provides the ring (monomials and polynomials with
 no rounding, ever), the half-integer Gamma function and its reciprocal, and
-arbitrary-precision floating evaluation of ring elements.
+the one rounding rule for floats: a ring element is evaluated at a fixed
+working precision of 256 bits and rounded once to a double.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ __all__ = [
     "HalfInteger",
     "SqrtPiMonomial",
     "SqrtPiPolynomial",
-    "Precision",
     "gamma_half",
     "reciprocal_gamma_half",
     "eval_float",
+    "eval_sqrt_float",
 ]
 
 HalfIntLike = Union["HalfInteger", int, Fraction, float]
@@ -250,10 +251,6 @@ class SqrtPiPolynomial:
                 total += mp.mpf(int(value.numerator)) / mp.mpf(int(value.denominator)) * sqrtpi**degree
             return total
 
-    def evaluate(self, precision: "Precision | None" = None) -> float:
-        bits = precision.bits if precision is not None else DEFAULT_PRECISION.bits
-        return float(self.evaluate_mpf(bits))
-
 
 def _as_poly(value) -> SqrtPiPolynomial:
     if isinstance(value, SqrtPiPolynomial):
@@ -263,30 +260,25 @@ def _as_poly(value) -> SqrtPiPolynomial:
     return SqrtPiPolynomial.from_scalar(value)
 
 
-@dataclass(frozen=True)
-class Precision:
-    """Working precision (bits) for floating evaluation; at least 53."""
-
-    bits: int = 256
-
-    def __post_init__(self):
-        if self.bits < 53:
-            raise ValueError("precision must be at least 53 bits")
-
-    def doubled(self) -> "Precision":
-        return Precision(self.bits * 2)
+#: Working precision, in bits, of every float derived from the ring; not an
+#: option. Each float is its exact polynomial evaluated at these bits and
+#: rounded once, which rounds correctly unless cancellation between the terms
+#: and closeness to a rounding boundary together use up the ~200 spare bits.
+_WORKING_BITS = 256
 
 
-DEFAULT_PRECISION = Precision(256)
+def eval_float(poly: SqrtPiPolynomial) -> float:
+    """sum coeff_d * sqrt(pi)**d, evaluated at the working precision and
+    rounded once to a float."""
+    return float(poly.evaluate_mpf(_WORKING_BITS))
 
 
-def eval_float(poly: SqrtPiPolynomial, precision: Precision = DEFAULT_PRECISION) -> float:
-    """Evaluate sum coeff_d * sqrt(pi)**d as a float.
-
-    The result error is bounded by 2**(4 - precision.bits) times the number
-    of terms times the largest term magnitude.
-    """
-    return poly.evaluate(precision)
+def eval_sqrt_float(poly: SqrtPiPolynomial) -> float:
+    """Square root of a nonnegative ring element, evaluated at the working
+    precision and rounded once to a float."""
+    value = poly.evaluate_mpf(_WORKING_BITS)
+    with mp.workprec(_WORKING_BITS):
+        return float(mp.sqrt(value))
 
 
 @lru_cache(maxsize=None)

@@ -43,11 +43,12 @@ a rational once, at the end. The naive oracle, which evaluates every small
 determinant explicitly, lives in selfcheck.py (naive_det_moment_sum) and is
 run by ``verify``.
 
-Every moment is exact at every size: the floats in a MomentReport or a
-TableRow are the exact sqrt(pi) polynomials evaluated at the working
-precision, so there is no floating path to pick or to verify.
-``exact=True`` (the CLI's ``--exact``) only caps the size at
-EXACT_MODE_CEILING and raises ResourceCeilingError above it.
+Every moment is exact at every size, and every float in a MomentReport or
+a TableRow is one exact sqrt(pi) polynomial (a normalized value is divided
+by N_max = (mu - 1)/2 exactly, first) rounded once by exactring.eval_float
+or eval_sqrt_float; there is no floating path to pick, to verify or to tune.
+``normalized_moments(exact=True)`` (the CLI's ``moments --exact``) only caps
+the size at EXACT_MODE_CEILING and raises ResourceCeilingError above it.
 """
 
 from __future__ import annotations
@@ -59,14 +60,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Iterable, Sequence
 
-from mpmath import mp
-
-from .exactring import (
-    DEFAULT_PRECISION,
-    Precision,
-    SqrtPiMonomial,
-    SqrtPiPolynomial,
-)
+from .exactring import SqrtPiMonomial, SqrtPiPolynomial, eval_float, eval_sqrt_float
 from .exactring import _gamma_half_twice
 
 __all__ = [
@@ -88,10 +82,10 @@ __all__ = [
     "extrapolate_limit",
 ]
 
-#: Largest mu that exact=True (the CLI's --exact) accepts. Larger sizes are
-#: still exact without it; the cap only bounds the time of a run that asks
-#: for exactness: the variance's integer square of B costs O(mu^3) products
-#: of numerators that reach 496 bits at mu = 128.
+#: Largest mu that normalized_moments(exact=True) (the CLI's moments --exact)
+#: accepts. Larger sizes are still exact without it; the cap only bounds the
+#: time of a run that asks for exactness: the variance's integer square of B
+#: costs O(mu^3) products of numerators that reach 496 bits at mu = 128.
 EXACT_MODE_CEILING = 128
 
 _HALF = Fraction(1, 2)
@@ -366,61 +360,41 @@ class TableRow:
     delta: float | None
 
 
-def _check_exact_mode(mu: int, exact: bool) -> None:
-    if exact and mu > EXACT_MODE_CEILING:
-        raise ResourceCeilingError(f"exact mode limited to mu <= {EXACT_MODE_CEILING} (requested {mu})")
-
-
-def normalized_moments(mu: int, precision: Precision = DEFAULT_PRECISION, exact: bool = False) -> MomentReport:
+def normalized_moments(mu: int, *, exact: bool = False) -> MomentReport:
     """Exact mean and standard deviation, absolute and divided by (mu-1)/2.
 
-    Both moments are always computed exactly and evaluated at the given
-    precision. exact=True adds a size cap: ResourceCeilingError when mu
-    exceeds EXACT_MODE_CEILING.
+    Both moments are always computed exactly; each float is rounded once
+    from its exact value. exact=True adds a size cap: ResourceCeilingError
+    when mu exceeds EXACT_MODE_CEILING.
     """
     if mu < 2:
         raise ValueError("normalized moments need mu >= 2")
-    _check_exact_mode(mu, exact)
+    if exact and mu > EXACT_MODE_CEILING:
+        raise ResourceCeilingError(f"exact mode limited to mu <= {EXACT_MODE_CEILING} (requested {mu})")
     n_max = max_negativity(mu)
-    bits = precision.bits
     mean_exact = mean_negativity(mu)
     variance_exact = variance_negativity(mu)
-    mean_mpf = mean_exact.evaluate_mpf(bits)
-    var_mpf = variance_exact.evaluate_mpf(bits)
-    with mp.workprec(bits):
-        sigma_mpf = mp.sqrt(var_mpf)
-        n_max_mpf = mp.mpf(int(n_max.numerator)) / mp.mpf(int(n_max.denominator))
-        report = MomentReport(
-            mu=mu,
-            mean_exact=mean_exact,
-            variance_exact=variance_exact,
-            mean_float=float(mean_mpf),
-            sigma_float=float(sigma_mpf),
-            mean_normalized=float(mean_mpf / n_max_mpf),
-            sigma_normalized=float(sigma_mpf / n_max_mpf),
-            n_max=n_max,
-        )
-    return report
+    return MomentReport(
+        mu=mu,
+        mean_exact=mean_exact,
+        variance_exact=variance_exact,
+        mean_float=eval_float(mean_exact),
+        sigma_float=eval_sqrt_float(variance_exact),
+        mean_normalized=eval_float(mean_exact / n_max),
+        sigma_normalized=eval_sqrt_float(variance_exact / (n_max * n_max)),
+        n_max=n_max,
+    )
 
 
-def generate_table(
-    n_list: Iterable[int], precision: Precision = DEFAULT_PRECISION, exact: bool = False
-) -> list[TableRow]:
-    """Exact normalized-mean rows for the given even qubit counts, with deltas.
-
-    exact=True adds a size cap: ResourceCeilingError when a row's mu exceeds
-    EXACT_MODE_CEILING.
-    """
+def generate_table(n_list: Iterable[int]) -> list[TableRow]:
+    """Exact normalized-mean rows for the given even qubit counts, with deltas."""
     rows: list[TableRow] = []
     previous = None
     for n in n_list:
         if n < 2 or n % 2:
             raise ValueError("qubit counts must be even and at least 2")
         mu = 2 ** (n // 2)
-        _check_exact_mode(mu, exact)
-        mean_mpf = mean_negativity(mu).evaluate_mpf(precision.bits)
-        with mp.workprec(precision.bits):
-            ratio = float(mean_mpf / (mp.mpf(mu - 1) / 2))
+        ratio = eval_float(mean_negativity(mu) / max_negativity(mu))
         delta = None if previous is None else ratio - previous
         rows.append(TableRow(n_qubits=n, mu=mu, ratio=ratio, delta=delta))
         previous = ratio

@@ -43,7 +43,7 @@ def report(line):
 
 def test_criterion_1_table_regression_exact_engine():
     start = time.time()
-    rows = generate_table(sorted(REFERENCE_RATIOS), exact=True)
+    rows = generate_table(sorted(REFERENCE_RATIOS))
     elapsed = time.time() - start
     worst = 0.0
     for row in rows:
@@ -63,7 +63,7 @@ def test_criterion_2_exact_closed_forms_at_mu_2():
 
 
 def test_criterion_3_delta_halving_and_extrapolation():
-    rows = generate_table([2, 4, 6, 8, 10, 12, 14], exact=True)
+    rows = generate_table([2, 4, 6, 8, 10, 12, 14])
     deltas = {row.n_qubits: row.delta for row in rows if row.delta is not None}
     for n in (6, 8, 10, 12, 14):
         ratio = deltas[n] / deltas[n - 2]

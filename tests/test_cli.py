@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -82,7 +83,8 @@ class TestTable:
         assert main(["table", "--n-min", "3", "--n-max", "7"]) == 2
 
     def test_exact_ceiling(self):
-        assert main(["table", "--n-max", "16", "--exact"]) == 3
+        # table has no --exact: its rows need only the mean, exact at every size.
+        assert main(["table", "--n-max", "16", "--exact"]) == 2
 
 
 class TestSampleAndCompare:
@@ -112,11 +114,24 @@ class TestSampleAndCompare:
         assert comp["ks_statistic"] < 0.05
         assert abs(comp["mean_zscore"]) < 4
 
-    def test_rectangular_haar_dims(self, tmp_path):
-        out = tmp_path / "r.json"
-        assert main(["sample", "--mu", "2", "--nu", "8", "--samples", "300", "--output", str(out)]) == 0
-        doc = json.loads(out.read_text())
-        assert doc["mu"] == 2
+    def test_rectangular_haar_dims(self, capsys):
+        # The analytic reference exists for equal bipartitions only, so a
+        # mu x nu sample has nothing to be compared against.
+        for command in ("sample", "compare"):
+            assert main([command, "--mu", "2", "--nu", "8", "--samples", "300"]) == 2
+            assert "unrecognized arguments: --nu" in capsys.readouterr().err
+
+    def test_rounds_only_for_circuits(self, capsys):
+        for command in ("sample", "compare"):
+            assert main([command, "--mu", "2", "--samples", "200", "--j", "5"]) == 2
+            assert "--j" in capsys.readouterr().err
+
+    def test_circuit_rounds_default_to_40(self, tmp_path):
+        args = ["sample", "--n-qubits", "4", "--generator", "circuit", "--samples", "300", "--format", "csv"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(args + ["--output", str(a)]) == 0
+        assert main(args + ["--j", "40", "--output", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_sampler_provenance(self, tmp_path):
         from negmoments.sampling import STREAM_ID
@@ -202,6 +217,12 @@ class TestIgnoredFlagsRejected:
             ["bounds", "--n-qubits", "4", "--c", "preset", "--threads", "2"],
             ["verify", "--max-mu", "2", "--threads", "2"],
             ["verify", "--max-mu", "2", "--precision-bits", "128"],
+            ["moments", "--mu", "2", "--precision-bits", "256"],
+            ["table", "--n-max", "4", "--precision-bits", "256"],
+            ["sample", "--mu", "2", "--samples", "200", "--precision-bits", "256"],
+            ["compare", "--mu", "2", "--samples", "200", "--precision-bits", "256"],
+            ["bounds", "--n-qubits", "4", "--c", "preset", "--precision-bits", "256"],
+            ["table", "--n-max", "4", "--exact"],
         ],
     )
     def test_flag_without_effect_is_usage_error(self, args, capsys):
@@ -212,6 +233,33 @@ class TestIgnoredFlagsRejected:
         for command in ("sample", "compare"):
             out = tmp_path / f"{command}.json"
             assert main([command, "--mu", "2", "--samples", "200", "--threads", "2", "--output", str(out)]) == 0
+
+
+class TestOptionSets:
+    """Every option each subcommand accepts, so that a new flag shows up here."""
+
+    OUTPUT = {"--format", "--output"}
+    SAMPLING = {"--mu", "--n-qubits", "--generator", "--j", "--samples", "--seed", "--bins", "--threads", *OUTPUT}
+    EXPECTED = {
+        "moments": {"--mu", "--n-qubits", "--exact", *OUTPUT},
+        "table": {"--n-min", "--n-max", "--extrapolate", *OUTPUT},
+        "sample": SAMPLING,
+        "compare": SAMPLING,
+        "bounds": {"--n-qubits", "--c", *OUTPUT},
+        "verify": {"--max-mu"},
+    }
+
+    @staticmethod
+    def options(parser) -> set:
+        return {opt for action in parser._actions for opt in action.option_strings} - {"-h", "--help"}
+
+    def test_option_strings_per_subcommand(self):
+        from negmoments.cli import _build_parser
+
+        parser = _build_parser()
+        (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert self.options(parser) == {"--version"}
+        assert {name: self.options(sub) for name, sub in subparsers.choices.items()} == self.EXPECTED
 
 
 class TestEntryPoints:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from negmoments.exactring import (
     HalfInteger,
     PoleError,
-    Precision,
     SqrtPiMonomial,
     SqrtPiPolynomial,
     eval_float,
@@ -189,7 +188,7 @@ class TestEvaluation:
         from mpmath import mp
 
         poly = SqrtPiPolynomial({1: Fraction(1, 2)})
-        value = eval_float(poly, Precision(256))
+        value = eval_float(poly)
         with mp.workprec(300):
             correctly_rounded = float(mp.sqrt(mp.pi) / 2)
         assert value == correctly_rounded
@@ -201,9 +200,3 @@ class TestEvaluation:
     def test_mixed_terms(self):
         poly = SqrtPiPolynomial({0: Fraction(7, 5), 2: Fraction(3, 8)})
         assert eval_float(poly) == pytest.approx(7 / 5 + 3 * math.pi / 8, abs=1e-14)
-
-    def test_precision_floor(self):
-        with pytest.raises(ValueError):
-            Precision(52)
-        assert Precision(53).bits == 53
-        assert Precision().doubled().bits == 512

@@ -329,9 +329,6 @@ class TestTable:
     def test_validation(self):
         with pytest.raises(ValueError):
             generate_table([3])
-        # n = 16 is mu = 256, above the exact-mode ceiling.
-        with pytest.raises(ResourceCeilingError):
-            generate_table([16], exact=True)
 
     def test_exact_table_to_n16_meets_spectral_limit(self):
         rows = generate_table(range(2, 18, 2))
