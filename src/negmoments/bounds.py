@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "RATIO_PRESET",
     "CLUSTER_THRESHOLD_PRESETS",
@@ -116,6 +114,8 @@ def cluster_threshold(d_a: int, epsilon: float) -> float:
 
 def cluster_check(rho_a, epsilon: float) -> bool:
     """True iff every eigenvalue of rho_A is within (1 +- eps)/d_A."""
+    import numpy as np
+
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     entries = getattr(rho_a, "entries", rho_a)

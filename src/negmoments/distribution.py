@@ -14,11 +14,13 @@ import io
 import json
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ._backend import format_rational
 from .moments import MomentReport
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Histogram",
@@ -41,6 +43,8 @@ class Histogram:
     total: int
 
     def __post_init__(self):
+        import numpy as np
+
         edges = np.asarray(self.bin_edges, dtype=float)
         counts = np.asarray(self.counts, dtype=np.int64)
         if edges.ndim != 1 or edges.size < 2:
@@ -55,20 +59,28 @@ class Histogram:
         object.__setattr__(self, "counts", counts)
 
     def densities(self) -> np.ndarray:
+        import numpy as np
+
         widths = np.diff(self.bin_edges)
         return self.counts / (self.total * widths)
 
     def cumulative_fractions(self) -> np.ndarray:
         """Empirical CDF values at the right edge of each bin."""
+        import numpy as np
+
         return np.cumsum(self.counts) / self.total
 
     def midpoints(self) -> np.ndarray:
         return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
 
     def sample_mean(self) -> float:
+        import numpy as np
+
         return float(np.sum(self.midpoints() * self.counts) / self.total)
 
     def sample_sigma(self) -> float:
+        import numpy as np
+
         mean = self.sample_mean()
         var = float(np.sum((self.midpoints() - mean) ** 2 * self.counts) / self.total)
         return math.sqrt(var)
@@ -80,6 +92,8 @@ def build_histogram(values, bins: int, value_range: tuple[float, float] | None =
     Values outside the range are clipped into the edge bins so the total
     count is preserved.
     """
+    import numpy as np
+
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("cannot histogram an empty sample")
@@ -113,11 +127,15 @@ class GaussianReference:
             raise ValueError("sigma must be positive")
 
     def density(self, x):
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         z = (x - self.mean_prime) / self.sigma_prime
         return np.exp(-0.5 * z * z) / (self.sigma_prime * math.sqrt(2.0 * math.pi))
 
     def cdf(self, x):
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         z = (x - self.mean_prime) / (self.sigma_prime * math.sqrt(2.0))
         return 0.5 * (1.0 + np.vectorize(math.erf)(z))
@@ -146,6 +164,8 @@ def compare(hist: Histogram, ref: GaussianReference) -> ComparisonReport:
     Gaussian CDF over all bin edges, where the binned empirical CDF is known
     exactly (fraction of samples below the edge).
     """
+    import numpy as np
+
     if hist.total < 100:
         raise ValueError("comparison needs at least 100 samples")
     ecdf = np.concatenate(([0.0], hist.cumulative_fractions()))
@@ -211,6 +231,8 @@ def build_document(
 
 
 def _csv_rows(hist: Histogram, ref: GaussianReference | None):
+    import numpy as np
+
     densities = hist.densities()
     mids = hist.midpoints()
     gauss = ref.density(mids) if ref is not None else np.zeros_like(mids)

@@ -5,7 +5,8 @@ analytic moment computed by this package lives in the graded ring
 Q[sqrt(pi)]. This module provides the ring (monomials and polynomials with
 no rounding, ever), the half-integer Gamma function and its reciprocal, and
 the one rounding rule for floats: a ring element is evaluated at a fixed
-working precision of 256 bits and rounded once to a double.
+working precision of 256 bits and rounded once to a double. mpmath, which
+does that evaluation, is imported only when a float is first asked for.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Union
-
-from mpmath import mp
 
 from ._backend import format_rational
 
@@ -244,6 +243,8 @@ class SqrtPiPolynomial:
 
     def evaluate_mpf(self, bits: int):
         """Evaluate at sqrt(pi) with the given working precision (mpmath)."""
+        from mpmath import mp
+
         with mp.workprec(bits):
             sqrtpi = mp.sqrt(mp.pi)
             total = mp.mpf(0)
@@ -276,6 +277,8 @@ def eval_float(poly: SqrtPiPolynomial) -> float:
 def eval_sqrt_float(poly: SqrtPiPolynomial) -> float:
     """Square root of a nonnegative ring element, evaluated at the working
     precision and rounded once to a float."""
+    from mpmath import mp
+
     value = poly.evaluate_mpf(_WORKING_BITS)
     with mp.workprec(_WORKING_BITS):
         return float(mp.sqrt(value))

@@ -25,8 +25,10 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "InsufficientNodesError",
@@ -42,6 +44,8 @@ class InsufficientNodesError(ValueError):
 
 def _gen_laguerre_pair(n: int, alpha: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(L_{n-1}^{(alpha)}(x), L_n^{(alpha)}(x)) by the three-term recurrence."""
+    import numpy as np
+
     prev = np.ones_like(x)
     cur = 1.0 + alpha - x
     if n == 0:
@@ -69,6 +73,8 @@ def gauss_generalized_laguerre(nodes: int, alpha: float) -> tuple[np.ndarray, np
 def _gauss_rule(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     # Built once per (nodes, alpha) and shared, so the arrays are read-only;
     # the public function hands out copies.
+    import numpy as np
+
     i = np.arange(n, dtype=float)
     diagonal = 2.0 * i + alpha + 1.0
     off = np.sqrt(i[1:] * (i[1:] + alpha))
@@ -91,6 +97,8 @@ def _gauss_rule(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
 
 def laguerre_values(k_max: int, x: np.ndarray) -> np.ndarray:
     """Array of standard Laguerre values L_k(x) for k = 0..k_max."""
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     values = np.empty((k_max + 1, x.size))
     values[0] = 1.0
@@ -107,6 +115,8 @@ def laguerre_pair_integral_quadrature(k: int, l: int, beta: float, nodes: int) -
     Requires nodes >= k + l + 2 so the rule is exact (up to rounding) for the
     degree k+l polynomial left after absorbing q^beta e^{-q} into the weight.
     """
+    import numpy as np
+
     if k < 0 or l < 0:
         raise ValueError("polynomial indices must be nonnegative")
     if nodes < k + l + 2:

@@ -20,11 +20,12 @@ vectorize over samples without changing any per-sample arithmetic.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "STREAM_ID",
@@ -68,6 +69,8 @@ class PureState:
     dims: tuple[int, int]
 
     def __post_init__(self):
+        import numpy as np
+
         mu, nu = self.dims
         amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
         if amplitudes.shape != (mu * nu,):
@@ -82,6 +85,8 @@ class PureState:
         return self.amplitudes.reshape(self.dims)
 
     def density_matrix(self) -> "DensityMatrix":
+        import numpy as np
+
         rho = np.outer(self.amplitudes, self.amplitudes.conj())
         return DensityMatrix(rho, self.dims)
 
@@ -93,6 +98,8 @@ class SchmidtSpectrum:
     p: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         p = np.asarray(self.p, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("spectrum must be a nonempty vector")
@@ -113,6 +120,8 @@ class DensityMatrix:
     dims: tuple[int, int]
 
     def __post_init__(self):
+        import numpy as np
+
         mu, nu = self.dims
         d = mu * nu
         entries = np.asarray(self.entries, dtype=np.complex128)
@@ -178,13 +187,15 @@ _PHILOX_ROUNDS = 10
 
 #: Explicit little-endian words, so the 32-bit halves of a 64-bit product
 #: sit at the same view positions on every platform.
-_U32 = np.dtype("<u4")
-_U64 = np.dtype("<u8")
+_U32 = "<u4"
+_U64 = "<u8"
 
 
 @lru_cache(maxsize=64)
 def _stream_key(master_seed: int) -> tuple[int, int]:
     """Philox key of a master seed; any nonnegative int is accepted."""
+    import numpy as np
+
     k0, k1 = np.random.SeedSequence(master_seed).generate_state(2, np.uint32)
     return int(k0), int(k1)
 
@@ -196,6 +207,8 @@ def _philox4x32_10(key: tuple[int, int], c0, c1, c2, c3) -> tuple[np.ndarray, np
     of the broadcast shape (at least one axis): w0 * 2**32 + w1 and
     w2 * 2**32 + w3.
     """
+    import numpy as np
+
     counter = np.broadcast(c0, c1, c2, c3)
     lead = (2,) + (1,) * counter.ndim
     # Both halves of a round run as one stacked operation: even holds the
@@ -232,6 +245,8 @@ def _box_muller(x: np.ndarray, y: np.ndarray, z0: np.ndarray, z1: np.ndarray) ->
     [0, 1). Then z0 = r cos(2 pi u2) and z1 = r sin(2 pi u2) with
     r = sqrt(-2 ln u1). x and y are overwritten.
     """
+    import numpy as np
+
     x >>= 11
     y >>= 11
     r = x.astype(np.float64)
@@ -254,6 +269,8 @@ def _normals(key: tuple[int, int], start: int, stop: int, pairs: int) -> np.ndar
     sample i is Philox4x32-10 at the counter (b, 0, i mod 2**32, i >> 32);
     Box-Muller turns its words into normals 2b and 2b + 1.
     """
+    import numpy as np
+
     index = np.arange(start, stop, dtype=np.uint64)
     blocks = np.arange(pairs, dtype=np.uint64)[:, np.newaxis]
     x, y = _philox4x32_10(key, blocks, 0, index & 0xFFFFFFFF, index >> 32)
@@ -264,6 +281,8 @@ def _normals(key: tuple[int, int], start: int, stop: int, pairs: int) -> np.ndar
 
 def _haar_amplitudes(mu: int, nu: int, key: tuple[int, int], start: int, stop: int) -> np.ndarray:
     """Normalized complex Gaussian vectors of samples start..stop-1."""
+    import numpy as np
+
     z = np.ascontiguousarray(_normals(key, start, stop, mu * nu).T).view(np.complex128)
     z /= np.linalg.norm(z, axis=-1, keepdims=True)
     return z
@@ -284,6 +303,8 @@ def haar_pure_state(mu: int, nu: int, master_seed: int, index: int = 0) -> PureS
 
 def _spectra_from_matrices(matrices: np.ndarray) -> np.ndarray:
     """Descending squared singular values for a stack of (mu, nu) matrices."""
+    import numpy as np
+
     mu, nu = matrices.shape[-2:]
     if max(mu, nu) >= _EIGH_RATIO * min(mu, nu):
         small = matrices if mu <= nu else matrices.conj().swapaxes(-1, -2)
@@ -297,11 +318,15 @@ def _spectra_from_matrices(matrices: np.ndarray) -> np.ndarray:
 
 def schmidt_spectrum(state: PureState) -> SchmidtSpectrum:
     """Squared singular values of the reshaped amplitude matrix."""
+    import numpy as np
+
     p = _spectra_from_matrices(state.matrix()[np.newaxis])[0]
     return SchmidtSpectrum(p)
 
 
 def _negativities_from_spectra(p: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     s = np.sqrt(p).sum(axis=-1)
     return np.maximum(0.0, (s * s - 1.0) / 2.0)
 
@@ -311,11 +336,15 @@ def negativity_pure(spectrum: SchmidtSpectrum) -> float:
 
     ((sum_i sqrt(p_i))^2 - 1) / 2, between 0 and (mu - 1) / 2.
     """
+    import numpy as np
+
     return float(_negativities_from_spectra(spectrum.p[np.newaxis])[0])
 
 
 def partial_transpose(rho: DensityMatrix) -> np.ndarray:
     """Transpose the subsystem-A indices only; Hermiticity is preserved."""
+    import numpy as np
+
     mu, nu = rho.dims
     tensor = rho.entries.reshape(mu, nu, mu, nu)
     return np.ascontiguousarray(tensor.transpose(2, 1, 0, 3)).reshape(mu * nu, mu * nu)
@@ -323,6 +352,8 @@ def partial_transpose(rho: DensityMatrix) -> np.ndarray:
 
 def negativity_general(rho: DensityMatrix) -> float:
     """(trace norm of the partial transpose - 1) / 2 for any state."""
+    import numpy as np
+
     eigenvalues = np.linalg.eigvalsh(partial_transpose(rho))
     return float((np.abs(eigenvalues).sum() - 1.0) / 2.0)
 
@@ -344,6 +375,8 @@ def _su2_from_gaussians(g: np.ndarray) -> np.ndarray:
     The quaternion (a, b, c, d) / |(a, b, c, d)| becomes
     [[a + ib, c + id], [-c + id, a - ib]].
     """
+    import numpy as np
+
     a, b, c, d = np.moveaxis(g, -2, 0)
     norm = np.sqrt(a * a + b * b + c * c + d * d)
     a, b, c, d = a / norm, b / norm, c / norm, d / norm
@@ -359,6 +392,8 @@ def _su2_from_gaussians(g: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _cz_layer_diagonal(n_qubits: int) -> np.ndarray:
     """Diagonal (+-1) of the controlled-phase layer on the ring of qubits."""
+    import numpy as np
+
     edges = sorted({tuple(sorted((q, (q + 1) % n_qubits))) for q in range(n_qubits)})
     index = np.arange(2**n_qubits)
     diag = np.ones(2**n_qubits)
@@ -375,6 +410,8 @@ def _apply_single_qubit(psi: np.ndarray, gates: np.ndarray, qubit: int, n_qubits
     Samples run along the last axis, so each product below broadcasts the
     gate entries over contiguous rows of the batch.
     """
+    import numpy as np
+
     pre = 2**qubit
     post = 2 ** (n_qubits - 1 - qubit)
     view = psi.reshape(pre, 2, post, -1)
@@ -387,6 +424,8 @@ def _apply_single_qubit(psi: np.ndarray, gates: np.ndarray, qubit: int, n_qubits
 
 def _circuit_states(n_qubits: int, rounds: int, key: tuple[int, int], start: int, stop: int) -> np.ndarray:
     """Circuit statevectors of samples start..stop-1, shape (2**n, stop - start)."""
+    import numpy as np
+
     batch = stop - start
     psi = np.zeros((2**n_qubits, batch), dtype=np.complex128)
     psi[0] = 1.0
@@ -443,6 +482,8 @@ def sample_negativities(batch: SampleBatch, threads: int = 1) -> np.ndarray:
     Sample i depends only on (master_seed, i), so the output is identical
     for any thread count and any chunking of the work.
     """
+    import numpy as np
+
     if threads < 1:
         raise ValueError("threads must be at least 1")
     out = np.empty(batch.count)
@@ -468,6 +509,8 @@ def sample_negativities(batch: SampleBatch, threads: int = 1) -> np.ndarray:
         for span in spans:
             run(span)
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run, spans))
     return out

@@ -1,0 +1,223 @@
+"""Start-up cost: which heavy modules each entry point loads, and the lazy package namespace.
+
+numpy and mpmath are imported inside the functions that use them, so the
+package, ``--version`` and the exact commands start without numpy, and
+``--version`` also without mpmath. Each start-up case runs in a fresh
+interpreter, because any earlier test in this process has loaded both.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import negmoments
+
+HEAVY = ("numpy", "mpmath")
+
+#: Runs ``cli.main(argv)`` with stdout captured and reports the heavy
+#: modules loaded before and after it, the exit code and the output.
+_MAIN = f"""
+import contextlib, io, json, sys
+from negmoments import cli
+heavy = {HEAVY!r}
+before = [m for m in heavy if m in sys.modules]
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(json.loads(sys.argv[1]))
+after = [m for m in heavy if m in sys.modules]
+print(json.dumps({{"code": code, "before": before, "after": after, "stdout": out.getvalue()}}))
+"""
+
+
+def _fresh(code: str, *argv: str) -> str:
+    """stdout of ``python -c code argv...`` in a fresh interpreter that imports this package."""
+    package_root = str(Path(negmoments.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def _fresh_main(args: list[str]) -> dict:
+    report = json.loads(_fresh(_MAIN, json.dumps(args)))
+    assert report["code"] == 0
+    return report
+
+
+class TestImportBudget:
+    def test_package_import_loads_neither(self):
+        code = f"import sys, negmoments; print([m for m in {HEAVY!r} if m in sys.modules])"
+        assert _fresh(code).strip() == "[]"
+
+    def test_version_loads_neither(self):
+        report = _fresh_main(["--version"])
+        assert report["stdout"] == f"negmoments {negmoments.__version__}\n"
+        assert report["after"] == []
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["moments", "--mu", "8"],
+            ["moments", "--mu", "8", "--exact", "--format", "csv"],
+            ["table", "--n-max", "6", "--extrapolate"],
+            ["bounds", "--n-qubits", "6"],
+            ["bounds", "--n-qubits", "6", "--c", "preset"],
+        ],
+        ids=" ".join,
+    )
+    def test_exact_commands_load_no_numpy(self, args):
+        report = _fresh_main(args)
+        assert report["before"] == []
+        assert "numpy" not in report["after"]
+
+    @pytest.mark.parametrize(
+        "args",
+        [["sample", "--mu", "2", "--samples", "10", "--threads", "1"], ["verify", "--max-mu", "4"]],
+        ids=" ".join,
+    )
+    def test_numeric_commands_do_load_numpy(self, args):
+        # The probe above can see numpy: these commands need it.
+        assert "numpy" in _fresh_main(args)["after"]
+
+
+def test_cli_import_loads_what_the_benchmark_wraps():
+    """perfbench/child.py ``instrument`` imports only ``negmoments.cli`` and then
+    reads these modules from ``sys.modules`` by name and wraps
+    ``SqrtPiPolynomial.evaluate_mpf``; ``cli`` must keep importing them."""
+    modules = ("moments", "bounds", "selfcheck", "sampling", "distribution")
+    code = (
+        "import sys, negmoments.cli\n"
+        "from negmoments.exactring import SqrtPiPolynomial\n"
+        f"print([m for m in {modules!r} if 'negmoments.' + m in sys.modules], callable(SqrtPiPolynomial.evaluate_mpf))"
+    )
+    assert _fresh(code).strip() == f"{list(modules)!r} True"
+
+
+#: The names the package exported when its ``__init__`` imported every submodule.
+EXPORTS = {
+    "_backend": ["BACKEND", "format_rational", "parse_rational"],
+    "bounds": [
+        "BoundsReport",
+        "CLUSTER_THRESHOLD_PRESETS",
+        "RATIO_PRESET",
+        "asymptotic_singlet_distance",
+        "build_bounds_report",
+        "cluster_check",
+        "cluster_threshold",
+        "distillable_upper",
+        "log_negativity",
+        "singlet_distance_lower",
+        "teleportation_fidelity_upper",
+    ],
+    "distribution": [
+        "ComparisonReport",
+        "GaussianReference",
+        "Histogram",
+        "build_document",
+        "build_histogram",
+        "compare",
+        "export",
+        "gaussian_reference",
+    ],
+    "exactring": [
+        "HalfInteger",
+        "PoleError",
+        "SqrtPiMonomial",
+        "SqrtPiPolynomial",
+        "eval_float",
+        "gamma_half",
+        "reciprocal_gamma_half",
+    ],
+    "laguerre": [
+        "laguerre_eval",
+        "laguerre_pair_integral",
+        "laguerre_pair_integral_hyp3f2",
+        "pochhammer",
+        "squared_vandermonde_integral",
+    ],
+    "moments": [
+        "EXACT_MODE_CEILING",
+        "MomentReport",
+        "PairIntegralMatrix",
+        "ResourceCeilingError",
+        "TableRow",
+        "build_pair_integral_matrix",
+        "det_moment_sum",
+        "extrapolate_limit",
+        "fourth_moment",
+        "generate_table",
+        "max_negativity",
+        "mean_negativity",
+        "mean_pair_product",
+        "normalized_moments",
+        "sqrt_sum_second_moment",
+        "variance_negativity",
+    ],
+    "quadrature": ["InsufficientNodesError", "gauss_generalized_laguerre", "laguerre_pair_integral_quadrature"],
+    "sampling": [
+        "STREAM_ID",
+        "DensityMatrix",
+        "PureState",
+        "SampleBatch",
+        "SchmidtSpectrum",
+        "haar_pure_state",
+        "negativity_general",
+        "negativity_pure",
+        "partial_transpose",
+        "pseudorandom_circuit_state",
+        "reduced_state_a",
+        "sample_negativities",
+        "schmidt_spectrum",
+    ],
+}
+
+
+class TestPackageNamespace:
+    def test_all_is_the_old_export_list(self):
+        expected = [name for names in EXPORTS.values() for name in names]
+        assert sorted(negmoments.__all__) == sorted(expected)
+        assert len(set(negmoments.__all__)) == len(negmoments.__all__)
+
+    @pytest.mark.parametrize("module,name", [(m, n) for m, names in EXPORTS.items() for n in names])
+    def test_name_is_the_submodule_object(self, module, name):
+        assert getattr(negmoments, name) is getattr(importlib.import_module(f"negmoments.{module}"), name)
+
+    def test_star_import_and_dir(self):
+        namespace = {}
+        exec("from negmoments import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(negmoments.__all__)
+        assert set(negmoments.__all__) <= set(dir(negmoments))
+        assert "__version__" in dir(negmoments)
+
+    def test_submodules_resolve_as_attributes(self):
+        for module in EXPORTS:
+            assert getattr(negmoments, module) is importlib.import_module(f"negmoments.{module}")
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            negmoments.no_such_name  # noqa: B018
+        assert not hasattr(negmoments, "Precision")
+        with pytest.raises(ImportError):
+            exec("from negmoments import no_such_name", {})
+
+
+def test_first_numpy_use_under_threads_matches_one_thread():
+    # numpy is first imported inside sample_negativities, in a process whose
+    # first sampled run uses two worker threads.
+    args = ["sample", "--mu", "4", "--samples", "3000", "--seed", "5"]
+    two = _fresh_main(args + ["--threads", "2"])
+    one = _fresh_main(args + ["--threads", "1"])
+    assert two["before"] == [] and "numpy" in two["after"]
+    assert two["stdout"] == one["stdout"]
+    assert json.loads(two["stdout"])["histogram"]["total"] == 3000
