@@ -5,8 +5,10 @@ equal bipartitions, a Monte Carlo and pseudorandom-circuit sampling lab to
 verify them, and the teleportation / distillation bounds they imply.
 
 The exports below are loaded on first use (PEP 562), so importing the
-package, or running ``negmoments --version``, loads neither numpy nor
-mpmath; each submodule imports those inside the functions that need them.
+package, or running ``negmoments --version``, loads no numpy; each
+submodule imports it inside the functions that need it. Floats are
+correctly rounded by integer arithmetic, so no command loads mpmath: only
+``SqrtPiPolynomial.evaluate_mpf`` imports it.
 """
 
 import importlib

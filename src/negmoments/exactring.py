@@ -4,9 +4,13 @@ Half-integer Gamma values are rational multiples of sqrt(pi), so every
 analytic moment computed by this package lives in the graded ring
 Q[sqrt(pi)]. This module provides the ring (monomials and polynomials with
 no rounding, ever), the half-integer Gamma function and its reciprocal, and
-the one rounding rule for floats: a ring element is evaluated at a fixed
-working precision of 256 bits and rounded once to a double. mpmath, which
-does that evaluation, is imported only when a float is first asked for.
+the one rounding rule for floats: a ring element is correctly rounded to the
+nearest double, by integer arithmetic alone. Pi comes from Machin's formula
+in fixed point with a proven error bound, square roots from math.isqrt with
+each bracket end rounded outward, and the element is enclosed between two
+rationals; Ziv's loop doubles the bits until both ends round to the same
+double (Ziv, ACM TOMS 17, 1991). Only SqrtPiPolynomial.evaluate_mpf, an
+adapter for callers that want an mpmath number, imports mpmath.
 """
 
 from __future__ import annotations
@@ -242,15 +246,16 @@ class SqrtPiPolynomial:
         return {str(d): format_rational(v) for d, v in self.items()}
 
     def evaluate_mpf(self, bits: int):
-        """Evaluate at sqrt(pi) with the given working precision (mpmath)."""
+        """The midpoint of the rational enclosure that eval_float uses at
+        ``bits``, as an mpmath number of that precision.
+
+        The only function in the package that imports mpmath.
+        """
         from mpmath import mp
 
+        lo, hi, den = _enclose(self, bits)
         with mp.workprec(bits):
-            sqrtpi = mp.sqrt(mp.pi)
-            total = mp.mpf(0)
-            for degree, value in self.items():
-                total += mp.mpf(int(value.numerator)) / mp.mpf(int(value.denominator)) * sqrtpi**degree
-            return total
+            return mp.mpf(lo + hi) / (2 * den)
 
 
 def _as_poly(value) -> SqrtPiPolynomial:
@@ -261,27 +266,122 @@ def _as_poly(value) -> SqrtPiPolynomial:
     return SqrtPiPolynomial.from_scalar(value)
 
 
-#: Working precision, in bits, of every float derived from the ring; not an
-#: option. Each float is its exact polynomial evaluated at these bits and
-#: rounded once, which rounds correctly unless cancellation between the terms
-#: and closeness to a rounding boundary together use up the ~200 spare bits.
-_WORKING_BITS = 256
+#: First precision, in bits, of the enclosures behind every float derived
+#: from the ring; not an option. Ziv's loop doubles it until both ends of the
+#: enclosure round to the same double, so the result does not depend on it.
+_WORKING_BITS = 128
+
+
+def _arctan_inverse(x: int, bits: int) -> tuple[int, int]:
+    """(a, n) with |a - 2**bits * atan(1/x)| < n, for an integer x >= 2.
+
+    Each term of the Taylor series is taken as the exact floor
+    2**bits // ((2j+1) x**(2j+1)), since floor(floor(y) / m) = floor(y / m)
+    for an integer m > 0, so it errs by less than 1. Summing stops at the
+    first power that floors to 0; the alternating tail after it is smaller
+    than 1. n counts one unit per term plus one for the tail.
+    """
+    power = (1 << bits) // x
+    total, j = 0, 0
+    while power:
+        term = power // (2 * j + 1)
+        total += -term if j % 2 else term
+        j += 1
+        power //= x * x
+    return total, j + 1
+
+
+def _pi_bracket(bits: int) -> tuple[Fraction, Fraction]:
+    """Rationals lo < pi < hi, about 2**-bits apart: Machin's formula
+    pi = 16 atan(1/5) - 4 atan(1/239) in fixed point, with its error bound."""
+    # The error bound is about 3.7 units per bit of scale, so 16 guard bits
+    # keep the bracket narrower than 2**-bits up to several thousand bits.
+    scale = bits + 16
+    a5, n5 = _arctan_inverse(5, scale)
+    a239, n239 = _arctan_inverse(239, scale)
+    centre, error = 16 * a5 - 4 * a239, 16 * n5 + 4 * n239
+    return Fraction(centre - error, 1 << scale), Fraction(centre + error, 1 << scale)
+
+
+def _root(num: int, den: int, bits: int, up: bool) -> tuple[int, int]:
+    """A bound on sqrt(num / den) >= 0, as (numerator, denominator): below
+    it, or above it if ``up``, by about 2**-bits relative to it."""
+    # Scale by 4**e so that the square root has about `bits` bits.
+    e = bits - (num.bit_length() - den.bit_length()) // 2
+    scaled = (num << 2 * e) // den if e >= 0 else num // (den << -2 * e)
+    # floor(sqrt(m)) <= sqrt(num / den * 4**e) < floor(sqrt(m)) + 1 with m = scaled.
+    root = math.isqrt(scaled) + up
+    return (root, 1 << e) if e >= 0 else (root << -e, 1)
+
+
+@lru_cache(maxsize=None)
+def _sqrt_pi_bracket(bits: int) -> tuple[int, int]:
+    """Integers a <= 2**bits sqrt(pi) <= b, from a bracket on pi at twice the bits."""
+    lo, hi = _pi_bracket(2 * bits)
+    return math.isqrt(math.floor(lo * 4**bits)), math.isqrt(math.ceil(hi * 4**bits)) + 1
+
+
+def _enclose(poly: SqrtPiPolynomial, bits: int) -> tuple[int, int, int]:
+    """Integers lo, hi and den > 0 with lo/den <= poly(sqrt(pi)) <= hi/den,
+    from the bracket on sqrt(pi) at ``bits``: each power takes the end of
+    the bracket that bounds its term on the side asked for, by the sign of
+    its coefficient. den is 2**(bits * top degree) times the lcm of the
+    coefficient denominators."""
+    s_lo, s_hi = _sqrt_pi_bracket(bits)
+    items = poly.items()
+    top = items[-1][0] if items else 0
+    common = math.lcm(*(coeff.denominator for _, coeff in items))
+    lo = hi = 0
+    for degree, coeff in items:
+        scale = coeff.numerator * (common // coeff.denominator) << bits * (top - degree)
+        small, large = scale * s_lo**degree, scale * s_hi**degree
+        lo += small if coeff > 0 else large
+        hi += large if coeff > 0 else small
+    return lo, hi, common << bits * top
+
+
+def _to_double(num: int, den: int) -> float:
+    # int / int rounds to nearest, subnormals included; past the double range
+    # it raises where rounding to nearest gives an infinity.
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+def _correctly_rounded(poly: SqrtPiPolynomial, root: bool) -> float:
+    """Ziv's loop: enclose the value (or its square root, if ``root``), and
+    double the bits until both ends of the enclosure round to one double."""
+    if not poly:
+        return 0.0
+    bits = _WORKING_BITS
+    while True:
+        lo, hi, den = _enclose(poly, bits)
+        # A nonzero element of the ring is never 0 (pi is transcendental), so
+        # an enclosure around 0 narrows onto one side of it.
+        if not lo < 0 < hi:
+            if root:
+                if lo < 0:
+                    raise ValueError("square root of a negative ring element")
+                lower, upper = _root(lo, den, bits, up=False), _root(hi, den, bits, up=True)
+            else:
+                lower, upper = (lo, den), (hi, den)
+            value = _to_double(*lower)
+            if value == _to_double(*upper):
+                return value
+        bits *= 2
 
 
 def eval_float(poly: SqrtPiPolynomial) -> float:
-    """sum coeff_d * sqrt(pi)**d, evaluated at the working precision and
-    rounded once to a float."""
-    return float(poly.evaluate_mpf(_WORKING_BITS))
+    """sum coeff_d * sqrt(pi)**d, correctly rounded to a float (round to
+    nearest, +-inf past the double range)."""
+    return _correctly_rounded(poly, root=False)
 
 
 def eval_sqrt_float(poly: SqrtPiPolynomial) -> float:
-    """Square root of a nonnegative ring element, evaluated at the working
-    precision and rounded once to a float."""
-    from mpmath import mp
-
-    value = poly.evaluate_mpf(_WORKING_BITS)
-    with mp.workprec(_WORKING_BITS):
-        return float(mp.sqrt(value))
+    """Square root of a nonnegative ring element, correctly rounded to a
+    float; ValueError if the element is negative."""
+    return _correctly_rounded(poly, root=True)
 
 
 @lru_cache(maxsize=None)

@@ -15,6 +15,10 @@ where reciprocal Gamma vanishing at its poles is what truncates the
 integer-beta cases. For beta = 1/2 every term carries a single factor of
 sqrt(pi); for integer beta the result is rational.
 
+The sum runs on plain Python integers: for integer beta every term is an
+integer, and for beta = 1/2 every term is an integer over the common
+denominator k! 2^(k+l+1). One SqrtPiMonomial is built from the total.
+
 The moment engine builds its pair-integral matrices by a two-term
 recurrence instead (see moments.py); this term sum is the independent oracle
 that the ``verify`` suites and the tests check those matrices against. Each
@@ -95,32 +99,40 @@ def laguerre_pair_integral(k: int, l: int, beta) -> SqrtPiMonomial:
 
 @lru_cache(maxsize=None)
 def _pair_integral_cached(k: int, l: int, twice: int) -> SqrtPiMonomial:
-    acc = SqrtPiMonomial(0, 0)
-    binom = 1  # C(k, t), updated multiplicatively
-    t_fact = 1
+    # Gamma(t+beta+1) / Gamma(t-l+beta+1) is the falling product
+    # (t+beta)(t+beta-1)...(t+beta-l+1), which is 0 exactly where the
+    # reciprocal Gamma sits on a pole, so each term is
+    #   (-1)^t C(k, t) / t! * Gamma(t+beta+1) * falling product.
+    if twice % 2 == 0:
+        # Integer beta = b: Gamma(t+b+1) / t! and the falling product
+        # (t+b)! / (t+b-l)! are integers, so the whole sum is one.
+        b = twice // 2
+        total = 0
+        for t in range(max(0, l - b), k + 1):
+            term = math.comb(k, t) * math.perm(t + b, b) * math.perm(t + b, l)
+            total += -term if t % 2 else term
+        return SqrtPiMonomial(Fraction(-total if l % 2 else total, math.factorial(l)), 0)
+    # beta = 1/2: Gamma(t+3/2) = (2t+1)!! / 2^(t+1) sqrt(pi), and the falling
+    # product is prod_{i<l} (2t+1-2i) / 2^l, an odd number over 2^l: for
+    # t >= l-1 it is (2t+1)!! / (2t+1-2l)!!, below that its negative factors
+    # give (-1)^(l-1-t) (2t+1)!! (2l-2t-3)!!. Each term is then an integer
+    # over t! 2^(t+l+1), so the sum is one over k! 2^(k+l+1).
+    odd = [1]  # odd[m] = (2m-1)!!
+    for m in range(1, max(k, l) + 2):
+        odd.append(odd[-1] * (2 * m - 1))
+    total = 0
     for t in range(k + 1):
-        if t:
-            binom = binom * (k - t + 1) // t
-            t_fact *= t
-        g = _gamma_half_shift(twice, t)
-        r = _recip_gamma_half_shift(twice, t - l)
-        if not r.is_zero:
-            term_coeff = g.coeff * g.coeff * r.coeff * Fraction(binom, t_fact)
-            if t % 2:
-                term_coeff = -term_coeff
-            acc = acc + SqrtPiMonomial(term_coeff, 2 * g.power + r.power)
+        if t >= l - 1:
+            falling = odd[t + 1] // odd[t + 1 - l]
+        else:
+            falling = odd[t + 1] * odd[l - 1 - t]
+            if (l - 1 - t) % 2:
+                falling = -falling
+        # (k! / t!) 2^(k-t) puts the term over the common denominator.
+        term = math.comb(k, t) * math.perm(k, k - t) * odd[t + 1] * falling << (k - t)
+        total += -term if t % 2 else term
     sign = -1 if l % 2 else 1
-    return acc * Fraction(sign, math.factorial(l))
-
-
-def _gamma_half_shift(beta_twice: int, shift: int) -> SqrtPiMonomial:
-    # Gamma(shift + beta + 1)
-    return gamma_half(HalfInteger(beta_twice + 2 * shift + 2))
-
-
-def _recip_gamma_half_shift(beta_twice: int, shift: int) -> SqrtPiMonomial:
-    # 1/Gamma(shift + beta + 1), exact zero at poles
-    return reciprocal_gamma_half(HalfInteger(beta_twice + 2 * shift + 2))
+    return SqrtPiMonomial(Fraction(sign * total, math.factorial(l) * math.factorial(k) << (k + l + 1)), 1)
 
 
 def laguerre_pair_integral_hyp3f2(k: int, l: int) -> SqrtPiMonomial:

@@ -1,8 +1,9 @@
 """Start-up cost: which heavy modules each entry point loads, and the lazy package namespace.
 
-numpy and mpmath are imported inside the functions that use them, so the
-package, ``--version`` and the exact commands start without numpy, and
-``--version`` also without mpmath. Each start-up case runs in a fresh
+numpy is imported inside the functions that use it, so the package,
+``--version`` and the exact commands start without it. Floats are rounded
+by integer arithmetic, so no command loads mpmath; only
+``SqrtPiPolynomial.evaluate_mpf`` does. Each start-up case runs in a fresh
 interpreter, because any earlier test in this process has loaded both.
 """
 
@@ -89,6 +90,35 @@ class TestImportBudget:
     def test_numeric_commands_do_load_numpy(self, args):
         # The probe above can see numpy: these commands need it.
         assert "numpy" in _fresh_main(args)["after"]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["moments", "--mu", "8"],
+            ["moments", "--mu", "8", "--exact", "--format", "csv"],
+            ["table", "--n-max", "6", "--extrapolate"],
+            ["bounds", "--n-qubits", "6"],
+            ["verify", "--max-mu", "4"],
+            ["sample", "--mu", "2", "--samples", "10", "--threads", "1"],
+            ["compare", "--mu", "2", "--samples", "100", "--threads", "1"],
+        ],
+        ids=" ".join,
+    )
+    def test_commands_load_no_mpmath(self, args):
+        report = _fresh_main(args)
+        assert report["stdout"]
+        assert "mpmath" not in report["after"]
+
+    def test_evaluate_mpf_loads_mpmath(self):
+        # The probe above can see mpmath: the adapter imports it.
+        code = (
+            "import sys\n"
+            "from negmoments.exactring import SqrtPiPolynomial\n"
+            "before = 'mpmath' in sys.modules\n"
+            "value = SqrtPiPolynomial({1: 1}).evaluate_mpf(64)\n"
+            "print(before, 'mpmath' in sys.modules, type(value).__name__)"
+        )
+        assert _fresh(code).strip() == "False True mpf"
 
 
 def test_cli_import_loads_what_the_benchmark_wraps():
