@@ -8,8 +8,9 @@ Every moment is computed exactly, and every float printed is its exact
 value rounded once; there is no precision option. moments --exact only caps
 the size at mu <= 128.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 moments
---exact asked for mu > 128, 4 I/O failure.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
+limit (moments --exact asked for mu > 128, or the run ran out of memory),
+4 I/O failure.
 """
 
 from __future__ import annotations
@@ -317,6 +318,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ResourceCeilingError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_RESOURCE
+    except MemoryError as exc:
+        sys.stderr.write(f"error: out of memory: {str(exc) or 'allocation failed'}\n")
         return EXIT_RESOURCE
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")

@@ -1,24 +1,20 @@
 """Gauss quadrature oracle for the weighted Laguerre pair integrals.
 
-Nodes for the weight x^alpha e^{-x} on [0, inf) start from the eigenvalues
-of the symmetrized Jacobi matrix of the generalized Laguerre recurrence
-(Golub-Welsch) and are polished by Newton steps on L_n^{(alpha)}. Weights
-come from the closed form
+The nodes for the weight x^alpha e^{-x} on [0, inf) are the zeros of
+L_n^{(alpha)}, found by Newton's method from the asymptotic guesses of
+Numerical Recipes' gaulag; the weights come from the closed form
 
     w_i = Gamma(n+alpha+1)/n! * x_i / ((n+alpha)^2 L_{n-1}^{(alpha)}(x_i)^2),
 
-which stays accurate in relative terms even where the weights underflow the
-eigenvector-based formula (first eigenvector components below sqrt(eps) are
-pure noise). With n nodes the rule is exact for integrands of polynomial
-degree <= 2n - 1, so it is an independent floating-point check of the
-closed-form pair-integral evaluator whenever n >= k + l + 2.
+which stays accurate in relative terms where the Golub-Welsch eigenvector
+formula underflows. With n nodes the rule is exact to polynomial degree
+2n - 1, so it checks the closed-form pair integrals whenever n >= k + l + 2.
 
-Each rule is built once per (nodes, alpha) and cached as read-only arrays,
-together with the table of L_k at its nodes for every k <= nodes - 2 (the
-largest index an exact rule of that size can take), so the ``verify``
-suites, which integrate many (k, l) pairs on the same rule, repeat neither
-the eigenvalue solve nor the Laguerre recurrence; gauss_generalized_laguerre
-returns copies that the caller may modify.
+The oracle runs on plain Python floats: each rule, and the table of L_k at
+its nodes for k <= nodes - 2, is built once per (nodes, alpha) and cached as
+tuples, and each integral is one math.fsum. Only the array helpers
+gauss_generalized_laguerre and laguerre_values import numpy; they return
+fresh arrays.
 """
 
 from __future__ import annotations
@@ -32,27 +28,34 @@ if TYPE_CHECKING:
 
 __all__ = [
     "InsufficientNodesError",
+    "NodeConvergenceError",
     "gauss_generalized_laguerre",
     "laguerre_values",
     "laguerre_pair_integral_quadrature",
 ]
+
+#: Newton stops once a step is at most this fraction of the node: rounding
+#: in L_n stalls the step above a few ulp (at up to 2.4e-13 of the node for
+#: n <= 100), and quadratic convergence leaves the node at that floor.
+_STEP_TOLERANCE = 2.0**-32
+#: Newton steps allowed per node (8 suffice for n <= 100).
+_NEWTON_CAP = 40
 
 
 class InsufficientNodesError(ValueError):
     """Node count below the exactness requirement for the requested degree."""
 
 
-def _gen_laguerre_pair(n: int, alpha: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(L_{n-1}^{(alpha)}(x), L_n^{(alpha)}(x)) by the three-term recurrence."""
-    import numpy as np
+class NodeConvergenceError(ArithmeticError):
+    """Newton's method did not settle on the next zero of L_n^{(alpha)}."""
 
-    prev = np.ones_like(x)
-    cur = 1.0 + alpha - x
-    if n == 0:
-        return np.zeros_like(x), prev
+
+def _laguerre_sequence(n: int, alpha: float, x: float) -> list[float]:
+    """[L_0^{(alpha)}(x), ..., L_n^{(alpha)}(x)] by the three-term recurrence."""
+    values = [1.0, 1.0 + alpha - x]
     for i in range(1, n):
-        prev, cur = cur, ((2 * i + alpha + 1 - x) * cur - (i + alpha) * prev) / (i + 1)
-    return prev, cur
+        values.append(((2 * i + alpha + 1 - x) * values[i] - (i + alpha) * values[i - 1]) / (i + 1))
+    return values[: n + 1]
 
 
 def _check_rule(nodes: int, alpha: float) -> None:
@@ -63,50 +66,52 @@ def _check_rule(nodes: int, alpha: float) -> None:
 
 
 def gauss_generalized_laguerre(nodes: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights for integral_0^inf f(x) x**alpha e**(-x) dx."""
+    """Nodes and weights for integral_0^inf f(x) x**alpha e**(-x) dx.
+
+    Raises NodeConvergenceError where the starting guesses fail, which
+    happens for large alpha and many nodes (alpha = 20 with 76 nodes).
+    """
+    import numpy as np
+
     _check_rule(nodes, alpha)
     x, w = _gauss_rule(nodes, float(alpha))
-    return x.copy(), w.copy()
+    return np.array(x), np.array(w)
 
 
 @lru_cache(maxsize=None)
-def _gauss_rule(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    # Built once per (nodes, alpha) and shared, so the arrays are read-only;
-    # the public function hands out copies.
-    import numpy as np
-
-    i = np.arange(n, dtype=float)
-    diagonal = 2.0 * i + alpha + 1.0
-    off = np.sqrt(i[1:] * (i[1:] + alpha))
-    jacobi = np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1)
-    x = np.linalg.eigvalsh(jacobi)
-
-    # Newton polish: x L_n' = n L_n - (n+alpha) L_{n-1}.
-    for _ in range(2):
-        below, value = _gen_laguerre_pair(n, alpha, x)
-        derivative = (n * value - (n + alpha) * below) / x
-        x = x - value / derivative
-
-    below, _ = _gen_laguerre_pair(n, alpha, x)
+def _gauss_rule(n: int, alpha: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
     norm = math.gamma(n + alpha + 1) / math.factorial(n)
-    w = norm * x / ((n + alpha) ** 2 * below**2)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
+    nodes: list[float] = []
+    weights: list[float] = []
+    for i in range(n):
+        if i == 0:
+            z = (1 + alpha) * (3 + 0.92 * alpha) / (1 + 2.4 * n + 1.8 * alpha)
+        elif i == 1:
+            z += (15 + 6.25 * alpha) / (1 + 0.9 * alpha + 2.5 * n)
+        else:
+            a = i - 1
+            z += ((1 + 2.55 * a) / (1.9 * a) + 1.26 * a * alpha / (1 + 3.5 * a)) * (z - nodes[-2]) / (1 + 0.3 * alpha)
+        for _ in range(_NEWTON_CAP):
+            below, value = _laguerre_sequence(n, alpha, z)[-2:]
+            step = value * z / (n * value - (n + alpha) * below)
+            z -= step
+            if abs(step) <= _STEP_TOLERANCE * z:
+                break
+        # A zero must converge and lie above the one before it (NaN fails too).
+        if not (abs(step) <= _STEP_TOLERANCE * z and z > (nodes[-1] if nodes else 0.0)):
+            raise NodeConvergenceError(f"no new zero {i + 1} of L_{n}^({alpha}) within {_NEWTON_CAP} Newton steps")
+        nodes.append(z)
+        weights.append(norm * z / ((n + alpha) ** 2 * _laguerre_sequence(n - 1, alpha, z)[-1] ** 2))
+    return tuple(nodes), tuple(weights)
 
 
 def laguerre_values(k_max: int, x: np.ndarray) -> np.ndarray:
     """Array of standard Laguerre values L_k(x) for k = 0..k_max."""
     import numpy as np
 
-    x = np.asarray(x, dtype=float)
-    values = np.empty((k_max + 1, x.size))
-    values[0] = 1.0
-    if k_max >= 1:
-        values[1] = 1.0 - x
-    for i in range(1, k_max):
-        values[i + 1] = ((2 * i + 1 - x) * values[i] - i * values[i - 1]) / (i + 1)
-    return values
+    x = np.asarray(x, dtype=float).ravel()
+    columns = [_laguerre_sequence(k_max, 0.0, value) for value in x.tolist()]
+    return np.array(columns, dtype=float).reshape(x.size, k_max + 1).T
 
 
 def laguerre_pair_integral_quadrature(k: int, l: int, beta: float, nodes: int) -> float:
@@ -115,8 +120,6 @@ def laguerre_pair_integral_quadrature(k: int, l: int, beta: float, nodes: int) -
     Requires nodes >= k + l + 2 so the rule is exact (up to rounding) for the
     degree k+l polynomial left after absorbing q^beta e^{-q} into the weight.
     """
-    import numpy as np
-
     if k < 0 or l < 0:
         raise ValueError("polynomial indices must be nonnegative")
     if nodes < k + l + 2:
@@ -124,14 +127,13 @@ def laguerre_pair_integral_quadrature(k: int, l: int, beta: float, nodes: int) -
     _check_rule(nodes, beta)
     _, w = _gauss_rule(nodes, float(beta))
     table = _laguerre_table(nodes, float(beta))
-    return float(np.sum(w * table[k] * table[l]))
+    return math.fsum([wi * a * b for wi, a, b in zip(w, table[k], table[l])])
 
 
 @lru_cache(maxsize=None)
-def _laguerre_table(n: int, alpha: float) -> np.ndarray:
-    # L_k at the nodes of the (n, alpha) rule for k <= n - 2; each row comes
-    # from the same recurrence steps whatever the table's length, so row k
-    # is the one laguerre_values(k, x) gives. Shared, so read-only.
-    table = laguerre_values(n - 2, _gauss_rule(n, alpha)[0])
-    table.flags.writeable = False
-    return table
+def _laguerre_table(n: int, alpha: float) -> tuple[tuple[float, ...], ...]:
+    # Row k holds the standard L_k at the nodes of the (n, alpha) rule, for
+    # k <= n - 2; each value comes from the same recurrence steps whatever
+    # the table's length, so row k is the one laguerre_values(k, x) gives.
+    columns = [_laguerre_sequence(n - 2, 0.0, x) for x in _gauss_rule(n, alpha)[0]]
+    return tuple(zip(*columns))

@@ -159,6 +159,27 @@ class TestSampleAndCompare:
         missing = tmp_path / "no" / "such" / "dir" / "x.json"
         assert main(["sample", "--mu", "2", "--samples", "200", "--output", str(missing)]) == 4
 
+    @pytest.mark.parametrize(
+        "error,line",
+        [
+            (MemoryError("Unable to allocate 74.5 GiB for an array"), "Unable to allocate 74.5 GiB for an array"),
+            (MemoryError(), "allocation failed"),
+        ],
+    )
+    def test_out_of_memory_exit_code(self, monkeypatch, capsys, error, line):
+        # numpy raises a MemoryError subclass when the sampler's arrays do not
+        # fit; stand in for it rather than allocate for real.
+        from negmoments import cli
+
+        def exhausted(batch, threads):
+            raise error
+
+        monkeypatch.setattr(cli, "sample_negativities", exhausted)
+        assert main(["sample", "--mu", "100000", "--samples", "1", "--threads", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: out of memory: {line}\n"
+
 
 class TestBoundsCommand:
     def test_preset_values(self, tmp_path):

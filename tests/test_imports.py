@@ -1,7 +1,8 @@
 """Start-up cost: which heavy modules each entry point loads, and the lazy package namespace.
 
 numpy is imported inside the functions that use it, so the package,
-``--version`` and the exact commands start without it. Floats are rounded
+``--version``, the exact commands and ``verify`` (whose quadrature oracle
+runs on plain Python floats) start without it. Floats are rounded
 by integer arithmetic, so no command loads mpmath; only
 ``SqrtPiPolynomial.evaluate_mpf`` does. Each start-up case runs in a fresh
 interpreter, because any earlier test in this process has loaded both.
@@ -74,6 +75,8 @@ class TestImportBudget:
             ["table", "--n-max", "6", "--extrapolate"],
             ["bounds", "--n-qubits", "6"],
             ["bounds", "--n-qubits", "6", "--c", "preset"],
+            ["verify", "--max-mu", "4"],
+            ["verify", "--max-mu", "20"],
         ],
         ids=" ".join,
     )
@@ -84,7 +87,10 @@ class TestImportBudget:
 
     @pytest.mark.parametrize(
         "args",
-        [["sample", "--mu", "2", "--samples", "10", "--threads", "1"], ["verify", "--max-mu", "4"]],
+        [
+            ["sample", "--mu", "2", "--samples", "10", "--threads", "1"],
+            ["compare", "--mu", "2", "--samples", "100", "--threads", "1"],
+        ],
         ids=" ".join,
     )
     def test_numeric_commands_do_load_numpy(self, args):
@@ -99,6 +105,7 @@ class TestImportBudget:
             ["table", "--n-max", "6", "--extrapolate"],
             ["bounds", "--n-qubits", "6"],
             ["verify", "--max-mu", "4"],
+            ["verify", "--max-mu", "20"],
             ["sample", "--mu", "2", "--samples", "10", "--threads", "1"],
             ["compare", "--mu", "2", "--samples", "100", "--threads", "1"],
         ],

@@ -22,10 +22,19 @@ def laguerre_float_coefficients(k):
 
 class TestNodesWeights:
     def test_against_numpy_laggauss(self):
-        x, w = gauss_generalized_laguerre(24, 0.0)
-        x_ref, w_ref = np.polynomial.laguerre.laggauss(24)
-        assert np.allclose(x, x_ref, rtol=1e-12, atol=1e-12)
-        assert np.allclose(w, w_ref, rtol=1e-10, atol=1e-300)
+        # numpy is only the oracle here: the rule itself is plain Python.
+        for n in (8, 24, 48):
+            x, w = gauss_generalized_laguerre(n, 0.0)
+            x_ref, w_ref = np.polynomial.laguerre.laggauss(n)
+            assert np.allclose(x, x_ref, rtol=1e-12, atol=1e-12)
+            assert np.allclose(w, w_ref, rtol=1e-10, atol=1e-300)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.25])
+    def test_nodes_ascend_and_are_positive(self, alpha):
+        for n in range(1, 49):
+            x, _ = gauss_generalized_laguerre(n, alpha)
+            assert len(x) == n and x[0] > 0.0
+            assert all(a < b for a, b in zip(x, x[1:]))
 
     def test_total_mass(self):
         for alpha in (0.0, 0.5, 1.0, 2.25):
@@ -33,11 +42,14 @@ class TestNodesWeights:
             assert float(w.sum()) == pytest.approx(math.gamma(alpha + 1.0), rel=1e-13)
 
     def test_monomial_moments(self):
-        # integral x^m x^alpha e^{-x} = Gamma(alpha + m + 1), exact for the rule
-        alpha = 0.5
-        x, w = gauss_generalized_laguerre(16, alpha)
-        for m in range(8):
-            assert float(np.sum(w * x**m)) == pytest.approx(math.gamma(alpha + m + 1), rel=1e-12)
+        # integral x^m x^alpha e^{-x} = Gamma(alpha + m + 1), exact for the
+        # n-node rule up to degree 2n - 1
+        for alpha in (0.0, 0.5, 1.0, 2.25):
+            for n in (1, 2, 5, 16, 33, 48):
+                x, w = gauss_generalized_laguerre(n, alpha)
+                for m in range(2 * n):
+                    value = math.fsum((w * x**m).tolist())
+                    assert value == pytest.approx(math.gamma(alpha + m + 1), rel=1e-12), (alpha, n, m)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -105,11 +117,62 @@ class TestPairIntegralQuadrature:
         from negmoments import quadrature
 
         quadrature._laguerre_table.cache_clear()
+        x, w = gauss_generalized_laguerre(14, 0.5)
         for k in range(6):
             for l in range(6):
-                x, w = gauss_generalized_laguerre(14, 0.5)
-                expected = float(np.sum(w * laguerre_values(k, x)[k] * laguerre_values(l, x)[l]))
-                # Bit-identical to a table of just max(k, l) + 1 rows.
+                row_k, row_l = laguerre_values(k, x)[k], laguerre_values(l, x)[l]
+                expected = math.fsum((w * row_k * row_l).tolist())
+                # Bit-identical to a fresh recurrence of just max(k, l) + 1 rows.
                 assert laguerre_pair_integral_quadrature(k, l, 0.5, 14) == expected
         assert quadrature._laguerre_table.cache_info().misses == 1
-        assert not quadrature._laguerre_table(14, 0.5).flags.writeable
+        table = quadrature._laguerre_table(14, 0.5)
+        assert len(table) == 13
+        for k, row in enumerate(table):
+            assert row == tuple(laguerre_values(k, x)[k].tolist())
+        with pytest.raises(TypeError):
+            table[2][0] = 0.0  # the shared rows cannot be mutated
+
+
+class TestOracleCanFail:
+    """check_quadrature reports FAIL, never a traceback, when the routes disagree."""
+
+    @pytest.fixture
+    def cold_rules(self):
+        from negmoments import quadrature
+
+        quadrature._gauss_rule.cache_clear()
+        quadrature._laguerre_table.cache_clear()
+        yield quadrature
+        quadrature._gauss_rule.cache_clear()
+        quadrature._laguerre_table.cache_clear()
+
+    def test_one_entry_off_by_1e_8(self, monkeypatch, capsys):
+        from negmoments import cli, selfcheck
+
+        honest = selfcheck.laguerre_pair_integral_quadrature
+
+        def skewed(k, l, beta, nodes):
+            return honest(k, l, beta, nodes) + (1e-8 if (k, l, beta) == (3, 5, 0.5) else 0.0)
+
+        monkeypatch.setattr(selfcheck, "laguerre_pair_integral_quadrature", skewed)
+        result = selfcheck.check_quadrature(6)
+        assert not result.passed
+        assert result.detail == "max |diff| = 1.000e-08 (k,l <= 6)"
+        assert cli.main(["verify", "--max-mu", "6"]) == 1
+        out = capsys.readouterr().out
+        assert "quadrature oracle agreement      FAIL  max |diff| = 1.000e-08" in out
+        assert out.endswith("7/8 suites passed\n")
+
+    def test_newton_cap_reached(self, monkeypatch, capsys, cold_rules):
+        from negmoments import cli, selfcheck
+
+        monkeypatch.setattr(cold_rules, "_NEWTON_CAP", 1)
+        with pytest.raises(cold_rules.NodeConvergenceError, match="within 1 Newton steps"):
+            gauss_generalized_laguerre(12, 0.5)
+        result = selfcheck.check_quadrature(4)
+        assert not result.passed
+        assert result.detail == "no new zero 1 of L_16^(0.0) within 1 Newton steps"
+        assert cli.main(["verify", "--max-mu", "4"]) == 1
+        out = capsys.readouterr().out
+        assert "quadrature oracle agreement      FAIL  no new zero 1" in out
+        assert out.endswith("7/8 suites passed\n")
