@@ -34,6 +34,10 @@ RATIO_PRESET = 0.72037
 #: concentrates only once d_B vastly exceeds these.
 CLUSTER_THRESHOLD_PRESETS = {2: 200, 16: 6400}
 
+#: Largest qubit count whose local dimension 2^(n/2) is a finite double
+#: (2^1023; 2^1024 overflows).
+_MAX_N_QUBITS = 2046
+
 
 @dataclass(frozen=True)
 class BoundsReport:
@@ -86,9 +90,16 @@ def distillable_upper(n_qubits: int, c: float) -> float:
     """
     if not 0.0 < c <= 1.0:
         raise ValueError("ratio must lie in (0, 1]")
+    return math.log2(c * _local_dimension(n_qubits) + 1.0 - c)
+
+
+def _local_dimension(n_qubits: int) -> int:
+    """2^(n/2) for an even n from 2 to _MAX_N_QUBITS."""
     if n_qubits < 2 or n_qubits % 2:
         raise ValueError("n_qubits must be even and at least 2")
-    return math.log2(c * 2 ** (n_qubits // 2) + 1.0 - c)
+    if n_qubits > _MAX_N_QUBITS:
+        raise ValueError(f"n_qubits must be at most {_MAX_N_QUBITS}: 2^(n/2) must fit a double")
+    return 2 ** (n_qubits // 2)
 
 
 def log_negativity(neg: float) -> float:
@@ -134,13 +145,12 @@ def build_bounds_report(n_qubits: int, c: float | None = None, mean_negativity: 
 
     With a ratio c the asymptotic forms are used (mean = c (m-1)/2, singlet
     distance 2(1-c), fidelity c); with an explicit mean negativity the
-    finite-m formulas apply. Exactly one of the two must be given.
+    finite-m formulas apply. Exactly one of the two must be given. n_qubits
+    runs up to 2046, where 2^(n/2) still fits a double.
     """
-    if n_qubits < 2 or n_qubits % 2:
-        raise ValueError("n_qubits must be even and at least 2")
+    m = _local_dimension(n_qubits)
     if (c is None) == (mean_negativity is None):
         raise ValueError("set exactly one of c / mean_negativity")
-    m = 2 ** (n_qubits // 2)
     if c is not None:
         if not 0.0 < c <= 1.0:
             raise ValueError("ratio must lie in (0, 1]")

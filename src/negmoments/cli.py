@@ -4,6 +4,10 @@ Subcommands: moments, table, sample, compare, bounds, verify. All output is
 deterministic for a fixed configuration: reruns with any --threads value
 produce byte-identical bytes.
 
+Every command but verify goes out through one writer, which prints a JSON
+document or CSV rows to stdout or to --output. compare is sample plus the
+agreement figures in the JSON; its CSV rows are those of sample.
+
 Every moment is computed exactly, and every float printed is its exact
 value rounded once; there is no precision option. moments --exact only caps
 the size at mu <= 128.
@@ -16,15 +20,21 @@ limit (moments --exact asked for mu > 128, or the run ran out of memory),
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import os
 import sys
 
 from . import __version__
 from .bounds import RATIO_PRESET, build_bounds_report
-from .distribution import build_document, build_histogram, compare, gaussian_reference, render_csv, render_json
+from .distribution import (
+    _HISTOGRAM_COLUMNS,
+    _csv_text,
+    _histogram_rows,
+    build_document,
+    build_histogram,
+    compare,
+    gaussian_reference,
+    render_json,
+)
 from .moments import (
     EXACT_MODE_CEILING,
     ResourceCeilingError,
@@ -123,66 +133,42 @@ def _resolve_size(args) -> tuple[int, int | None]:
     return mu, n
 
 
-def _write(text: str, output: str) -> None:
-    if output == "-":
+def _emit(args, doc: dict, header, rows) -> int:
+    """Write doc as JSON, or header and rows as CSV, to stdout or --output."""
+    text = render_json(doc) if args.format == "json" else _csv_text(header, rows)
+    if args.output == "-":
         sys.stdout.write(text)
     else:
-        with open(output, "w", encoding="utf-8") as handle:
+        with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
+    return EXIT_OK
 
 
 def _cmd_moments(args) -> int:
     mu, n = _resolve_size(args)
     report = normalized_moments(mu, exact=args.exact)
-    if args.format == "json":
-        text = render_json(build_document(report, n_qubits=n))
-    else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["mu", "n_qubits", "mean_float", "sigma_float", "mean_normalized", "sigma_normalized"])
-        writer.writerow(
-            [
-                report.mu,
-                "" if n is None else n,
-                repr(report.mean_float),
-                repr(report.sigma_float),
-                repr(report.mean_normalized),
-                repr(report.sigma_normalized),
-            ]
-        )
-        text = buffer.getvalue()
-    _write(text, args.output)
-    return EXIT_OK
+    header = ["mu", "n_qubits", "mean_float", "sigma_float", "mean_normalized", "sigma_normalized"]
+    row = [report.mu, n, report.mean_float, report.sigma_float, report.mean_normalized, report.sigma_normalized]
+    return _emit(args, build_document(report, n_qubits=n), header, [row])
 
 
 def _cmd_table(args) -> int:
     if args.n_min < 2 or args.n_min % 2 or args.n_max < args.n_min or args.n_max % 2:
         raise UsageError("qubit counts must be even, n-min >= 2, n-max >= n-min")
-    n_list = list(range(args.n_min, args.n_max + 1, 2))
-    rows = generate_table(n_list)
+    rows = generate_table(list(range(args.n_min, args.n_max + 1, 2)))
     limit = extrapolate_limit(rows) if args.extrapolate else None
-    if args.format == "json":
-        doc = {
-            "rows": [
-                {"n_qubits": r.n_qubits, "mu": r.mu, "ratio": r.ratio, "delta": r.delta} for r in rows
-            ],
-            "extrapolated_limit": limit,
-        }
-        text = render_json(doc)
-    else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["n_qubits", "mu", "ratio", "delta"])
-        for r in rows:
-            writer.writerow([r.n_qubits, r.mu, repr(r.ratio), "" if r.delta is None else repr(r.delta)])
-        if limit is not None:
-            writer.writerow(["limit", "", repr(limit), ""])
-        text = buffer.getvalue()
-    _write(text, args.output)
-    return EXIT_OK
+    doc = {
+        "rows": [{"n_qubits": r.n_qubits, "mu": r.mu, "ratio": r.ratio, "delta": r.delta} for r in rows],
+        "extrapolated_limit": limit,
+    }
+    csv_rows = [[r.n_qubits, r.mu, r.ratio, r.delta] for r in rows]
+    if limit is not None:
+        csv_rows.append(["limit", "", limit, ""])
+    return _emit(args, doc, ["n_qubits", "mu", "ratio", "delta"], csv_rows)
 
 
-def _sampling_run(args):
+def _cmd_sample(args) -> int:
+    """sample; compare is the same run plus the agreement figures."""
     threads = args.threads if args.threads is not None else _default_threads()
     if threads < 1:
         raise UsageError("--threads must be at least 1")
@@ -201,40 +187,14 @@ def _sampling_run(args):
         batch = SampleBatch(args.seed, args.samples, dims=(mu, mu), generator="haar")
     values = sample_negativities(batch, threads=threads)
     report = normalized_moments(mu)
-    n_max = (mu - 1) / 2.0
-    hist = build_histogram(values / n_max, args.bins)
+    hist = build_histogram(values / ((mu - 1) / 2.0), args.bins)
     ref = gaussian_reference(report)
-    return batch, report, n, hist, ref
-
-
-def _sampler_json(batch: SampleBatch) -> dict:
-    """The stream, seed and size that produced the samples."""
-    return {"generator": batch.generator, "stream": STREAM_ID, "master_seed": batch.master_seed, "count": batch.count}
-
-
-def _cmd_sample(args) -> int:
-    batch, report, n, hist, ref = _sampling_run(args)
-    if args.format == "csv":
-        text = render_csv(hist, ref)
-    else:
-        doc = build_document(report, n_qubits=n, histogram=hist, reference=ref)
-        doc["sampler"] = _sampler_json(batch)
-        text = render_json(doc)
-    _write(text, args.output)
-    return EXIT_OK
-
-
-def _cmd_compare(args) -> int:
-    batch, report, n, hist, ref = _sampling_run(args)
-    comparison = compare(hist, ref)
-    if args.format == "csv":
-        text = render_csv(hist, ref)
-    else:
-        doc = build_document(report, n_qubits=n, histogram=hist, reference=ref, comparison=comparison)
-        doc["sampler"] = _sampler_json(batch)
-        text = render_json(doc)
-    _write(text, args.output)
-    return EXIT_OK
+    comparison = compare(hist, ref) if args.command == "compare" else None
+    doc = build_document(report, n_qubits=n, histogram=hist, reference=ref, comparison=comparison)
+    doc["sampler"] = {
+        "generator": batch.generator, "stream": STREAM_ID, "master_seed": batch.master_seed, "count": batch.count
+    }
+    return _emit(args, doc, _HISTOGRAM_COLUMNS, _histogram_rows(hist, ref))
 
 
 def _cmd_bounds(args) -> int:
@@ -265,17 +225,8 @@ def _cmd_bounds(args) -> int:
             "fidelity": report.fidelity_raw,
         },
     }
-    if args.format == "json":
-        text = render_json(doc)
-    else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        keys = ["n_qubits", "c", "mean_negativity", "singlet_distance_lb", "fidelity_ub", "distillable_ub_ebits", "log_neg_mean"]
-        writer.writerow(keys)
-        writer.writerow([doc[k] if isinstance(doc[k], int) else repr(doc[k]) for k in keys])
-        text = buffer.getvalue()
-    _write(text, args.output)
-    return EXIT_OK
+    keys = ["n_qubits", "c", "mean_negativity", "singlet_distance_lb", "fidelity_ub", "distillable_ub_ebits", "log_neg_mean"]
+    return _emit(args, doc, keys, [[doc[k] for k in keys]])
 
 
 def _cmd_verify(args) -> int:
@@ -295,7 +246,7 @@ _COMMANDS = {
     "moments": _cmd_moments,
     "table": _cmd_table,
     "sample": _cmd_sample,
-    "compare": _cmd_compare,
+    "compare": _cmd_sample,
     "bounds": _cmd_bounds,
     "verify": _cmd_verify,
 }
@@ -310,9 +261,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

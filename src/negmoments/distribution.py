@@ -230,7 +230,11 @@ def build_document(
     return doc
 
 
-def _csv_rows(hist: Histogram, ref: GaussianReference | None):
+#: One CSV row per bin; _histogram_rows yields them in this order.
+_HISTOGRAM_COLUMNS = ("bin_left", "bin_right", "count", "density", "gaussian_density")
+
+
+def _histogram_rows(hist: Histogram, ref: GaussianReference | None):
     import numpy as np
 
     densities = hist.densities()
@@ -267,11 +271,15 @@ def export(hist: Histogram, ref: GaussianReference | None, report: MomentReport,
 
 
 def render_csv(hist: Histogram, ref: GaussianReference | None) -> str:
+    return _csv_text(_HISTOGRAM_COLUMNS, _histogram_rows(hist, ref))
+
+
+def _csv_text(header, rows) -> str:
+    """A header line and the rows as CSV; None is written as an empty field."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["bin_left", "bin_right", "count", "density", "gaussian_density"])
-    for row in _csv_rows(hist, ref):
-        writer.writerow(row)
+    writer.writerow(header)
+    writer.writerows(rows)
     return buffer.getvalue()
 
 

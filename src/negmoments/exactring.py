@@ -174,9 +174,6 @@ class SqrtPiPolynomial:
     def coefficient(self, degree: int):
         return self._coeffs.get(degree, _ZERO)
 
-    def degrees(self):
-        return sorted(self._coeffs)
-
     def items(self):
         return sorted(self._coeffs.items())
 

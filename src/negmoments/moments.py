@@ -122,9 +122,6 @@ class PairIntegralMatrix:
     def entry(self, k: int, l: int) -> SqrtPiMonomial:
         return SqrtPiMonomial(Fraction(self.numerators[k][l], self.denominator), self.power)
 
-    def entries(self) -> list[list[SqrtPiMonomial]]:
-        return [[self.entry(k, l) for l in range(self.mu)] for k in range(self.mu)]
-
 
 def _scaled_rows(mu: int, beta_twice: int, scale: int):
     """Yield scale * J(k, l, beta) for l >= k, one row k at a time."""

@@ -56,10 +56,6 @@ SPECTRUM_CLIP = 1e-15
 #: the stream's temporaries hold _CHUNK x (normals per sample) words.
 _CHUNK = 512
 
-#: Schmidt spectra switch from SVD of the amplitude matrix to the
-#: eigendecomposition of the reduced state once the split is this lopsided.
-_EIGH_RATIO = 8
-
 
 @dataclass(frozen=True)
 class PureState:
@@ -305,14 +301,8 @@ def _spectra_from_matrices(matrices: np.ndarray) -> np.ndarray:
     """Descending squared singular values for a stack of (mu, nu) matrices."""
     import numpy as np
 
-    mu, nu = matrices.shape[-2:]
-    if max(mu, nu) >= _EIGH_RATIO * min(mu, nu):
-        small = matrices if mu <= nu else matrices.conj().swapaxes(-1, -2)
-        gram = small @ small.conj().swapaxes(-1, -2)
-        p = np.linalg.eigvalsh(gram)[..., ::-1]
-    else:
-        s = np.linalg.svd(matrices, compute_uv=False)
-        p = s * s
+    s = np.linalg.svd(matrices, compute_uv=False)
+    p = s * s
     return np.where(p < SPECTRUM_CLIP, 0.0, p)
 
 

@@ -107,6 +107,12 @@ class TestDistillable:
         with pytest.raises(ValueError):
             distillable_upper(3, 0.5)
 
+    def test_largest_size(self):
+        # 2^(n/2) must fit a double: 2^1023 does, 2^1024 overflows.
+        assert distillable_upper(2046, 1.0) == 1023.0
+        with pytest.raises(ValueError, match="at most 2046"):
+            distillable_upper(2048, 0.5)
+
 
 class TestLogNegativity:
     def test_examples(self):
@@ -185,3 +191,10 @@ class TestBoundsReport:
             build_bounds_report(4)
         with pytest.raises(ValueError):
             build_bounds_report(4, c=0.5, mean_negativity=1.0)
+
+    def test_largest_size(self):
+        assert build_bounds_report(2046, c=0.5).mean_negativity == 0.5 * (2.0**1023 - 1) / 2
+        assert build_bounds_report(2046, mean_negativity=1.0).fidelity_ub == 3.0 / 2.0**1023
+        for kwargs in ({"c": 0.5}, {"mean_negativity": 1.0}):
+            with pytest.raises(ValueError, match="at most 2046"):
+                build_bounds_report(2048, **kwargs)

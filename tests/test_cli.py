@@ -205,6 +205,57 @@ class TestBoundsCommand:
         assert main(["bounds", "--n-qubits", "8", "--c", "lots"]) == 2
         assert main(["bounds", "--n-qubits", "7"]) == 2
 
+    def test_largest_size(self, capsys):
+        # 2^(n/2) must fit a double; one size more is a usage error, not an overflow.
+        assert main(["bounds", "--n-qubits", "2046", "--c", "preset"]) == 0
+        assert json.loads(capsys.readouterr().out)["distillable_ub_ebits"] > 1022
+        for c in ([], ["--c", "0.5"]):
+            assert main(["bounds", "--n-qubits", "2048", *c]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: n_qubits must be at most 2046: 2^(n/2) must fit a double\n"
+
+
+class TestOneWriter:
+    """Every command but verify prints through one writer, and compare is sample plus statistics."""
+
+    SAMPLE = ["--mu", "2", "--samples", "300", "--seed", "3", "--threads", "1"]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["moments", "--mu", "3"],
+            ["table", "--n-max", "8", "--extrapolate"],
+            ["bounds", "--n-qubits", "6", "--c", "preset"],
+            ["sample", *SAMPLE],
+        ],
+    )
+    def test_output_file_matches_stdout(self, args, fmt, tmp_path, capsys):
+        out = tmp_path / f"out.{fmt}"
+        assert main(args + ["--format", fmt]) == 0
+        printed = capsys.readouterr().out
+        assert main(args + ["--format", fmt, "--output", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == printed.encode("utf-8")
+
+    def test_compare_csv_is_sample_csv(self, capsys):
+        assert main(["sample", *self.SAMPLE, "--format", "csv"]) == 0
+        sampled = capsys.readouterr().out
+        assert main(["compare", *self.SAMPLE, "--format", "csv"]) == 0
+        assert capsys.readouterr().out == sampled
+        assert sampled.startswith("bin_left,bin_right,count,density,gaussian_density\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_compare_needs_100_samples_in_every_format(self, fmt, capsys):
+        args = ["--mu", "3", "--samples", "50", "--seed", "3", "--format", fmt]
+        assert main(["sample", *args]) == 0
+        capsys.readouterr()
+        assert main(["compare", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: comparison needs at least 100 samples\n"
+
 
 class TestVerify:
     def test_passes_and_prints_table(self, capsys):
