@@ -9,17 +9,18 @@ ring.
 
 Every random number comes from one counter-based stream, named by
 ``STREAM_ID``: Philox4x32-10 (Salmon et al., "Parallel random numbers: as
-easy as 1, 2, 3", SC'11) keyed by ``SeedSequence(master_seed)`` and
-evaluated at the counter (block, 0, low and high 32 bits of the sample
-index), each block turned into two standard normals by Box-Muller. Sample i
-of a batch is therefore a function of (master_seed, i) alone: results are
-bit-identical for any chunking or thread count, and the single-state
-functions at index i reproduce sample i of a batch. The chunked kernels
-vectorize over samples without changing any per-sample arithmetic.
+easy as 1, 2, 3", SC'11) keyed by numpy's ``SeedSequence(master_seed)``,
+run on Python ints, and evaluated at the counter (block, 0, low and high 32
+bits of the sample index), each block turned into two standard normals by
+Box-Muller. Sample i of a batch is therefore a function of (master_seed, i)
+alone: results are bit-identical for any chunking or thread count, and the
+single-state functions at index i reproduce sample i of a batch. The chunked
+kernels vectorize over samples without changing any per-sample arithmetic.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -52,9 +53,13 @@ STREAM_ID = "philox4x32-10/box-muller/1"
 SPECTRUM_CLIP = 1e-15
 
 #: Fixed vectorization width of the sampling kernels. Results are
-#: per-sample deterministic, so this constant only affects speed and memory:
-#: the stream's temporaries hold _CHUNK x (normals per sample) words.
+#: per-sample deterministic, so this constant and _DRAW_BLOCKS only affect
+#: speed and memory. A Haar draw holds _CHUNK x (normals per sample) words.
 _CHUNK = 512
+
+#: Philox blocks per sample a circuit draws at a time, in whole rounds of 2 n
+#: (at least one), so its memory does not grow with the round count.
+_DRAW_BLOCKS = 32
 
 
 @dataclass(frozen=True)
@@ -187,13 +192,50 @@ _U32 = "<u4"
 _U64 = "<u8"
 
 
+#: numpy.random.SeedSequence's constants: (init, multiplier) of the pool
+#: hash and of the output hash, the two mix multipliers, the pool size.
+_SEED_A = (0x43B0D7E5, 0x931E8875)
+_SEED_B = (0x8B51F9DD, 0x58F38DED)
+_SEED_MIX = (0xCA01F9DD, 0x4973F715)
+_SEED_POOL = 4
+_M32 = 0xFFFFFFFF
+
+
 @lru_cache(maxsize=64)
 def _stream_key(master_seed: int) -> tuple[int, int]:
-    """Philox key of a master seed; any nonnegative int is accepted."""
-    import numpy as np
+    """Philox key of a master seed; any nonnegative integer is accepted.
 
-    k0, k1 = np.random.SeedSequence(master_seed).generate_state(2, np.uint32)
-    return int(k0), int(k1)
+    ``numpy.random.SeedSequence(master_seed).generate_state(2, uint32)`` on
+    Python ints, so that sampling never loads numpy.random.
+    """
+    master_seed = operator.index(master_seed)
+    if master_seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [master_seed >> shift & _M32 for shift in range(0, max(master_seed.bit_length(), 1), 32)]
+    hash_const, mult = _SEED_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * mult & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (_SEED_MIX[0] * x - _SEED_MIX[1] * y) & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(_SEED_POOL)]
+    for src in range(_SEED_POOL):
+        for dst in range(_SEED_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_SEED_POOL:]:
+        for dst in range(_SEED_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state: the same hash, restarted with the B constants.
+    hash_const, mult = _SEED_B
+    return hashmix(pool[0]), hashmix(pool[1])
 
 
 def _philox4x32_10(key: tuple[int, int], c0, c1, c2, c3) -> tuple[np.ndarray, np.ndarray]:
@@ -257,18 +299,18 @@ def _box_muller(x: np.ndarray, y: np.ndarray, z0: np.ndarray, z1: np.ndarray) ->
     np.multiply(r, np.sin(theta), out=z1)
 
 
-def _normals(key: tuple[int, int], start: int, stop: int, pairs: int) -> np.ndarray:
-    """Standard normals of samples start..stop-1, shape (2 * pairs, stop - start).
+def _normals(key: tuple[int, int], start: int, stop: int, pairs: int, first: int = 0) -> np.ndarray:
+    """Normals 2 first .. 2 (first + pairs) - 1 of samples start..stop-1, shape (2 * pairs, stop - start).
 
-    Normal k of sample start + s is entry [k, s]: samples run along the last
-    axis, which keeps every later per-sample operation contiguous. Block b of
-    sample i is Philox4x32-10 at the counter (b, 0, i mod 2**32, i >> 32);
-    Box-Muller turns its words into normals 2b and 2b + 1.
+    Normal 2 first + k of sample start + s is entry [k, s]: samples run along
+    the last axis, which keeps every later per-sample operation contiguous.
+    Block b of sample i is Philox4x32-10 at the counter (b, 0, i mod 2**32,
+    i >> 32); Box-Muller turns its words into normals 2b and 2b + 1.
     """
     import numpy as np
 
     index = np.arange(start, stop, dtype=np.uint64)
-    blocks = np.arange(pairs, dtype=np.uint64)[:, np.newaxis]
+    blocks = np.arange(first, first + pairs, dtype=np.uint64)[:, np.newaxis]
     x, y = _philox4x32_10(key, blocks, 0, index & 0xFFFFFFFF, index >> 32)
     out = np.empty((pairs, 2, stop - start))
     _box_muller(x, y, out[:, 0], out[:, 1])
@@ -394,9 +436,10 @@ def _cz_layer_diagonal(n_qubits: int) -> np.ndarray:
     return diag
 
 
-def _apply_single_qubit(psi: np.ndarray, gates: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
+def _apply_single_qubit(psi: np.ndarray, gates: np.ndarray, qubit: int, n_qubits: int, out: np.ndarray) -> None:
     """Apply per-sample 2x2 gates (2, 2, batch) on one qubit of a (2**n, batch) stack.
 
+    The result goes to out, a buffer of psi's shape that does not overlap it.
     Samples run along the last axis, so each product below broadcasts the
     gate entries over contiguous rows of the batch.
     """
@@ -406,14 +449,18 @@ def _apply_single_qubit(psi: np.ndarray, gates: np.ndarray, qubit: int, n_qubits
     post = 2 ** (n_qubits - 1 - qubit)
     view = psi.reshape(pre, 2, post, -1)
     v0, v1 = view[:, 0], view[:, 1]
-    out = np.empty_like(view)
-    out[:, 0] = gates[0, 0] * v0 + gates[0, 1] * v1
-    out[:, 1] = gates[1, 0] * v0 + gates[1, 1] * v1
-    return out.reshape(psi.shape)
+    target = out.reshape(view.shape)
+    for row in (0, 1):
+        np.multiply(gates[row, 0], v0, out=target[:, row])
+        target[:, row] += gates[row, 1] * v1
 
 
 def _circuit_states(n_qubits: int, rounds: int, key: tuple[int, int], start: int, stop: int) -> np.ndarray:
-    """Circuit statevectors of samples start..stop-1, shape (2**n, stop - start)."""
+    """Circuit statevectors of samples start..stop-1, shape (2**n, stop - start).
+
+    Round r takes normals 4 n r .. 4 n (r + 1) - 1 of each sample, drawn
+    _DRAW_BLOCKS at a time; the gates write to two state buffers in turn.
+    """
     import numpy as np
 
     batch = stop - start
@@ -421,13 +468,17 @@ def _circuit_states(n_qubits: int, rounds: int, key: tuple[int, int], start: int
     psi[0] = 1.0
     if rounds == 0:
         return psi
-    gaussians = _normals(key, start, stop, 2 * rounds * n_qubits).reshape(rounds, n_qubits, 4, batch)
-    gates = _su2_from_gaussians(gaussians)
+    spare = np.empty_like(psi)
     diag = _cz_layer_diagonal(n_qubits)[:, np.newaxis]
-    for r in range(rounds):
-        for q in range(n_qubits):
-            psi = _apply_single_qubit(psi, gates[r, q], q, n_qubits)
-        psi *= diag
+    per_draw = max(1, _DRAW_BLOCKS // (2 * n_qubits))
+    for first in range(0, rounds, per_draw):
+        count = min(per_draw, rounds - first)
+        gaussians = _normals(key, start, stop, 2 * count * n_qubits, 2 * first * n_qubits)
+        for layer in _su2_from_gaussians(gaussians.reshape(count, n_qubits, 4, batch)):
+            for q in range(n_qubits):
+                _apply_single_qubit(psi, layer[q], q, n_qubits, spare)
+                psi, spare = spare, psi
+            psi *= diag
     return psi
 
 

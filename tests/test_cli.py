@@ -155,6 +155,12 @@ class TestSampleAndCompare:
     def test_circuit_requires_n_qubits(self):
         assert main(["sample", "--mu", "4", "--generator", "circuit", "--samples", "10"]) == 2
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        assert main(["sample", "--mu", "2", "--samples", "5", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: expected non-negative integer\n"
+
     def test_io_failure_exit_code(self, tmp_path):
         missing = tmp_path / "no" / "such" / "dir" / "x.json"
         assert main(["sample", "--mu", "2", "--samples", "200", "--output", str(missing)]) == 4

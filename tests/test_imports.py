@@ -19,7 +19,7 @@ import pytest
 
 import negmoments
 
-HEAVY = ("numpy", "mpmath")
+HEAVY = ("numpy", "numpy.random", "mpmath")
 
 #: Runs ``cli.main(argv)`` with stdout captured and reports the heavy
 #: modules loaded before and after it, the exit code and the output.
@@ -96,6 +96,21 @@ class TestImportBudget:
     def test_numeric_commands_do_load_numpy(self, args):
         # The probe above can see numpy: these commands need it.
         assert "numpy" in _fresh_main(args)["after"]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sample", "--mu", "2", "--samples", "10", "--threads", "1"],
+            ["sample", "--n-qubits", "4", "--generator", "circuit", "--j", "3", "--samples", "10", "--threads", "2"],
+            ["compare", "--mu", "2", "--samples", "100", "--threads", "1"],
+        ],
+        ids=" ".join,
+    )
+    def test_samplers_load_no_numpy_random(self, args):
+        # The Philox key is SeedSequence's algorithm on Python ints.
+        report = _fresh_main(args)
+        assert "numpy" in report["after"]
+        assert "numpy.random" not in report["after"]
 
     @pytest.mark.parametrize(
         "args",

@@ -1,8 +1,12 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from negmoments import sampling
 from negmoments.exactring import eval_float
 from negmoments.moments import mean_negativity
 from negmoments.sampling import (
@@ -338,6 +342,112 @@ class TestStream:
         assert abs(z.var() - 1.0) < 5 * math.sqrt(2.0 / z.size)
 
 
+def _numpy_key(seed):
+    return tuple(int(word) for word in np.random.SeedSequence(seed).generate_state(2, np.uint32))
+
+
+class TestStreamKey:
+    """The pure-Python key is SeedSequence's, word for word."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64, 2**70, 2**128 + 12345])
+    def test_matches_seed_sequence(self, seed):
+        assert _stream_key(seed) == _numpy_key(seed)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**256 - 1))
+    def test_matches_seed_sequence_on_any_seed(self, seed):
+        assert _stream_key(seed) == _numpy_key(seed)
+
+    def test_numpy_integer_seeds(self):
+        assert _stream_key(np.int64(7)) == _stream_key(7) == _numpy_key(np.int64(7))
+        assert _stream_key(np.uint64(2**63 + 5)) == _numpy_key(2**63 + 5)
+        with pytest.raises(TypeError):
+            _stream_key(1.5)
+
+    def test_negative_seed_is_numpys_error(self):
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            np.random.SeedSequence(-1)
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            _stream_key(-1)
+
+
+class TestDrawBlocks:
+    """Circuit gates are drawn a few rounds at a time; the block size moves no byte."""
+
+    @pytest.mark.parametrize("draw_blocks", [1, 24, 64])
+    @pytest.mark.parametrize("n_qubits, rounds", [(2, 5), (4, 0), (4, 1), (4, 5), (4, 9), (6, 7)])
+    def test_any_block_size_gives_the_same_bytes(self, monkeypatch, draw_blocks, n_qubits, rounds):
+        batch = SampleBatch(master_seed=11, count=600, n_qubits=n_qubits, generator="circuit", j=rounds)
+        expected = sample_negativities(batch)
+        monkeypatch.setattr(sampling, "_DRAW_BLOCKS", draw_blocks)
+        assert np.array_equal(sample_negativities(batch), expected)
+
+    def test_normals_offset_continues_the_stream(self):
+        key = _stream_key(9)
+        whole = _normals(key, 5, 700, 12)
+        assert np.array_equal(_normals(key, 5, 700, 7, first=5), whole[10:])
+
+    def test_memory_does_not_grow_with_rounds(self):
+        import tracemalloc
+
+        def peak(rounds):
+            batch = SampleBatch(master_seed=3, count=1024, n_qubits=4, generator="circuit", j=rounds)
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            sample_negativities(batch, threads=1)
+            return tracemalloc.get_traced_memory()[1] - base
+
+        tracemalloc.start()
+        try:
+            peak(1)  # fills the module's caches
+            assert abs(peak(400) - peak(40)) < 0.25 * 2**20
+        finally:
+            tracemalloc.stop()
+
+
+def _sha256(array):
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+class TestBytePins:
+    """SHA-256 of sampled bytes, recorded before the circuit drew its gates in
+    blocks of rounds. The stream tests above compare a batch with the
+    single-state path; these catch a change that moves both. The bytes come
+    from numpy's log, sin, cos and LAPACK SVD, so they are pinned for one
+    platform (numpy 2.4, x86-64 with AVX-512)."""
+
+    SEED = 20261018
+
+    @pytest.mark.parametrize(
+        "generator, kwargs, count, digest",
+        [
+            pytest.param("haar", {"dims": (2, 2)}, 1100, "d908b10378136f4f8b0672590dbb5143caaf7046bd21369c06f39e30c3467be7", id="haar-mu2"),
+            pytest.param("haar", {"dims": (4, 4)}, 1100, "aa4acf289bb664406ed0eb3de25d46de21e4341c14cecaad45216ed6ea47938c", id="haar-mu4"),
+            pytest.param("circuit", {"n_qubits": 4, "j": 0}, 600, "24ddaa4710480313757f965c38d60208a334556cb244f830d5006a893edd8da7", id="circuit-n4-j0"),
+            pytest.param("circuit", {"n_qubits": 4, "j": 1}, 600, "4abed0f2f28b4f43b604e80f225d3be10230b6e88a445da0fd1da140e5e85f5c", id="circuit-n4-j1"),
+            pytest.param("circuit", {"n_qubits": 4, "j": 3}, 600, "a20b51f6335379279f20d6a04d338b321fb1d5fd76e7f75a2bde57b61076fc3c", id="circuit-n4-j3"),
+            pytest.param("circuit", {"n_qubits": 4, "j": 4}, 600, "ff5b6b1cb1d558e6668e7f4114f4886f113de75becf2bed84e9b8b1653609629", id="circuit-n4-j4"),
+            pytest.param("circuit", {"n_qubits": 4, "j": 5}, 600, "da8f5c018aa3a1e60ba6a1f1bcf8bccd4b20a3c6eaabf7d0459b2c71fae7a24a", id="circuit-n4-j5"),
+            pytest.param("circuit", {"n_qubits": 4, "j": 40}, 600, "0380042adc8543fe697f7ab9742196d30e9645d68b23992dcd790a256a922a9c", id="circuit-n4-j40"),
+            pytest.param("circuit", {"n_qubits": 6, "j": 7}, 600, "3333b0dc40c59f951fb472b54ee03980c84efd91a1ca90922571b0912820966e", id="circuit-n6-j7"),
+            pytest.param("circuit", {"n_qubits": 8, "j": 9}, 300, "67b92c745b956fc2f32ba6400e8b406189e67ddd051874e8fc77f05f25bd169e", id="circuit-n8-j9"),
+        ],
+    )
+    def test_batch_bytes(self, generator, kwargs, count, digest):
+        batch = SampleBatch(master_seed=self.SEED, count=count, generator=generator, **kwargs)
+        assert _sha256(sample_negativities(batch, threads=2)) == digest
+
+    @pytest.mark.parametrize(
+        "index, digest",
+        [
+            pytest.param(0, "54f37b005bdae3c846d834a1b0964a93ae37ecae3357926173b73a9f622aede0", id="index0"),
+            pytest.param(513, "31bed4eb756048dea0fa984b35c547b24155b9aeb3b72d82d7cffb056607f2d0", id="index513"),
+        ],
+    )
+    def test_circuit_state_bytes(self, index, digest):
+        assert _sha256(pseudorandom_circuit_state(6, 5, self.SEED, index).amplitudes) == digest
+
+
 class TestGateKernel:
     @pytest.mark.parametrize("n_qubits", [2, 4, 6])
     def test_matches_dense_operator(self, n_qubits):
@@ -347,7 +457,8 @@ class TestGateKernel:
         psi = rng.standard_normal((dim, batch)) + 1j * rng.standard_normal((dim, batch))
         for qubit in range(n_qubits):
             gates = rng.standard_normal((2, 2, batch)) + 1j * rng.standard_normal((2, 2, batch))
-            out = _apply_single_qubit(psi, gates, qubit, n_qubits)
+            out = np.empty_like(psi)
+            _apply_single_qubit(psi, gates, qubit, n_qubits, out)
             for b in range(batch):
                 dense = np.kron(np.kron(np.eye(2**qubit), gates[:, :, b]), np.eye(2 ** (n_qubits - 1 - qubit)))
                 assert np.abs(out[:, b] - dense @ psi[:, b]).max() < 1e-12
