@@ -13,37 +13,48 @@ value rounded once; there is no precision option. moments --exact only caps
 the size at mu <= 128.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
-limit (moments --exact asked for mu > 128, or the run ran out of memory),
+limit (moments --exact asked for mu > 128, the run ran out of memory, or a
+size too large for Python's integers, such as moments --n-qubits 300),
 4 I/O failure.
+
+Each command loads only the modules it runs: the package's submodules are
+registered lazily and run when a command first needs them.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import os
 import sys
 
 from . import __version__
-from .bounds import RATIO_PRESET, build_bounds_report
-from .distribution import (
-    _HISTOGRAM_COLUMNS,
-    _csv_text,
-    _histogram_rows,
-    build_document,
-    build_histogram,
-    compare,
-    gaussian_reference,
-    render_json,
-)
-from .moments import (
-    EXACT_MODE_CEILING,
-    ResourceCeilingError,
-    extrapolate_limit,
-    generate_table,
-    normalized_moments,
-)
-from .sampling import STREAM_ID, SampleBatch, sample_negativities
-from .selfcheck import run_all
+
+
+def _lazy(name: str):
+    """Submodule ``name``, put into sys.modules now and run on first attribute access.
+
+    A command runs only the modules it uses, and every module keeps its
+    usual name, so ``from .moments import ...`` elsewhere, the package's own
+    attributes and tools that look modules up in sys.modules all see this
+    one object.
+    """
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+bounds = _lazy("bounds")
+distribution = _lazy("distribution")
+moments = _lazy("moments")
+sampling = _lazy("sampling")
+selfcheck = _lazy("selfcheck")
 
 __all__ = ["main"]
 
@@ -98,7 +109,9 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--mu", type=int, help="local dimension of the equal bipartition")
     group.add_argument("--n-qubits", type=int, help="even total qubit count (mu = 2^(n/2))")
-    p.add_argument("--exact", action="store_true", help=f"refuse mu > {EXACT_MODE_CEILING} (exit 3)")
+    # 128 is moments.EXACT_MODE_CEILING, written out so that building the
+    # parser does not load moments (tests/test_cli.py checks the two agree).
+    p.add_argument("--exact", action="store_true", help="refuse mu > 128 (exit 3)")
     _add_common(p)
 
     p = sub.add_parser("table", help="normalized-mean convergence table over qubit counts")
@@ -135,7 +148,7 @@ def _resolve_size(args) -> tuple[int, int | None]:
 
 def _emit(args, doc: dict, header, rows) -> int:
     """Write doc as JSON, or header and rows as CSV, to stdout or --output."""
-    text = render_json(doc) if args.format == "json" else _csv_text(header, rows)
+    text = distribution.render_json(doc) if args.format == "json" else distribution._csv_text(header, rows)
     if args.output == "-":
         sys.stdout.write(text)
     else:
@@ -146,17 +159,17 @@ def _emit(args, doc: dict, header, rows) -> int:
 
 def _cmd_moments(args) -> int:
     mu, n = _resolve_size(args)
-    report = normalized_moments(mu, exact=args.exact)
+    report = moments.normalized_moments(mu, exact=args.exact)
     header = ["mu", "n_qubits", "mean_float", "sigma_float", "mean_normalized", "sigma_normalized"]
     row = [report.mu, n, report.mean_float, report.sigma_float, report.mean_normalized, report.sigma_normalized]
-    return _emit(args, build_document(report, n_qubits=n), header, [row])
+    return _emit(args, distribution.build_document(report, n_qubits=n), header, [row])
 
 
 def _cmd_table(args) -> int:
     if args.n_min < 2 or args.n_min % 2 or args.n_max < args.n_min or args.n_max % 2:
         raise UsageError("qubit counts must be even, n-min >= 2, n-max >= n-min")
-    rows = generate_table(list(range(args.n_min, args.n_max + 1, 2)))
-    limit = extrapolate_limit(rows) if args.extrapolate else None
+    rows = moments.generate_table(list(range(args.n_min, args.n_max + 1, 2)))
+    limit = moments.extrapolate_limit(rows) if args.extrapolate else None
     doc = {
         "rows": [{"n_qubits": r.n_qubits, "mu": r.mu, "ratio": r.ratio, "delta": r.delta} for r in rows],
         "extrapolated_limit": limit,
@@ -178,23 +191,23 @@ def _cmd_sample(args) -> int:
         if args.n_qubits is None:
             raise UsageError("circuit generator needs --n-qubits")
         j = 40 if args.j is None else args.j
-        batch = SampleBatch(args.seed, args.samples, n_qubits=args.n_qubits, generator="circuit", j=j)
+        batch = sampling.SampleBatch(args.seed, args.samples, n_qubits=args.n_qubits, generator="circuit", j=j)
         mu, n = _resolve_size(args)
     else:
         if args.j is not None:
             raise UsageError("--j applies only to --generator circuit")
         mu, n = _resolve_size(args)
-        batch = SampleBatch(args.seed, args.samples, dims=(mu, mu), generator="haar")
-    values = sample_negativities(batch, threads=threads)
-    report = normalized_moments(mu)
-    hist = build_histogram(values / ((mu - 1) / 2.0), args.bins)
-    ref = gaussian_reference(report)
-    comparison = compare(hist, ref) if args.command == "compare" else None
-    doc = build_document(report, n_qubits=n, histogram=hist, reference=ref, comparison=comparison)
+        batch = sampling.SampleBatch(args.seed, args.samples, dims=(mu, mu), generator="haar")
+    values = sampling.sample_negativities(batch, threads=threads)
+    report = moments.normalized_moments(mu)
+    hist = distribution.build_histogram(values / ((mu - 1) / 2.0), args.bins)
+    ref = distribution.gaussian_reference(report)
+    comparison = distribution.compare(hist, ref) if args.command == "compare" else None
+    doc = distribution.build_document(report, n_qubits=n, histogram=hist, reference=ref, comparison=comparison)
     doc["sampler"] = {
-        "generator": batch.generator, "stream": STREAM_ID, "master_seed": batch.master_seed, "count": batch.count
+        "generator": batch.generator, "stream": sampling.STREAM_ID, "master_seed": batch.master_seed, "count": batch.count
     }
-    return _emit(args, doc, _HISTOGRAM_COLUMNS, _histogram_rows(hist, ref))
+    return _emit(args, doc, distribution._HISTOGRAM_COLUMNS, distribution._histogram_rows(hist, ref))
 
 
 def _cmd_bounds(args) -> int:
@@ -202,16 +215,16 @@ def _cmd_bounds(args) -> int:
     if n < 2 or n % 2:
         raise UsageError("--n-qubits must be even and at least 2")
     if args.c is None:
-        rows = generate_table(list(range(2, 14, 2)))
-        c = extrapolate_limit(rows)
+        rows = moments.generate_table(list(range(2, 14, 2)))
+        c = moments.extrapolate_limit(rows)
     elif args.c == "preset":
-        c = RATIO_PRESET
+        c = bounds.RATIO_PRESET
     else:
         try:
             c = float(args.c)
         except ValueError as exc:
             raise UsageError("--c must be a number or 'preset'") from exc
-    report = build_bounds_report(n, c=c)
+    report = bounds.build_bounds_report(n, c=c)
     doc = {
         "n_qubits": report.n_qubits,
         "c": c,
@@ -232,7 +245,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_verify(args) -> int:
     if args.max_mu < 2:
         raise UsageError("--max-mu must be at least 2")
-    results = run_all(args.max_mu)
+    results = selfcheck.run_all(args.max_mu)
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -242,13 +255,16 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED
 
 
+#: Each command and the modules it runs. They are loaded before the command
+#: starts: Python 3.11's LazyLoader is not thread-safe on a module's first
+#: access, and compiling them after numpy has loaded raises the peak memory.
 _COMMANDS = {
-    "moments": _cmd_moments,
-    "table": _cmd_table,
-    "sample": _cmd_sample,
-    "compare": _cmd_sample,
-    "bounds": _cmd_bounds,
-    "verify": _cmd_verify,
+    "moments": (_cmd_moments, (moments, distribution)),
+    "table": (_cmd_table, (moments, distribution)),
+    "sample": (_cmd_sample, (sampling, moments, distribution)),
+    "compare": (_cmd_sample, (sampling, moments, distribution)),
+    "bounds": (_cmd_bounds, (moments, bounds, distribution)),
+    "verify": (_cmd_verify, (selfcheck,)),
 }
 
 
@@ -259,16 +275,22 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)
+    command, modules = _COMMANDS[args.command]
+    for module in modules:
+        vars(module)  # the first attribute access runs a lazy module
     try:
-        return _COMMANDS[args.command](args)
+        return command(args)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except ResourceCeilingError as exc:
+    except moments.ResourceCeilingError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_RESOURCE
     except MemoryError as exc:
         sys.stderr.write(f"error: out of memory: {str(exc) or 'allocation failed'}\n")
+        return EXIT_RESOURCE
+    except OverflowError as exc:
+        sys.stderr.write(f"error: size out of range: {exc}\n")
         return EXIT_RESOURCE
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")

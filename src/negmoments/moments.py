@@ -24,10 +24,14 @@ Both matrices are built by the two-term recurrence
 
 seeded by J(0, 0) = Gamma(beta+1) (the k = 0 row is then
 J(0, l) = (-1)^l Gamma(beta+1)^2 / (l! Gamma(beta+1-l))), on the upper
-triangle only and in Python integers: every entry is scaled by
-4^mu ((mu-1)!)^2, a multiple of its denominator, so each step divides
-exactly by 2(l+1); the gcd of all entries is divided out at the end. Each
-matrix is cached once per (mu, beta) as integer numerators over one common
+triangle only and in Python integers. A is an integer matrix, and B is
+dyadic: B = C H C^T, with C the lower-triangular Toeplitz matrix of the
+coefficients of (1-z)^(1/2) (c_0 = 1, c_m = -Catalan(m-1) / 2^(2m-1)) and
+H_j = (2j+1) C(2j, j) / 2^(2j+1), so 2^(2k+2l+1) B_kl is an integer. Every
+entry is therefore scaled by 2^(4 mu), a multiple of every denominator, and
+each step divides exactly by 2(l+1); the gcd of all entries is divided out
+at the end, which leaves a power of two as B's denominator. Each matrix is
+cached once per (mu, beta) as integer numerators over one common
 denominator. The term sum in laguerre.py is the oracle for this builder.
 
 Each determinant sum is evaluated by expanding its permutation sum into
@@ -39,9 +43,10 @@ power-sum traces,
 
 and evaluates them on the integer numerators: B^2 is formed once per mu and
 shared by triple and quad, A is read only on its band, and each sum becomes
-a rational once, at the end. The naive oracle, which evaluates every small
-determinant explicitly, lives in selfcheck.py (naive_det_moment_sum) and is
-run by ``verify``.
+a rational once, at the end. B^2 multiplies B's numerators with their
+common powers of two split off (see _square_sums). The naive oracle, which
+evaluates every small determinant explicitly, lives in selfcheck.py
+(naive_det_moment_sum) and is run by ``verify``.
 
 Every moment is exact at every size, and every float in a MomentReport or
 a TableRow is one exact sqrt(pi) polynomial (a normalized value is divided
@@ -85,7 +90,8 @@ __all__ = [
 #: Largest mu that normalized_moments(exact=True) (the CLI's moments --exact)
 #: accepts. Larger sizes are still exact without it; the cap only bounds the
 #: time of a run that asks for exactness: the variance's integer square of B
-#: costs O(mu^3) products of numerators that reach 496 bits at mu = 128.
+#: costs O(mu^3) products of numerators that reach 499 bits at mu = 128
+#: (about 240 bits on average once their powers of two are split off).
 EXACT_MODE_CEILING = 128
 
 _HALF = Fraction(1, 2)
@@ -145,12 +151,12 @@ def _scaled_rows(mu: int, beta_twice: int, scale: int):
 
 @lru_cache(maxsize=None)
 def _build_matrix_cached(mu: int, beta_twice: int) -> PairIntegralMatrix:
-    # Every J(k, l, beta) with k, l < mu is an integer over 4^mu ((mu-1)!)^2,
-    # by the term sum in laguerre.py, so the scaled recurrence stays in the
-    # integers and each division by 2(l+1) is exact. The rows are generated
-    # twice, once for their gcd and once to store them reduced, so the large
-    # scaled values never all live at once.
-    scale = 4**mu * math.factorial(mu - 1) ** 2
+    # Every J(k, l, beta) with k, l < mu is an integer over 2^(4 mu): A is
+    # integral and 2^(2k+2l+1) B_kl is an integer (module docstring), so the
+    # scaled recurrence stays in the integers and each division by 2(l+1) is
+    # exact. The rows are generated twice, once for their gcd and once to
+    # store them reduced, so the scaled values never all live at once.
+    scale = 1 << (4 * mu)
     common = scale
     for row in _scaled_rows(mu, beta_twice, scale):
         common = math.gcd(common, *row)
@@ -194,6 +200,26 @@ def _band_overlap(a, diag, superdiag) -> int:
     return total + 2 * sum(a[i][i + 1] * x for i, x in enumerate(superdiag))
 
 
+def _v2(x: int) -> int:
+    """2-adic valuation of x, or -1 for x = 0."""
+    return (x & -x).bit_length() - 1
+
+
+def _two_adic_split(nums) -> tuple:
+    """Exponents a and integers O with nums[i][k] = 2^(a_i + a_k) O[i][k].
+
+    nums is a symmetric integer matrix. With r_i the 2-adic valuation of
+    row i and m = max(0, r_i + r_k - v2(nums[i][k])) over the nonzero
+    entries, a_i = max(0, r_i - m) gives a_i + a_k <= v2(nums[i][k]), so
+    every O[i][k] is exact. m is 0 for B at every size measured.
+    """
+    r = [_v2(math.gcd(*row)) for row in nums]
+    excess = (r[i] + r[k] - _v2(row[k]) for i, row in enumerate(nums) for k in range(i, len(row)) if row[k])
+    m = max(0, max(excess, default=0))
+    a = [max(0, r_i - m) for r_i in r]
+    return a, [[x >> (a_i + a_k) for x, a_k in zip(row, a)] for row, a_i in zip(nums, a)]
+
+
 @lru_cache(maxsize=None)
 def _square_sums(mu: int) -> tuple:
     """Power sums of N = numerators of B(mu) that need N^2.
@@ -201,21 +227,28 @@ def _square_sums(mu: int) -> tuple:
     Returns the diagonal and first superdiagonal of N^2, tr(N^3) and
     tr(N^4). N^2 is formed once, upper triangle only, and not kept; the
     triple and quad sums share the result.
+
+    B's denominator is a power of two, so the entries of N end in long runs
+    of zero bits. With N_ik = 2^(a_i + a_k) O_ik (_two_adic_split), each
+    entry of N^2 is 2^(a_i + a_j) sum_k O_ik (O_jk << 2 a_k), one shifted
+    row j at a time: the O(mu^3) products run on about half the bits.
     """
     b = build_pair_integral_matrix(mu, _HALF).numerators
+    a, o = _two_adic_split(b)
     diag, superdiag = [], []
     t3 = t4 = 0
-    for i, row_i in enumerate(b):
-        for j in range(i, mu):
-            s = sum(map(mul, row_i, b[j]))
-            if j == i:
+    for j, row_j in enumerate(o):
+        shifted = [x << 2 * a_k for x, a_k in zip(row_j, a)]
+        for i in range(j + 1):
+            s = sum(map(mul, o[i], shifted)) << (a[i] + a[j])
+            if i == j:
                 diag.append(s)
-                t3 += s * row_i[i]
+                t3 += s * b[i][i]
                 t4 += s * s
             else:
-                if j == i + 1:
+                if i == j - 1:
                     superdiag.append(s)
-                t3 += 2 * s * row_i[j]
+                t3 += 2 * s * b[i][j]
                 t4 += 2 * s * s
     return tuple(diag), tuple(superdiag), t3, t4
 

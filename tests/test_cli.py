@@ -47,6 +47,23 @@ class TestMoments:
         assert main(["moments", "--mu", "200", "--exact"]) == 3
         assert main(["moments", "--mu", "129", "--exact"]) == 3
 
+    def test_exact_help_names_the_ceiling(self):
+        from negmoments.cli import _build_parser
+        from negmoments.moments import EXACT_MODE_CEILING
+
+        (subparsers,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        (exact,) = [a for a in subparsers.choices["moments"]._actions if "--exact" in a.option_strings]
+        assert f"mu > {EXACT_MODE_CEILING} " in exact.help
+
+    @pytest.mark.parametrize("size", [["--n-qubits", "300"], ["--mu", "100000000000000000000"]])
+    def test_size_beyond_python_integers_exits_three(self, size, capsys):
+        # The recurrence scale 2^(4 mu) has too many digits for an int.
+        assert main(["moments", *size]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: size out of range: ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
     def test_exact_moments_beyond_exact_mode_ceiling(self, tmp_path):
         out = tmp_path / "m.json"
         assert main(["moments", "--mu", "129", "--output", str(out)]) == 0
@@ -175,12 +192,12 @@ class TestSampleAndCompare:
     def test_out_of_memory_exit_code(self, monkeypatch, capsys, error, line):
         # numpy raises a MemoryError subclass when the sampler's arrays do not
         # fit; stand in for it rather than allocate for real.
-        from negmoments import cli
+        from negmoments import sampling
 
         def exhausted(batch, threads):
             raise error
 
-        monkeypatch.setattr(cli, "sample_negativities", exhausted)
+        monkeypatch.setattr(sampling, "sample_negativities", exhausted)
         assert main(["sample", "--mu", "100000", "--samples", "1", "--threads", "1"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -272,13 +289,13 @@ class TestVerify:
         assert out.strip().endswith("suites passed")
 
     def test_failed_suite_exits_one(self, capsys, monkeypatch):
-        from negmoments import cli
+        from negmoments import selfcheck
         from negmoments.selfcheck import CheckResult
 
         def rigged(max_mu):
             return [CheckResult("rigged check", False, "injected failure")]
 
-        monkeypatch.setattr(cli, "run_all", rigged)
+        monkeypatch.setattr(selfcheck, "run_all", rigged)
         assert main(["verify", "--max-mu", "4"]) == 1
         assert "FAIL" in capsys.readouterr().out
 

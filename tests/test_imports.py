@@ -35,6 +35,17 @@ after = [m for m in heavy if m in sys.modules]
 print(json.dumps({{"code": code, "before": before, "after": after, "stdout": out.getvalue()}}))
 """
 
+#: Runs ``cli.main(argv)`` and reports the exit code and the package's
+#: submodules whose code ran.
+_RAN = """
+import contextlib, io, json, sys, types
+from negmoments import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(json.loads(sys.argv[1]))
+ran = [n.split(".", 1)[1] for n, m in sys.modules.items() if n.startswith("negmoments.") and type(m) is types.ModuleType]
+print(json.dumps({"code": code, "ran": ran}))
+"""
+
 
 def _fresh(code: str, *argv: str) -> str:
     """stdout of ``python -c code argv...`` in a fresh interpreter that imports this package."""
@@ -131,6 +142,20 @@ class TestImportBudget:
         assert report["stdout"]
         assert "mpmath" not in report["after"]
 
+    @pytest.mark.parametrize(
+        "args,needed",
+        [(["--version"], []), (["moments", "--mu", "8"], ["moments", "distribution", "exactring", "_backend"])],
+        ids=["--version", "moments --mu 8"],
+    )
+    def test_command_runs_only_the_modules_it_needs(self, args, needed):
+        # cli registers its submodules lazily; one that never ran is absent
+        # from sys.modules or still of LazyLoader's own module type.
+        report = json.loads(_fresh(_RAN, json.dumps(args)))
+        assert report["code"] == 0
+        ran = set(report["ran"])
+        assert not ran & {"sampling", "selfcheck", "laguerre", "quadrature", "bounds"}
+        assert ran == {"cli", *needed}
+
     def test_evaluate_mpf_loads_mpmath(self):
         # The probe above can see mpmath: the adapter imports it.
         code = (
@@ -146,7 +171,8 @@ class TestImportBudget:
 def test_cli_import_loads_what_the_benchmark_wraps():
     """perfbench/child.py ``instrument`` imports only ``negmoments.cli`` and then
     reads these modules from ``sys.modules`` by name and wraps
-    ``SqrtPiPolynomial.evaluate_mpf``; ``cli`` must keep importing them."""
+    ``SqrtPiPolynomial.evaluate_mpf``; ``cli`` must keep them in sys.modules,
+    where it registers them lazily."""
     modules = ("moments", "bounds", "selfcheck", "sampling", "distribution")
     code = (
         "import sys, negmoments.cli\n"

@@ -92,6 +92,81 @@ class TestPairIntegralMatrix:
             build_pair_integral_matrix(3, Fraction(1, 3))
 
 
+def _v2(x):
+    return (x & -x).bit_length() - 1
+
+
+class TestDyadicKernel:
+    """B(mu) has power-of-two denominators; the builder and _square_sums use it."""
+
+    @staticmethod
+    def square_sums_reference(mu):
+        # Every entry of N^2 in full, then the power sums _square_sums returns.
+        n = build_pair_integral_matrix(mu, HALF).numerators
+        sq = [[sum(n[i][k] * n[k][j] for k in range(mu)) for j in range(mu)] for i in range(mu)]
+        diag = tuple(sq[i][i] for i in range(mu))
+        superdiag = tuple(sq[i][i + 1] for i in range(mu - 1))
+        t3 = sum(sq[i][j] * n[j][i] for i in range(mu) for j in range(mu))
+        t4 = sum(sq[i][j] * sq[j][i] for i in range(mu) for j in range(mu))
+        return diag, superdiag, t3, t4
+
+    @pytest.mark.parametrize("mu", [*range(1, 41), 96])
+    def test_square_sums_match_plain_products(self, mu):
+        from negmoments.moments import _square_sums
+
+        assert _square_sums(mu) == self.square_sums_reference(mu)
+
+    @pytest.mark.parametrize("beta_twice", [1, 2])
+    def test_builder_matches_the_factorial_scale(self, beta_twice):
+        # The recurrence on the old scale 4^mu ((mu-1)!)^2, a multiple of
+        # every denominator by the term sum, reduced by its gcd.
+        from negmoments.moments import _build_matrix_cached, _scaled_rows
+
+        for mu in range(1, 129):
+            scale = 4**mu * math.factorial(mu - 1) ** 2
+            upper = list(_scaled_rows(mu, beta_twice, scale))
+            common = math.gcd(scale, *(x for row in upper for x in row))
+            nums = [[0] * mu for _ in range(mu)]
+            for k, row in enumerate(upper):
+                for l, value in enumerate(row, start=k):
+                    nums[k][l] = nums[l][k] = value // common
+            built = _build_matrix_cached.__wrapped__(mu, beta_twice)
+            assert built.numerators == tuple(map(tuple, nums)), mu
+            assert built.denominator == scale // common, mu
+
+    def test_denominators_are_powers_of_two_and_the_split_is_tight(self):
+        from negmoments.moments import _build_matrix_cached, _two_adic_split
+
+        for mu in range(1, 129):
+            b = _build_matrix_cached.__wrapped__(mu, 1)
+            assert b.denominator & (b.denominator - 1) == 0, mu
+            a, _ = _two_adic_split(b.numerators)
+            assert all(_v2(x) == a[i] + a[k] for i, row in enumerate(b.numerators) for k, x in enumerate(row)), mu
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(st.integers(-(2**12), 2**12) | st.just(0), min_size=n * n, max_size=n * n)))
+    def test_split_is_exact_on_any_symmetric_matrix(self, flat):
+        # Zero entries, zero rows and rows whose valuations overlap (m > 0).
+        from negmoments.moments import _two_adic_split
+
+        n = math.isqrt(len(flat))
+        nums = [[flat[n * min(i, k) + max(i, k)] << (3 * (i + k) % 7) for k in range(n)] for i in range(n)]
+        a, o = _two_adic_split(nums)
+        assert all(x >= 0 for x in a)
+        assert all(o[i][k] << (a[i] + a[k]) == nums[i][k] for i in range(n) for k in range(n))
+
+    @pytest.mark.parametrize("mu", [3, 8, 24, 64])
+    def test_b_factors_as_c_h_ct(self, mu):
+        # C: lower-triangular Toeplitz matrix of the coefficients of
+        # (1-z)^(1/2); H_j = Gamma(j+3/2) / (j! sqrt(pi)).
+        c = [Fraction(1)] + [Fraction(-(math.comb(2 * m - 2, m - 1) // m), 2 ** (2 * m - 1)) for m in range(1, mu)]
+        h = [Fraction((2 * j + 1) * math.comb(2 * j, j), 2 ** (2 * j + 1)) for j in range(mu)]
+        rows = build_pair_integral_matrix(mu, HALF).rows
+        for k in range(mu):
+            for l in range(k + 1):
+                assert rows[k][l] == sum(c[k - j] * c[l - j] * h[j] for j in range(l + 1)), (k, l)
+
+
 class TestDetMomentSums:
     def test_worked_values(self):
         assert det_moment_sum(2, "pair", beta=HALF) == poly({2: Fraction(3, 4)})
