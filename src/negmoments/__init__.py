@@ -15,7 +15,6 @@ import importlib
 
 #: Public names by the submodule that defines them.
 _EXPORTS = {
-    "_backend": ("BACKEND", "format_rational", "parse_rational"),
     "bounds": (
         "BoundsReport",
         "CLUSTER_THRESHOLD_PRESETS",
@@ -36,17 +35,15 @@ _EXPORTS = {
         "build_document",
         "build_histogram",
         "compare",
-        "export",
         "gaussian_reference",
     ),
     "exactring": (
-        "HalfInteger",
+        "BACKEND",
         "PoleError",
-        "SqrtPiMonomial",
         "SqrtPiPolynomial",
         "eval_float",
+        "format_rational",
         "gamma_half",
-        "reciprocal_gamma_half",
     ),
     "laguerre": (
         "laguerre_eval",

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ._backend import format_rational
+from .exactring import format_rational
 from .moments import MomentReport
 
 if TYPE_CHECKING:
@@ -29,7 +29,6 @@ __all__ = [
     "build_histogram",
     "gaussian_reference",
     "compare",
-    "export",
     "build_document",
 ]
 
@@ -250,27 +249,8 @@ def _histogram_rows(hist: Histogram, ref: GaussianReference | None):
         )
 
 
-def export(hist: Histogram, ref: GaussianReference | None, report: MomentReport, fmt: str, destination) -> None:
-    """Write histogram + reference + moment data as CSV or JSON.
-
-    CSV rows are ``bin_left,bin_right,count,density,gaussian_density``, one
-    per bin. destination may be a path or a writable text stream.
-    """
-    if fmt == "csv":
-        text = render_csv(hist, ref)
-    elif fmt == "json":
-        comparison = compare(hist, ref) if ref is not None and hist.total >= 100 else None
-        text = render_json(build_document(report, histogram=hist, reference=ref, comparison=comparison))
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        with open(destination, "w", encoding="utf-8") as handle:
-            handle.write(text)
-
-
 def render_csv(hist: Histogram, ref: GaussianReference | None) -> str:
+    """The histogram as CSV, one ``bin_left,bin_right,count,density,gaussian_density`` row per bin."""
     return _csv_text(_HISTOGRAM_COLUMNS, _histogram_rows(hist, ref))
 
 

@@ -1,76 +1,60 @@
-"""Exact arithmetic over rational-coefficient polynomials in sqrt(pi).
+"""Exact arithmetic in Q[sqrt(pi)], and the one rounding rule for floats.
 
 Half-integer Gamma values are rational multiples of sqrt(pi), so every
 analytic moment computed by this package lives in the graded ring
-Q[sqrt(pi)]. This module provides the ring (monomials and polynomials with
-no rounding, ever), the half-integer Gamma function and its reciprocal, and
-the one rounding rule for floats: a ring element is correctly rounded to the
-nearest double, by integer arithmetic alone. Pi comes from Machin's formula
-in fixed point with a proven error bound, square roots from math.isqrt with
-each bracket end rounded outward, and the element is enclosed between two
-rationals; Ziv's loop doubles the bits until both ends round to the same
-double (Ziv, ACM TOMS 17, 1991). Only SqrtPiPolynomial.evaluate_mpf, an
-adapter for callers that want an mpmath number, imports mpmath.
+Q[sqrt(pi)]. This module provides its one element type, SqrtPiPolynomial
+(rational coefficients of nonnegative powers of sqrt(pi), no rounding,
+ever), whose coefficients are ``fractions.Fraction``s written as ``"num/den"``
+on the wire (``BACKEND`` names that rational arithmetic for benchmark
+records); the half-integer Gamma function, whose values are one-term
+polynomials; and the one rounding rule for floats: a ring element is
+correctly rounded to the nearest double, by integer arithmetic alone. Pi
+comes from Machin's formula in fixed point with a proven error bound, square
+roots from math.isqrt with each bracket end rounded outward, and the element
+is enclosed between two rationals; Ziv's loop doubles the bits until both
+ends round to the same double (Ziv, ACM TOMS 17, 1991). Only
+SqrtPiPolynomial.evaluate_mpf, an adapter for callers that want an mpmath
+number, imports mpmath.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Union
-
-from ._backend import format_rational
+from typing import Mapping
 
 __all__ = [
+    "BACKEND",
     "PoleError",
-    "HalfInteger",
-    "SqrtPiMonomial",
     "SqrtPiPolynomial",
+    "format_rational",
     "gamma_half",
-    "reciprocal_gamma_half",
     "eval_float",
     "eval_sqrt_float",
 ]
 
-HalfIntLike = Union["HalfInteger", int, Fraction, float]
+#: Name of the rational arithmetic in use, reported with benchmark results.
+BACKEND = "fractions"
 
 
 class PoleError(ValueError):
     """Gamma evaluated at a nonpositive integer."""
 
 
-@dataclass(frozen=True)
-class HalfInteger:
-    """An element of (1/2)Z, stored as twice its value."""
+def _twice(value) -> int:
+    """Twice an integer or half-integer value; ValueError for anything else."""
+    if isinstance(value, int):
+        return 2 * value
+    doubled = Fraction(value) * 2
+    if doubled.denominator != 1:
+        raise ValueError(f"{value!r} is not an integer or half-integer")
+    return int(doubled)
 
-    twice: int
 
-    @classmethod
-    def of(cls, value: HalfIntLike) -> "HalfInteger":
-        if isinstance(value, HalfInteger):
-            return value
-        if isinstance(value, int):
-            return cls(2 * value)
-        doubled = Fraction(value.numerator, value.denominator) * 2 if isinstance(value, Fraction) else Fraction(value) * 2
-        if doubled.denominator != 1:
-            raise ValueError(f"{value!r} is not an integer or half-integer")
-        return cls(int(doubled))
-
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.twice, 2)
-
-    def __add__(self, n: int) -> "HalfInteger":
-        return HalfInteger(self.twice + 2 * n)
-
-    def __str__(self) -> str:
-        return str(self.twice // 2) if self.is_integer else f"{self.twice}/2"
+def format_rational(x) -> str:
+    """Serialize a rational as ``"num/den"`` (reduced, positive denominator)."""
+    return f"{x.numerator}/{x.denominator}"
 
 
 _ZERO = Fraction(0)
@@ -80,59 +64,6 @@ def _coerce_rational(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError("exact ring does not accept floats")
     return Fraction(value.numerator, value.denominator) if not isinstance(value, int) else Fraction(value)
-
-
-@dataclass(frozen=True)
-class SqrtPiMonomial:
-    """A single term coeff * sqrt(pi)**power with exact rational coeff.
-
-    power may be negative for intermediates (reciprocal Gamma values); a zero
-    coefficient is canonicalized to power 0 so that equality is structural.
-    """
-
-    coeff: object
-    power: int = 0
-
-    def __post_init__(self):
-        coeff = _coerce_rational(self.coeff)
-        power = self.power
-        if coeff == 0:
-            power = 0
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "power", power)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coeff == 0
-
-    def __mul__(self, other):
-        if isinstance(other, SqrtPiMonomial):
-            return SqrtPiMonomial(self.coeff * other.coeff, self.power + other.power)
-        return SqrtPiMonomial(self.coeff * _coerce_rational(other), self.power)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, SqrtPiMonomial):
-            if other.is_zero:
-                raise ZeroDivisionError("division by zero monomial")
-            return SqrtPiMonomial(self.coeff / other.coeff, self.power - other.power)
-        return SqrtPiMonomial(self.coeff / _coerce_rational(other), self.power)
-
-    def __neg__(self):
-        return SqrtPiMonomial(-self.coeff, self.power)
-
-    def __add__(self, other: "SqrtPiMonomial") -> "SqrtPiMonomial":
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        if self.power != other.power:
-            raise ValueError("cannot add monomials of different grade; use SqrtPiPolynomial")
-        return SqrtPiMonomial(self.coeff + other.coeff, self.power)
-
-    def to_polynomial(self) -> "SqrtPiPolynomial":
-        return SqrtPiPolynomial.from_monomial(self)
 
 
 class SqrtPiPolynomial:
@@ -163,14 +94,6 @@ class SqrtPiPolynomial:
     def from_scalar(cls, value) -> "SqrtPiPolynomial":
         return cls({0: value})
 
-    @classmethod
-    def from_monomial(cls, mono: SqrtPiMonomial) -> "SqrtPiPolynomial":
-        if mono.is_zero:
-            return cls()
-        if mono.power < 0:
-            raise ValueError("negative grade cannot enter a polynomial")
-        return cls({mono.power: mono.coeff})
-
     def coefficient(self, degree: int):
         return self._coeffs.get(degree, _ZERO)
 
@@ -187,13 +110,14 @@ class SqrtPiPolynomial:
     def __eq__(self, other) -> bool:
         if isinstance(other, SqrtPiPolynomial):
             return self._coeffs == other._coeffs
-        if isinstance(other, SqrtPiMonomial):
-            return self == other.to_polynomial()
         if isinstance(other, (int, Fraction)):
             return self == SqrtPiPolynomial.from_scalar(other)
         return NotImplemented
 
     def __hash__(self):
+        # A scalar equals its int or Fraction (see __eq__), so it hashes as one.
+        if self._coeffs.keys() <= {0}:
+            return hash(self.coefficient(0))
         return hash(tuple(self.items()))
 
     def __add__(self, other) -> "SqrtPiPolynomial":
@@ -258,8 +182,6 @@ class SqrtPiPolynomial:
 def _as_poly(value) -> SqrtPiPolynomial:
     if isinstance(value, SqrtPiPolynomial):
         return value
-    if isinstance(value, SqrtPiMonomial):
-        return value.to_polynomial()
     return SqrtPiPolynomial.from_scalar(value)
 
 
@@ -382,47 +304,30 @@ def eval_sqrt_float(poly: SqrtPiPolynomial) -> float:
 
 
 @lru_cache(maxsize=None)
-def _gamma_half_twice(twice: int) -> SqrtPiMonomial:
+def _gamma_half_twice(twice: int) -> SqrtPiPolynomial:
     if twice % 2 == 0:
         n = twice // 2
         if n <= 0:
             raise PoleError(f"Gamma pole at {n}")
-        return SqrtPiMonomial(math.factorial(n - 1), 0)
+        return SqrtPiPolynomial({0: math.factorial(n - 1)})
     m = (twice - 1) // 2  # argument is m + 1/2
     if m >= 0:
         # Gamma(1/2) = sqrt(pi), then Gamma(x+1) = x Gamma(x) upward.
         num = 1
         for i in range(m):
             num *= 2 * i + 1
-        return SqrtPiMonomial(Fraction(num, 2**m), 1)
+        return SqrtPiPolynomial({1: Fraction(num, 2**m)})
     # Downward recurrence: Gamma(1/2 - s) = (-4)**s s! / (2s)! * sqrt(pi).
     s = -m
-    return SqrtPiMonomial(Fraction((-4) ** s * math.factorial(s), math.factorial(2 * s)), 1)
+    return SqrtPiPolynomial({1: Fraction((-4) ** s * math.factorial(s), math.factorial(2 * s))})
 
 
-def gamma_half(h: HalfIntLike) -> SqrtPiMonomial:
+def gamma_half(h) -> SqrtPiPolynomial:
     """Gamma at an integer or half-integer argument, exactly.
 
     Integer n >= 1 gives (n-1)!; half-odd arguments give a rational multiple
     of sqrt(pi) via the Gamma(x+1) = x Gamma(x) recurrence run in either
-    direction from Gamma(1/2). Raises PoleError at integers <= 0.
+    direction from Gamma(1/2). Either way the value is a one-term
+    polynomial. Raises PoleError at integers <= 0.
     """
-    return _gamma_half_twice(HalfInteger.of(h).twice)
-
-
-@lru_cache(maxsize=None)
-def _reciprocal_gamma_half_twice(twice: int) -> SqrtPiMonomial:
-    if twice % 2 == 0 and twice <= 0:
-        return SqrtPiMonomial(0, 0)
-    g = _gamma_half_twice(twice)
-    return SqrtPiMonomial(1 / g.coeff, -g.power)
-
-
-def reciprocal_gamma_half(h: HalfIntLike) -> SqrtPiMonomial:
-    """1/Gamma at an integer or half-integer argument; total.
-
-    Returns exact zero at the Gamma poles (integers <= 0), which is what
-    truncates the integer-weight sums downstream. Half-odd arguments come
-    back with sqrt(pi) power -1.
-    """
-    return _reciprocal_gamma_half_twice(HalfInteger.of(h).twice)
+    return _gamma_half_twice(_twice(h))

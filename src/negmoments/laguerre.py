@@ -11,13 +11,14 @@ terminating binomial sum,
     J(k, l, beta) = ((-1)^l / l!) * sum_{t=0}^{k}
         (-1)^t C(k, t) Gamma(t+beta+1)^2 / (t! Gamma(t-l+beta+1)),
 
-where reciprocal Gamma vanishing at its poles is what truncates the
-integer-beta cases. For beta = 1/2 every term carries a single factor of
-sqrt(pi); for integer beta the result is rational.
+where 1/Gamma vanishing at its poles is what truncates the integer-beta
+cases. For beta = 1/2 every term carries a single factor of sqrt(pi); for
+integer beta the result is rational.
 
 The sum runs on plain Python integers: for integer beta every term is an
 integer, and for beta = 1/2 every term is an integer over the common
-denominator k! 2^(k+l+1). One SqrtPiMonomial is built from the total.
+denominator k! 2^(k+l+1). The total becomes one rational, returned as a
+one-term SqrtPiPolynomial.
 
 The moment engine builds its pair-integral matrices by a two-term
 recurrence instead (see moments.py); this term sum is the independent oracle
@@ -33,7 +34,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactring import HalfInteger, SqrtPiMonomial, gamma_half, reciprocal_gamma_half
+from .exactring import SqrtPiPolynomial, _twice, gamma_half
 
 __all__ = [
     "pochhammer",
@@ -79,13 +80,13 @@ def laguerre_eval(k: int, x):
 
 
 def _beta_twice(beta) -> int:
-    twice = HalfInteger.of(beta).twice
+    twice = _twice(beta)
     if twice not in SUPPORTED_WEIGHTS:
         raise ValueError("weight exponent must be 0, 1/2 or 1")
     return twice
 
 
-def laguerre_pair_integral(k: int, l: int, beta) -> SqrtPiMonomial:
+def laguerre_pair_integral(k: int, l: int, beta) -> SqrtPiPolynomial:
     """Exact value of the weighted pair integral J(k, l, beta).
 
     beta = 0 reproduces orthonormality (delta_{kl}); beta = 1 is tridiagonal
@@ -98,7 +99,7 @@ def laguerre_pair_integral(k: int, l: int, beta) -> SqrtPiMonomial:
 
 
 @lru_cache(maxsize=None)
-def _pair_integral_cached(k: int, l: int, twice: int) -> SqrtPiMonomial:
+def _pair_integral_cached(k: int, l: int, twice: int) -> SqrtPiPolynomial:
     # Gamma(t+beta+1) / Gamma(t-l+beta+1) is the falling product
     # (t+beta)(t+beta-1)...(t+beta-l+1), which is 0 exactly where the
     # reciprocal Gamma sits on a pole, so each term is
@@ -111,7 +112,7 @@ def _pair_integral_cached(k: int, l: int, twice: int) -> SqrtPiMonomial:
         for t in range(max(0, l - b), k + 1):
             term = math.comb(k, t) * math.perm(t + b, b) * math.perm(t + b, l)
             total += -term if t % 2 else term
-        return SqrtPiMonomial(Fraction(-total if l % 2 else total, math.factorial(l)), 0)
+        return SqrtPiPolynomial({0: Fraction(-total if l % 2 else total, math.factorial(l))})
     # beta = 1/2: Gamma(t+3/2) = (2t+1)!! / 2^(t+1) sqrt(pi), and the falling
     # product is prod_{i<l} (2t+1-2i) / 2^l, an odd number over 2^l: for
     # t >= l-1 it is (2t+1)!! / (2t+1-2l)!!, below that its negative factors
@@ -132,10 +133,10 @@ def _pair_integral_cached(k: int, l: int, twice: int) -> SqrtPiMonomial:
         term = math.comb(k, t) * math.perm(k, k - t) * odd[t + 1] * falling << (k - t)
         total += -term if t % 2 else term
     sign = -1 if l % 2 else 1
-    return SqrtPiMonomial(Fraction(sign * total, math.factorial(l) * math.factorial(k) << (k + l + 1)), 1)
+    return SqrtPiPolynomial({1: Fraction(sign * total, math.factorial(l) * math.factorial(k) << (k + l + 1))})
 
 
-def laguerre_pair_integral_hyp3f2(k: int, l: int) -> SqrtPiMonomial:
+def laguerre_pair_integral_hyp3f2(k: int, l: int) -> SqrtPiPolynomial:
     """J(k, l, 1/2) through its terminating 3F2 hypergeometric form.
 
     ((-1)^l / l!) * Gamma(3/2)^2 / Gamma(3/2 - l) *
@@ -149,7 +150,6 @@ def laguerre_pair_integral_hyp3f2(k: int, l: int) -> SqrtPiMonomial:
     if k < 0 or l < 0:
         raise ValueError("polynomial indices must be nonnegative")
     three_halves = Fraction(3, 2)
-    lower = three_halves - l
     # Successive terms of the 3F2 series have the ratio
     # (3/2+t)^2 (t-k) / ((1+t) (3/2-l+t) (t+1)); times 4/4 it is a ratio of
     # integers.
@@ -158,10 +158,13 @@ def laguerre_pair_integral_hyp3f2(k: int, l: int) -> SqrtPiMonomial:
     for t in range(k):
         term = term * Fraction((2 * t + 3) ** 2 * (t - k), 2 * (t + 1) ** 2 * (2 * t + 3 - 2 * l))
         series = series + term
-    g = gamma_half(three_halves)
-    prefactor = SqrtPiMonomial(g.coeff * g.coeff, 2 * g.power) * reciprocal_gamma_half(lower)
+    # Gamma(3/2) and Gamma(3/2 - l) are rational multiples of sqrt(pi)
+    # (3/2 - l is never a pole), so the prefactor is their coefficient ratio
+    # times sqrt(pi).
+    g = gamma_half(three_halves).coefficient(1)
+    prefactor = g * g / gamma_half(three_halves - l).coefficient(1)
     sign = -1 if l % 2 else 1
-    return prefactor * (series * Fraction(sign, math.factorial(l)))
+    return SqrtPiPolynomial({1: prefactor * series * Fraction(sign, math.factorial(l))})
 
 
 def squared_vandermonde_integral(mu: int):

@@ -65,7 +65,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Iterable, Sequence
 
-from .exactring import SqrtPiMonomial, SqrtPiPolynomial, eval_float, eval_sqrt_float
+from .exactring import SqrtPiPolynomial, eval_float, eval_sqrt_float
 from .exactring import _gamma_half_twice
 
 __all__ = [
@@ -117,21 +117,17 @@ class PairIntegralMatrix:
     denominator: int
 
     @property
-    def beta(self) -> Fraction:
-        return Fraction(self.beta_twice, 2)
-
-    @property
     def rows(self) -> tuple:
         den = self.denominator
         return tuple(tuple(Fraction(x, den) for x in row) for row in self.numerators)
 
-    def entry(self, k: int, l: int) -> SqrtPiMonomial:
-        return SqrtPiMonomial(Fraction(self.numerators[k][l], self.denominator), self.power)
+    def entry(self, k: int, l: int) -> SqrtPiPolynomial:
+        return SqrtPiPolynomial({self.power: Fraction(self.numerators[k][l], self.denominator)})
 
 
 def _scaled_rows(mu: int, beta_twice: int, scale: int):
     """Yield scale * J(k, l, beta) for l >= k, one row k at a time."""
-    seed = _gamma_half_twice(beta_twice + 2).coeff  # Gamma(beta+1) / sqrt(pi)^power
+    seed = _gamma_half_twice(beta_twice + 2).coefficient(beta_twice % 2)  # Gamma(beta+1) / sqrt(pi)^power
     prev: list[int] = []
     for k in range(mu):
         if k:

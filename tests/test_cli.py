@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -384,3 +385,71 @@ class TestEntryPoints:
         assert main(["moments", "--mu", "4", "--output", str(a)]) == 0
         assert main(["moments", "--mu", "4", "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+#: SHA-256 of stdout for the exact commands, recorded before the exact layer
+#: was reduced to one value type. Their floats are correctly rounded by
+#: integer arithmetic, so the bytes do not depend on libm or numpy; bounds
+#: (math.log2) and verify (float quadrature) are left out for that reason.
+EXACT_STDOUT_SHA256 = {
+    "moments --mu 2 --format json": "3f91bdf3d36d859fecdf07d241b9e8c56e4180ab5fe1e3757fe64458f40febbe",
+    "moments --mu 2 --format csv": "09c2ef4608564ea0e7c76252a97d23c24aeade73cb05ddd7573b383632a38a08",
+    "moments --mu 3 --format json": "f040338298d6d5f53621ceb29f0747d26dd330ccf5b379122cf0793d7778c023",
+    "moments --mu 3 --format csv": "8f8fdfaa93c7f7042adba0861478ee8513601ee4f6f0fac6173fbc752518b4ed",
+    "moments --mu 4 --format json": "af27645f1f03924496509fdbd28a2fe5147a733d54cf811192152690f077c85b",
+    "moments --mu 4 --format csv": "8467c6cc505182a92da54bd8930d41ca5069ac02486d11db076062344dc28082",
+    "moments --mu 5 --format json": "e9f15425dcb144162f3f4ea21cd1f3f0dbb2a0f72aaeb719e613b681e277f47f",
+    "moments --mu 5 --format csv": "73efe6fd3cb06ad8f5eb3416cce5fed1dcf2a721d58b68812a060537f8932529",
+    "moments --mu 6 --format json": "851911d55666207300288ad875c3ed47f94b264f732fb8c2535530f81c022e79",
+    "moments --mu 6 --format csv": "d3271f044cb1d54d4a7e912d7107d33853f0c5b2d509b60cdd136612186a6a4d",
+    "moments --mu 7 --format json": "5aafa87575c44957a72b66f826a35ed8a2e013a7165bc6f45032566752cde4b0",
+    "moments --mu 7 --format csv": "028ed1da7bb74a453ac95b31fc7225693adf19bc0f0d332942dc8c576d89642a",
+    "moments --mu 8 --format json": "eda7301c1f8964024fbb70d2a92a93370e76d9c424e7b341551328549c3f0c8a",
+    "moments --mu 8 --format csv": "bd08701f8c4f20cbc2c638eaf86f4568438df5a1c8c401dc2b136eb3f48b437a",
+    "moments --mu 9 --format json": "c9e7d8e63ea56d7471a88d4a529d8c070c738241562588590aff7ea65927ee78",
+    "moments --mu 9 --format csv": "5eb70b1ce018e10779c36afe47a246f48a5b83f23721f5c09f91b0705ffbbe47",
+    "moments --mu 10 --format json": "b67e76cf857ae2356d8eac9501d32e617a575de3e450d1bdb08c3415f5b658fa",
+    "moments --mu 10 --format csv": "b9ea52017eb0cfdaa204373b884a08f38d52f8384c2b491e6557c85c627c1464",
+    "moments --mu 11 --format json": "a7a256dd754fd5f760abd80a4490c1fd635586fb0c238be7c011b954285f29c5",
+    "moments --mu 11 --format csv": "bcce263a8099659da6dc03b9c96043b0a1fdb01db620c3b9eeaa3cd92cfab1ed",
+    "moments --mu 12 --format json": "e590e02a14971f212235d8da695505c4b56481fd68b8d3d43e7b2688e353d355",
+    "moments --mu 12 --format csv": "cb654b5b9a594467d3235a0eb57c0621787fc26c64432122dd7c853b855c6372",
+    "moments --mu 13 --format json": "98744915168e7f8d3a3d5f0bfc5a382b8471b9d8f97c9b5a12a24daf8fffa651",
+    "moments --mu 13 --format csv": "8d8b55d418bb429bce7b1d5a9d04755c1e0a3f2b71b8dd29c4819e9c3765c9d3",
+    "moments --mu 14 --format json": "b0786014366682e6ca365750f64b3206b9b31b1dba3ad35fb4b5932ffb7103e4",
+    "moments --mu 14 --format csv": "ec40e71278c5a1d631f76427083626661afda5fd539562894ef7650bb040c8bc",
+    "moments --mu 15 --format json": "b35e4a8e8abb97079797bc0c6bce2f710b89c57402ee8701baca0b9f76e88a56",
+    "moments --mu 15 --format csv": "63fb419b436aac7d2b95d5528d0f72ffd546a971f7bb22fbe926f40b55eaf63f",
+    "moments --mu 16 --format json": "de4165c0c597a5283039f745d218815e094e4b2673e352b0ddc576a4e3fcd6f6",
+    "moments --mu 16 --format csv": "c127118325d1c306e553b95ba4cdf2a75b5c29abbdf271698bb69b4346ce5568",
+    "moments --mu 17 --format json": "51f8554b62383a1a5b72ad4266798c7021370a01f67c47666320d8c24a523f1f",
+    "moments --mu 17 --format csv": "a0c925b07dde7230d4875c123f06a99452d17d4f3568207bc31430b9e63ed349",
+    "moments --mu 18 --format json": "4ebc92b883820c4477a955c99b8c638bc11ad0e8fa75af8ba6a06df2117df0db",
+    "moments --mu 18 --format csv": "1a0c6b9968920250edee7b89c46989c15584f16a6d810cffe72fca7e3dd28d57",
+    "moments --mu 19 --format json": "7be71ae56f36d8810351172db298a69ef20f1fa169336745159cd1bce85b8cde",
+    "moments --mu 19 --format csv": "f9e2ee6288fd842e37f1ce6c82a4eb64d43b984143397194107610a4ceec0c97",
+    "moments --mu 20 --format json": "7b99f259a9ced83ec88782b3bb8a88cc0f4767e63d6ce16bd67371bfc1d03a92",
+    "moments --mu 20 --format csv": "2251523d9956b13f80cfb2cf1fa99349beb4e4aeca7da61cec12ca35754bf8b8",
+    "moments --mu 21 --format json": "985ce207834ab57e5785a4b9b1c9dc8ec30e0bdf24df6259de7c192ad4a5d0eb",
+    "moments --mu 21 --format csv": "c7ff56debeaee787b924ef6db1c448a1b72e7b80ad5b375deb86faa583db66e0",
+    "moments --mu 22 --format json": "3aaf569f3a8a325e71f9140696db3538c888213e2353ecb67b42aec41f4736ea",
+    "moments --mu 22 --format csv": "73951722129b471819d6f8b12322d268a9e9262849899a19a7012293dd659323",
+    "moments --mu 23 --format json": "c43039feb1f38f9b6c607ed02e69f29cd2fe4195dd70b6254f8c4a41c4b0c87c",
+    "moments --mu 23 --format csv": "96dc2992cc26e20fb39e0d33f132394d395d9154ec1f7f1c8ab17bb6db2fef08",
+    "moments --mu 24 --format json": "6c37dc872310ab28178849ed88d712dcf9fa1d95a57cd252c13cefeacec6b7c5",
+    "moments --mu 24 --format csv": "50ecc59f33ff9116f100282586f2dd720d73def3e48e9f7e94541574e3bf0ea5",
+    "moments --mu 64 --format json": "3e3cbdb8e81ee545c6518f6cb3cdbc90397884d8a554980ba7b496ab2f67202f",
+    "moments --mu 64 --format csv": "41562a07f12bc2ca3a0dab338d9dbe1f46936435fb4d01cf7f9c35797dda0684",
+    "moments --mu 96 --format json": "1d588ebc554af5e21c85b2d933bfec2768c86f22501f2a483dc6044b87a80666",
+    "moments --mu 96 --format csv": "897086d597e96cb7c7cea8c4eb624ab1c4b28b011960b4e03001fe6fbf97d503",
+    "table --n-max 16 --extrapolate --format json": "fa3669b655917a8d106f9c9e41abf02d12ec46890584f44f29b049301dd90401",
+    "table --n-max 16 --extrapolate --format csv": "10de68966d9619cd0ddec6c79fbcc1e74810be0466b3bbb475c36e42b91f8942",
+}
+
+
+class TestExactBytePins:
+    @pytest.mark.parametrize("command", list(EXACT_STDOUT_SHA256))
+    def test_stdout_bytes(self, command, capsys):
+        assert main(command.split()) == 0
+        stdout = capsys.readouterr().out
+        assert hashlib.sha256(stdout.encode()).hexdigest() == EXACT_STDOUT_SHA256[command]

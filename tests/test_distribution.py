@@ -1,4 +1,3 @@
-import io
 import json
 import math
 
@@ -11,7 +10,6 @@ from negmoments.distribution import (
     build_document,
     build_histogram,
     compare,
-    export,
     gaussian_reference,
     render_csv,
     render_json,
@@ -150,10 +148,8 @@ class TestExport:
         return report, ref, hist
 
     def test_csv_schema(self):
-        report, ref, hist = self.make_artifacts()
-        buffer = io.StringIO()
-        export(hist, ref, report, "csv", buffer)
-        lines = buffer.getvalue().strip().splitlines()
+        _, ref, hist = self.make_artifacts()
+        lines = render_csv(hist, ref).strip().splitlines()
         assert lines[0] == "bin_left,bin_right,count,density,gaussian_density"
         assert len(lines) == 1 + 12
         total = sum(int(line.split(",")[2]) for line in lines[1:])
@@ -161,22 +157,12 @@ class TestExport:
 
     def test_json_round_trip_is_exact(self):
         report, ref, hist = self.make_artifacts()
-        buffer = io.StringIO()
-        export(hist, ref, report, "json", buffer)
-        doc = json.loads(buffer.getvalue())
+        doc = json.loads(render_json(build_document(report, histogram=hist, reference=ref)))
         assert doc["mean_exact"]["pi_half_coeffs"] == {"2": "3/32"}
         assert doc["variance_exact"]["pi_half_coeffs"] == {"0": "1/10", "4": "-9/1024"}
         assert doc["n_max"] == "1/2"
         assert doc["histogram"]["total"] == hist.total
         assert sum(doc["histogram"]["counts"]) == hist.total
-
-    def test_export_to_path(self, tmp_path):
-        report, ref, hist = self.make_artifacts()
-        target = tmp_path / "hist.csv"
-        export(hist, ref, report, "csv", target)
-        assert target.read_text().startswith("bin_left")
-        with pytest.raises(ValueError):
-            export(hist, ref, report, "xml", tmp_path / "x")
 
     def test_document_shape_without_samples(self):
         doc = build_document(normalized_moments(2), n_qubits=2)

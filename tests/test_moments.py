@@ -207,8 +207,8 @@ class TestDetMomentSums:
     def test_trace_sums_match_term_sum_matrices(self, mu):
         # A and B entry by entry from the term sum, as Fractions, then the
         # power-sum formulas of the moments module docstring.
-        a = [[Fraction(laguerre_pair_integral(k, l, 1).coeff) for l in range(mu)] for k in range(mu)]
-        b = [[Fraction(laguerre_pair_integral(k, l, HALF).coeff) for l in range(mu)] for k in range(mu)]
+        a = [[laguerre_pair_integral(k, l, 1).coefficient(0) for l in range(mu)] for k in range(mu)]
+        b = [[laguerre_pair_integral(k, l, HALF).coefficient(1) for l in range(mu)] for k in range(mu)]
         b_sq = [[sum(b[i][m] * b[m][j] for m in range(mu)) for j in range(mu)] for i in range(mu)]
 
         def trace(m):
