@@ -5,10 +5,12 @@ equal bipartitions, a Monte Carlo and pseudorandom-circuit sampling lab to
 verify them, and the teleportation / distillation bounds they imply.
 
 The exports below are loaded on first use (PEP 562), so importing the
-package, or running ``negmoments --version``, loads no numpy; each
-submodule imports it inside the functions that need it. Floats are
-correctly rounded by integer arithmetic, so no command loads mpmath: only
-``SqrtPiPolynomial.evaluate_mpf`` imports it.
+package, or running ``negmoments --version``, loads no numpy. Only
+sampling, distribution and bounds.cluster_check use numpy, each inside the
+functions that need it; the exact engine and its ``verify`` oracles
+(exactring, laguerre, quadrature, moments, selfcheck) never import it.
+Floats are correctly rounded by integer arithmetic, so no command loads
+mpmath: only ``SqrtPiPolynomial.evaluate_mpf`` imports it.
 """
 
 import importlib
@@ -17,12 +19,10 @@ import importlib
 _EXPORTS = {
     "bounds": (
         "BoundsReport",
-        "CLUSTER_THRESHOLD_PRESETS",
         "RATIO_PRESET",
         "asymptotic_singlet_distance",
         "build_bounds_report",
         "cluster_check",
-        "cluster_threshold",
         "distillable_upper",
         "log_negativity",
         "singlet_distance_lower",
@@ -46,11 +46,8 @@ _EXPORTS = {
         "gamma_half",
     ),
     "laguerre": (
-        "laguerre_eval",
         "laguerre_pair_integral",
         "laguerre_pair_integral_hyp3f2",
-        "pochhammer",
-        "squared_vandermonde_integral",
     ),
     "moments": (
         "EXACT_MODE_CEILING",
@@ -72,7 +69,6 @@ _EXPORTS = {
     ),
     "quadrature": (
         "InsufficientNodesError",
-        "gauss_generalized_laguerre",
         "laguerre_pair_integral_quadrature",
     ),
     "sampling": (

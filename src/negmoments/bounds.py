@@ -2,7 +2,9 @@
 
 Lower bound on the singlet distance, upper bounds on teleportation fidelity
 and distillable entanglement, and the spectral concentration check that
-separates lopsided from balanced bipartitions.
+separates lopsided from balanced bipartitions. The check tests one given
+reduced state; no dimension threshold is offered for it, since the constant
+in its d_A log2(d_A) / epsilon^2 scale is not known.
 """
 
 from __future__ import annotations
@@ -12,14 +14,12 @@ from dataclasses import dataclass
 
 __all__ = [
     "RATIO_PRESET",
-    "CLUSTER_THRESHOLD_PRESETS",
     "BoundsReport",
     "singlet_distance_lower",
     "teleportation_fidelity_upper",
     "asymptotic_singlet_distance",
     "distillable_upper",
     "log_negativity",
-    "cluster_threshold",
     "cluster_check",
     "build_bounds_report",
 ]
@@ -29,10 +29,6 @@ __all__ = [
 #: 1.4e-4 below the spectral-density limit 64/(9 pi^2) = 0.7205062, which
 #: the engine's extrapolate_limit approaches (0.720538 from n <= 14 qubits).
 RATIO_PRESET = 0.72037
-
-#: Worked dimension-threshold figures for epsilon = 0.1: a d_A x d_B split
-#: concentrates only once d_B vastly exceeds these.
-CLUSTER_THRESHOLD_PRESETS = {2: 200, 16: 6400}
 
 #: Largest qubit count whose local dimension 2^(n/2) is a finite double
 #: (2^1023; 2^1024 overflows).
@@ -107,20 +103,6 @@ def log_negativity(neg: float) -> float:
     if neg < 0:
         raise ValueError("negativity must be nonnegative")
     return math.log2(2.0 * neg + 1.0)
-
-
-def cluster_threshold(d_a: int, epsilon: float) -> float:
-    """Scale d_A log2(d_A) / epsilon^2 past which the complement dominates.
-
-    The proportionality constant is not pinned down; the worked presets in
-    CLUSTER_THRESHOLD_PRESETS show the intended orders of magnitude, and both
-    coincide with this scale at epsilon = 0.1.
-    """
-    if d_a < 2:
-        raise ValueError("subsystem dimension must be at least 2")
-    if not 0.0 < epsilon:
-        raise ValueError("epsilon must be positive")
-    return d_a * math.log2(d_a) / (epsilon * epsilon)
 
 
 def cluster_check(rho_a, epsilon: float) -> bool:

@@ -35,7 +35,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Histogram:
-    """Equal-width counts; out-of-range samples are clipped into edge bins."""
+    """Equal-width counts of a sample."""
 
     bin_edges: np.ndarray
     counts: np.ndarray
@@ -85,11 +85,10 @@ class Histogram:
         return math.sqrt(var)
 
 
-def build_histogram(values, bins: int, value_range: tuple[float, float] | None = None) -> Histogram:
-    """Equal-width histogram; auto range is [min, max] padded by one width.
+def build_histogram(values, bins: int) -> Histogram:
+    """Equal-width histogram over [min, max] padded by one width.
 
-    Values outside the range are clipped into the edge bins so the total
-    count is preserved.
+    Constant values get the unit window around them.
     """
     import numpy as np
 
@@ -98,15 +97,10 @@ def build_histogram(values, bins: int, value_range: tuple[float, float] | None =
         raise ValueError("cannot histogram an empty sample")
     if bins < 1:
         raise ValueError("need at least one bin")
-    if value_range is None:
-        lo = float(values.min())
-        hi = float(values.max())
-        pad = (hi - lo) / bins if hi > lo else 0.5
-        lo, hi = lo - pad, hi + pad
-    else:
-        lo, hi = float(value_range[0]), float(value_range[1])
-        if not hi > lo:
-            raise ValueError("range must have positive width")
+    lo = float(values.min())
+    hi = float(values.max())
+    pad = (hi - lo) / bins if hi > lo else 0.5
+    lo, hi = lo - pad, hi + pad
     width = (hi - lo) / bins
     idx = np.clip(np.floor((values - lo) / width).astype(np.int64), 0, bins - 1)
     counts = np.bincount(idx, minlength=bins)
@@ -172,6 +166,8 @@ def compare(hist: Histogram, ref: GaussianReference) -> ComparisonReport:
     ks = float(np.max(np.abs(reference - ecdf)))
     mean = hist.sample_mean()
     sigma = hist.sample_sigma()
+    if sigma == 0:
+        raise ValueError("comparison needs samples spread over more than one bin")
     zscore = (mean - ref.mean_prime) / (sigma / math.sqrt(hist.total))
     sigma_rel = abs(sigma - ref.sigma_prime) / ref.sigma_prime
     return ComparisonReport(ks_statistic=ks, mean_zscore=float(zscore), sigma_relative_error=float(sigma_rel))

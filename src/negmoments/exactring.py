@@ -87,10 +87,6 @@ class SqrtPiPolynomial:
         self._coeffs = cleaned
 
     @classmethod
-    def zero(cls) -> "SqrtPiPolynomial":
-        return cls()
-
-    @classmethod
     def from_scalar(cls, value) -> "SqrtPiPolynomial":
         return cls({0: value})
 
@@ -99,10 +95,6 @@ class SqrtPiPolynomial:
 
     def items(self):
         return sorted(self._coeffs.items())
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)

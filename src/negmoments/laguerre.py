@@ -1,4 +1,4 @@
-"""Laguerre polynomials and their exponential-weight pair integrals, exact.
+"""Exponential-weight pair integrals of Laguerre polynomials, exact.
 
 The central quantity is
 
@@ -25,7 +25,8 @@ recurrence instead (see moments.py); this term sum is the independent oracle
 that the ``verify`` suites and the tests check those matrices against. Each
 (k, l, beta) is summed once and cached, since the suites read the same
 values many times. The terminating 3F2 form of the beta = 1/2 case is a
-second, separate route, summed by its own term ratio.
+second, separate route, summed by its own term ratio. The module holds
+these two routes and nothing else.
 """
 
 from __future__ import annotations
@@ -37,46 +38,13 @@ from functools import lru_cache
 from .exactring import SqrtPiPolynomial, _twice, gamma_half
 
 __all__ = [
-    "pochhammer",
-    "laguerre_eval",
     "laguerre_pair_integral",
     "laguerre_pair_integral_hyp3f2",
-    "squared_vandermonde_integral",
     "SUPPORTED_WEIGHTS",
 ]
 
 #: Exponent values beta the exact evaluator accepts, as twice-values.
 SUPPORTED_WEIGHTS = (0, 1, 2)
-
-
-def pochhammer(a, n: int, direction: str = "rising"):
-    """Rising a(a+1)...(a+n-1) or falling a(a-1)...(a-n+1); n = 0 gives 1."""
-    if n < 0:
-        raise ValueError("pochhammer order must be nonnegative")
-    if direction not in ("rising", "falling"):
-        raise ValueError(f"unknown direction {direction!r}")
-    step = 1 if direction == "rising" else -1
-    a = Fraction(a.numerator, a.denominator) if not isinstance(a, int) else Fraction(a)
-    result = Fraction(1)
-    for i in range(n):
-        result = result * (a + step * i)
-    return result
-
-
-def laguerre_eval(k: int, x):
-    """L_k(x) by the three-term recurrence, exact at rational arguments.
-
-    (k+1) L_{k+1} = (2k+1-x) L_k - k L_{k-1}, seeded with L_0 = 1, L_1 = 1-x.
-    """
-    if k < 0:
-        raise ValueError("Laguerre index must be nonnegative")
-    x = Fraction(x.numerator, x.denominator) if not isinstance(x, int) else Fraction(x)
-    prev, cur = Fraction(1), 1 - x
-    if k == 0:
-        return prev
-    for i in range(1, k):
-        prev, cur = cur, ((2 * i + 1 - x) * cur - i * prev) / (i + 1)
-    return cur
 
 
 def _beta_twice(beta) -> int:
@@ -166,16 +134,3 @@ def laguerre_pair_integral_hyp3f2(k: int, l: int) -> SqrtPiPolynomial:
     sign = -1 if l % 2 else 1
     return SqrtPiPolynomial({1: prefactor * series * Fraction(sign, math.factorial(l))})
 
-
-def squared_vandermonde_integral(mu: int):
-    """Normalization integral of the squared Vandermonde under prod e^{-q_k}.
-
-    Equals mu! * prod_{k=1}^{mu} Gamma(k)^2, an exact integer.
-    """
-    if mu < 1:
-        raise ValueError("dimension must be at least 1")
-    total = Fraction(math.factorial(mu))
-    for k in range(1, mu + 1):
-        f = math.factorial(k - 1)
-        total = total * (f * f)
-    return total

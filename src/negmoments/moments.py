@@ -330,20 +330,17 @@ def sqrt_sum_second_moment(mu: int) -> SqrtPiPolynomial:
 def fourth_moment(mu: int) -> SqrtPiPolynomial:
     """Exact <(sum_i sqrt(p_i))^4>.
 
-    Expands into 1 + 2A + 2B + 4C + D with A the distinct-pair sqrt sum, B
-    the distinct pair product sum, C the triple and D the quadruple sums;
-    degree-one symmetric moments scale by 1/mu^2 and degree-two moments by
+    Expands into 1 + 2A + 2B + 4C + D with A = 2 <N> the distinct-pair sqrt
+    sum, B = mean_pair_product the distinct pair product sum, and C the
+    triple and D the quadruple sums, which scale like B by
     1/(mu^2 (mu^2 + 1)).
     """
     if mu < 1:
         raise ValueError("dimension must be at least 1")
-    deg1 = Fraction(1, mu * mu)
     deg2 = Fraction(1, mu * mu * (mu * mu + 1))
-    a = det_moment_sum(mu, "pair", beta=Fraction(1, 2)) * deg1
-    b = det_moment_sum(mu, "pair", beta=1) * deg2
     c = det_moment_sum(mu, "triple") * deg2
     d = det_moment_sum(mu, "quad") * deg2
-    return SqrtPiPolynomial.from_scalar(1) + 2 * a + 2 * b + 4 * c + d
+    return 1 + 4 * mean_negativity(mu) + 2 * mean_pair_product(mu) + 4 * c + d
 
 
 def variance_negativity(mu: int) -> SqrtPiPolynomial:

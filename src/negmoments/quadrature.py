@@ -10,27 +10,19 @@ which stays accurate in relative terms where the Golub-Welsch eigenvector
 formula underflows. With n nodes the rule is exact to polynomial degree
 2n - 1, so it checks the closed-form pair integrals whenever n >= k + l + 2.
 
-The oracle runs on plain Python floats: each rule, and the table of L_k at
-its nodes for k <= nodes - 2, is built once per (nodes, alpha) and cached as
-tuples, and each integral is one math.fsum. Only the array helpers
-gauss_generalized_laguerre and laguerre_values import numpy; they return
-fresh arrays.
+The oracle runs on plain Python floats and imports no numpy: each rule,
+and the table of L_k at its nodes for k <= nodes - 2, is built once per
+(nodes, alpha) and cached as tuples, and each integral is one math.fsum.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "InsufficientNodesError",
     "NodeConvergenceError",
-    "gauss_generalized_laguerre",
-    "laguerre_values",
     "laguerre_pair_integral_quadrature",
 ]
 
@@ -58,28 +50,13 @@ def _laguerre_sequence(n: int, alpha: float, x: float) -> list[float]:
     return values[: n + 1]
 
 
-def _check_rule(nodes: int, alpha: float) -> None:
-    if nodes < 1:
-        raise ValueError("need at least one node")
-    if alpha <= -1.0:
-        raise ValueError("weight exponent must exceed -1")
-
-
-def gauss_generalized_laguerre(nodes: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights for integral_0^inf f(x) x**alpha e**(-x) dx.
+@lru_cache(maxsize=None)
+def _gauss_rule(n: int, alpha: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Nodes and weights for integral_0^inf f(x) x**alpha e**(-x) dx, n >= 1.
 
     Raises NodeConvergenceError where the starting guesses fail, which
     happens for large alpha and many nodes (alpha = 20 with 76 nodes).
     """
-    import numpy as np
-
-    _check_rule(nodes, alpha)
-    x, w = _gauss_rule(nodes, float(alpha))
-    return np.array(x), np.array(w)
-
-
-@lru_cache(maxsize=None)
-def _gauss_rule(n: int, alpha: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
     norm = math.gamma(n + alpha + 1) / math.factorial(n)
     nodes: list[float] = []
     weights: list[float] = []
@@ -105,15 +82,6 @@ def _gauss_rule(n: int, alpha: float) -> tuple[tuple[float, ...], tuple[float, .
     return tuple(nodes), tuple(weights)
 
 
-def laguerre_values(k_max: int, x: np.ndarray) -> np.ndarray:
-    """Array of standard Laguerre values L_k(x) for k = 0..k_max."""
-    import numpy as np
-
-    x = np.asarray(x, dtype=float).ravel()
-    columns = [_laguerre_sequence(k_max, 0.0, value) for value in x.tolist()]
-    return np.array(columns, dtype=float).reshape(x.size, k_max + 1).T
-
-
 def laguerre_pair_integral_quadrature(k: int, l: int, beta: float, nodes: int) -> float:
     """Gauss estimate of integral e^{-q} q^beta L_k(q) L_l(q) dq.
 
@@ -124,7 +92,8 @@ def laguerre_pair_integral_quadrature(k: int, l: int, beta: float, nodes: int) -
         raise ValueError("polynomial indices must be nonnegative")
     if nodes < k + l + 2:
         raise InsufficientNodesError(f"need at least {k + l + 2} nodes for degrees ({k}, {l})")
-    _check_rule(nodes, beta)
+    if beta <= -1.0:
+        raise ValueError("weight exponent must exceed -1")
     _, w = _gauss_rule(nodes, float(beta))
     table = _laguerre_table(nodes, float(beta))
     return math.fsum([wi * a * b for wi, a, b in zip(w, table[k], table[l])])
@@ -134,6 +103,6 @@ def laguerre_pair_integral_quadrature(k: int, l: int, beta: float, nodes: int) -
 def _laguerre_table(n: int, alpha: float) -> tuple[tuple[float, ...], ...]:
     # Row k holds the standard L_k at the nodes of the (n, alpha) rule, for
     # k <= n - 2; each value comes from the same recurrence steps whatever
-    # the table's length, so row k is the one laguerre_values(k, x) gives.
+    # the table's length, so row k is the last of _laguerre_sequence(k, 0, x).
     columns = [_laguerre_sequence(n - 2, 0.0, x) for x in _gauss_rule(n, alpha)[0]]
     return tuple(zip(*columns))

@@ -157,6 +157,8 @@ class SampleBatch:
     def __post_init__(self):
         if (self.dims is None) == (self.n_qubits is None):
             raise ValueError("set exactly one of dims / n_qubits")
+        if self.dims is not None and not (len(self.dims) == 2 and all(isinstance(d, int) and d >= 1 for d in self.dims)):
+            raise ValueError("dimensions must be at least 1")
         if self.count < 0:
             raise ValueError("count must be nonnegative")
         if self.generator not in ("haar", "circuit"):

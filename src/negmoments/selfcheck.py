@@ -182,7 +182,7 @@ def check_hyp3f2(max_index: int) -> CheckResult:
     return CheckResult("3F2 re-derivation", True, f"k,l <= {max_index}")
 
 
-def check_quadrature(max_index: int, tolerance: float = 1e-9) -> CheckResult:
+def check_quadrature(max_index: int) -> CheckResult:
     """Every (k, l, beta) on one Gauss rule per beta, exact to degree 4 max_index + 15."""
     name = "quadrature oracle agreement"
     nodes = 2 * max_index + 8
@@ -196,7 +196,7 @@ def check_quadrature(max_index: int, tolerance: float = 1e-9) -> CheckResult:
                     worst = max(worst, abs(exact - approx))
     except NodeConvergenceError as exc:
         return CheckResult(name, False, str(exc))
-    return CheckResult(name, worst < tolerance, f"max |diff| = {worst:.3e} (k,l <= {max_index})")
+    return CheckResult(name, worst < 1e-9, f"max |diff| = {worst:.3e} (k,l <= {max_index})")
 
 
 def check_naive_vs_trace(max_mu: int) -> CheckResult:

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from negmoments.bounds import (
-    CLUSTER_THRESHOLD_PRESETS,
     RATIO_PRESET,
     asymptotic_singlet_distance,
     build_bounds_report,
     cluster_check,
-    cluster_threshold,
     distillable_upper,
     log_negativity,
     singlet_distance_lower,
@@ -122,21 +120,6 @@ class TestLogNegativity:
             assert log_negativity((mu - 1) / 2) == pytest.approx(math.log2(mu), abs=1e-12)
         with pytest.raises(ValueError):
             log_negativity(-0.1)
-
-
-class TestClusterThreshold:
-    def test_presets_from_scale(self):
-        assert cluster_threshold(2, 0.1) == pytest.approx(CLUSTER_THRESHOLD_PRESETS[2])
-        assert cluster_threshold(16, 0.1) == pytest.approx(CLUSTER_THRESHOLD_PRESETS[16])
-
-    def test_unit_epsilon(self):
-        assert cluster_threshold(2, 1.0) == pytest.approx(2 * math.log2(2))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            cluster_threshold(1, 0.1)
-        with pytest.raises(ValueError):
-            cluster_threshold(2, 0.0)
 
 
 class TestClusterCheck:

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -280,6 +281,23 @@ class TestOneWriter:
         assert captured.out == ""
         assert captured.err == "error: comparison needs at least 100 samples\n"
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--mu", "2", "--samples", "100", "--bins", "1"],
+            ["--n-qubits", "2", "--generator", "circuit", "--j", "0", "--samples", "100"],
+        ],
+        ids=["one bin", "product states"],
+    )
+    def test_compare_without_spread_is_usage_error(self, args, capsys):
+        # sample still histograms the values; only the z-score needs a spread.
+        assert main(["sample", *args]) == 0
+        assert json.loads(capsys.readouterr().out)["histogram"]["total"] == 100
+        assert main(["compare", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: comparison needs samples spread over more than one bin\n"
+
 
 class TestVerify:
     def test_passes_and_prints_table(self, capsys):
@@ -453,3 +471,21 @@ class TestExactBytePins:
         assert main(command.split()) == 0
         stdout = capsys.readouterr().out
         assert hashlib.sha256(stdout.encode()).hexdigest() == EXACT_STDOUT_SHA256[command]
+
+
+def _readme_commands() -> list[list[str]]:
+    """The ``negmoments ...`` lines of the README's Command line block, as argv lists."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+    assert all(argv[0] == "negmoments" for argv in commands if argv)
+    return [argv[1:] for argv in commands if argv]
+
+
+class TestReadmeExamples:
+    @pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+    def test_command_line_example_runs(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # an --output file lands here
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""

@@ -27,17 +27,12 @@ def simpson(f, lo, hi, panels=20_000):
 
 class TestBuildHistogram:
     def test_single_bin(self):
-        hist = build_histogram([0.5] * 10, 1, (0.0, 1.0))
-        assert hist.counts.tolist() == [10]
-        assert hist.total == 10
-
-    def test_out_of_range_clipped_into_edges(self):
-        hist = build_histogram([-5.0, 0.5, 99.0], 4, (0.0, 1.0))
-        assert hist.total == 3
-        assert hist.counts[0] == 1 and hist.counts[-1] == 1
+        hist = build_histogram([0.25, 0.5, 0.75] * 10, 1)
+        assert hist.counts.tolist() == [30]
+        assert hist.total == 30
 
     def test_auto_range_padding(self):
-        hist = build_histogram([1.0, 3.0], 4, None)
+        hist = build_histogram([1.0, 3.0], 4)
         width = (3.0 - 1.0) / 4
         assert hist.bin_edges[0] == pytest.approx(1.0 - width)
         assert hist.bin_edges[-1] == pytest.approx(3.0 + width)
@@ -136,6 +131,11 @@ class TestCompare:
         hist = build_histogram([0.1, 0.2, 0.3], 4)
         with pytest.raises(ValueError):
             compare(hist, GaussianReference(0.2, 0.1))
+
+    def test_requires_a_spread(self):
+        for hist in (build_histogram([0.5] * 100, 4), build_histogram(np.linspace(0.0, 1.0, 100), 1)):
+            with pytest.raises(ValueError, match="more than one bin"):
+                compare(hist, GaussianReference(0.5, 0.1))
 
 
 class TestExport:

@@ -1,17 +1,10 @@
 import math
-import random
 from fractions import Fraction
 
 import pytest
 
 from negmoments.exactring import SqrtPiPolynomial, gamma_half
-from negmoments.laguerre import (
-    laguerre_eval,
-    laguerre_pair_integral,
-    laguerre_pair_integral_hyp3f2,
-    pochhammer,
-    squared_vandermonde_integral,
-)
+from negmoments.laguerre import laguerre_pair_integral, laguerre_pair_integral_hyp3f2
 
 HALF = Fraction(1, 2)
 
@@ -36,46 +29,12 @@ def pair_integral_by_expansion(k, l, beta):
 
 
 class TestPochhammer:
-    def test_examples(self):
-        assert pochhammer(3, 2) == 12
-        assert pochhammer(-2, 3) == 0
-        assert pochhammer(Fraction(7, 3), 0, "falling") == 1
-
-    def test_rising_falling_relation(self):
-        rng = random.Random(5)
-        for _ in range(30):
-            a = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
-            n = rng.randint(0, 8)
-            falling = pochhammer(a, n, "falling")
-            assert falling == (-1) ** n * pochhammer(-a, n)
-
     def test_gamma_ratio_identity(self):
-        # (x)_n = Gamma(x+n) / Gamma(x) at positive half-odd x
+        # (x)_n = x (x+1) ... (x+n-1) = Gamma(x+n) / Gamma(x) at positive half-odd x
         for twice in (1, 3, 7):
             x = Fraction(twice, 2)
             for n in range(5):
-                assert gamma_half(x + n) == gamma_half(x) * pochhammer(x, n)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            pochhammer(1, -1)
-        with pytest.raises(ValueError):
-            pochhammer(1, 2, "sideways")
-
-
-class TestLaguerreEval:
-    def test_examples(self):
-        assert laguerre_eval(0, Fraction(17, 3)) == 1
-        assert laguerre_eval(1, 3) == -2
-        assert laguerre_eval(2, 2) == -1
-
-    def test_against_coefficient_expansion(self):
-        rng = random.Random(31)
-        for _ in range(30):
-            k = rng.randint(0, 8)
-            x = Fraction(rng.randint(-30, 30), rng.randint(1, 7))
-            expected = sum(c * x**i for i, c in enumerate(laguerre_coefficients(k)))
-            assert laguerre_eval(k, x) == expected
+                assert gamma_half(x + n) == gamma_half(x) * math.prod(x + i for i in range(n))
 
 
 class TestPairIntegral:
@@ -100,7 +59,7 @@ class TestPairIntegral:
                 elif abs(k - l) == 1:
                     assert value == -max(k, l)
                 else:
-                    assert value.is_zero
+                    assert value == 0
 
     def test_symmetry(self):
         for k in range(10):
@@ -154,27 +113,18 @@ class TestHyp3F2Path:
 
 
 class TestVandermondeNorm:
-    def test_examples(self):
-        assert squared_vandermonde_integral(1) == 1
-        assert squared_vandermonde_integral(2) == 2
-        assert squared_vandermonde_integral(3) == 24
-        assert squared_vandermonde_integral(4) == 3456
-
     def test_against_tensor_quadrature(self):
-        # Direct numeric integration of prod (q_i - q_j)^2 e^{-sum q} for
-        # small dimension, on a tensor Gauss grid (exact for polynomials).
+        # The squared Vandermonde of dimension mu integrates against
+        # prod e^{-q_k} to mu! prod_{k<mu} k!^2 (2 and 24 for mu = 2, 3); a
+        # tensor Gauss grid is exact for these polynomials.
         import numpy as np
 
-        from negmoments.quadrature import gauss_generalized_laguerre
+        from negmoments.quadrature import _gauss_rule
 
-        x, w = gauss_generalized_laguerre(8, 0.0)
+        x, w = map(np.array, _gauss_rule(8, 0.0))
         q1, q2, q3 = np.meshgrid(x, x, x, indexing="ij")
         w3 = w[:, None, None] * w[None, :, None] * w[None, None, :]
         integrand = ((q1 - q2) * (q1 - q3) * (q2 - q3)) ** 2
         assert float(np.sum(w3 * integrand)) == pytest.approx(24.0, rel=1e-12)
         integrand2 = (x[:, None] - x[None, :]) ** 2 * (w[:, None] * w[None, :])
         assert float(np.sum(integrand2)) == pytest.approx(2.0, rel=1e-12)
-
-    def test_rejects_bad_dimension(self):
-        with pytest.raises(ValueError):
-            squared_vandermonde_integral(0)

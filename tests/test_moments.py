@@ -171,7 +171,7 @@ class TestDetMomentSums:
     def test_worked_values(self):
         assert det_moment_sum(2, "pair", beta=HALF) == poly({2: Fraction(3, 4)})
         assert det_moment_sum(2, "pair", beta=1) == poly({0: 4})
-        assert det_moment_sum(1, "pair", beta=HALF).is_zero
+        assert det_moment_sum(1, "pair", beta=HALF) == 0
 
     def test_naive_equals_trace(self):
         patterns = [("pair", {"beta": HALF}), ("pair", {"beta": 1}), ("triple", {}), ("quad", {})]
@@ -243,14 +243,14 @@ class TestDetMomentSums:
 
 class TestExactMoments:
     def test_mean_worked_values(self):
-        assert mean_negativity(1).is_zero
+        assert mean_negativity(1) == 0
         assert mean_negativity(2) == poly({2: Fraction(3, 32)})
         assert eval_float(mean_negativity(2)) == pytest.approx(3 * math.pi / 32, abs=1e-14)
 
     def test_mean_pair_product_closed_form(self):
         # Independent oracle: <sum_{i!=j} p_i p_j> = 1 - E[purity] with
         # E[sum p^2] = 2 mu / (mu^2 + 1) for a square Haar bipartition.
-        assert mean_pair_product(1).is_zero
+        assert mean_pair_product(1) == 0
         for mu in range(2, 25):
             expected = Fraction((mu - 1) ** 2, mu * mu + 1)
             assert mean_pair_product(mu) == poly({0: expected})
@@ -260,7 +260,7 @@ class TestExactMoments:
         assert fourth_moment(2) == poly({0: Fraction(7, 5), 2: Fraction(3, 8)})
 
     def test_variance_worked_values(self):
-        assert variance_negativity(1).is_zero
+        assert variance_negativity(1) == 0
         assert variance_negativity(2) == poly({0: Fraction(1, 10), 4: Fraction(-9, 1024)})
         assert eval_float(variance_negativity(2)) == pytest.approx(0.1 - 9 * math.pi**2 / 1024, abs=1e-14)
 

@@ -265,6 +265,9 @@ class TestSampleBatches:
             SampleBatch(master_seed=0, count=10, dims=(2, 2), generator="magic")
         with pytest.raises(ValueError):
             sample_negativities(SampleBatch(master_seed=0, count=4, dims=(2, 2)), threads=0)
+        for dims in ((0, 3), (-1, 2), (2,), (2, 2, 2), (2.0, 2)):
+            with pytest.raises(ValueError, match="dimensions must be at least 1"):
+                SampleBatch(master_seed=0, count=4, dims=dims)
 
 
 class TestStream:
