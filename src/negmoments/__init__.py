@@ -58,13 +58,11 @@ _EXPORTS = {
         "build_pair_integral_matrix",
         "det_moment_sum",
         "extrapolate_limit",
-        "fourth_moment",
         "generate_table",
         "max_negativity",
         "mean_negativity",
         "mean_pair_product",
         "normalized_moments",
-        "sqrt_sum_second_moment",
         "variance_negativity",
     ),
     "quadrature": (

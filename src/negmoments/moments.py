@@ -13,10 +13,14 @@ mean is
 
     <N> = (1/(2 mu^2)) sum_{k,l} (B_kk B_ll - B_kl^2)
 
-and the variance comes from the square / cube / quartic determinant sums of
-the same matrices. Unrestricted index sums are used throughout: repeated
-indices duplicate determinant rows and contribute exact zeros, so no
-distinct-index bookkeeping is needed.
+and, with P = mean_pair_product and C, D the triple and quad sums below
+scaled by 1/(mu^2 (mu^2 + 1)), the variance is
+
+    Var N = P/2 + C + D/4 - <N>^2.
+
+Unrestricted index sums are used throughout: repeated indices duplicate
+determinant rows and contribute exact zeros, so no distinct-index
+bookkeeping is needed.
 
 Both matrices are built by the two-term recurrence
 
@@ -66,7 +70,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .exactring import SqrtPiPolynomial, eval_float, eval_sqrt_float
-from .exactring import _gamma_half_twice
+from .exactring import _gamma_half_twice, _twice
 
 __all__ = [
     "ResourceCeilingError",
@@ -78,8 +82,6 @@ __all__ = [
     "det_moment_sum",
     "mean_negativity",
     "mean_pair_product",
-    "sqrt_sum_second_moment",
-    "fourth_moment",
     "variance_negativity",
     "max_negativity",
     "normalized_moments",
@@ -168,9 +170,11 @@ def build_pair_integral_matrix(mu: int, beta) -> PairIntegralMatrix:
     """Shared symmetric matrix of J(k, l, beta) for k, l < mu (cached)."""
     if mu < 1:
         raise ValueError("dimension must be at least 1")
-    beta = Fraction(beta) if not isinstance(beta, (int, Fraction)) else beta
-    twice = int(Fraction(beta) * 2)
-    if Fraction(twice, 2) != beta or twice not in (1, 2):
+    try:
+        twice = _twice(beta)
+    except ValueError:
+        twice = None
+    if twice not in (1, 2):
         raise ValueError("weight exponent must be 1/2 or 1")
     return _build_matrix_cached(mu, twice)
 
@@ -308,8 +312,9 @@ def det_moment_sum(mu: int, pattern: str, beta=None) -> SqrtPiPolynomial:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def mean_negativity(mu: int) -> SqrtPiPolynomial:
-    """Exact Haar-average negativity of an equal mu x mu bipartition."""
+    """Exact Haar-average negativity of an equal mu x mu bipartition (cached)."""
     if mu < 1:
         raise ValueError("dimension must be at least 1")
     return det_moment_sum(mu, "pair", beta=Fraction(1, 2)) / (2 * mu * mu)
@@ -322,31 +327,17 @@ def mean_pair_product(mu: int) -> SqrtPiPolynomial:
     return det_moment_sum(mu, "pair", beta=1) / (mu * mu * (mu * mu + 1))
 
 
-def sqrt_sum_second_moment(mu: int) -> SqrtPiPolynomial:
-    """Exact <(sum_i sqrt(p_i))^2> = 1 + 2 <N>."""
-    return SqrtPiPolynomial.from_scalar(1) + 2 * mean_negativity(mu)
-
-
-def fourth_moment(mu: int) -> SqrtPiPolynomial:
-    """Exact <(sum_i sqrt(p_i))^4>.
-
-    Expands into 1 + 2A + 2B + 4C + D with A = 2 <N> the distinct-pair sqrt
-    sum, B = mean_pair_product the distinct pair product sum, and C the
-    triple and D the quadruple sums, which scale like B by
-    1/(mu^2 (mu^2 + 1)).
-    """
-    if mu < 1:
-        raise ValueError("dimension must be at least 1")
-    deg2 = Fraction(1, mu * mu * (mu * mu + 1))
-    c = det_moment_sum(mu, "triple") * deg2
-    d = det_moment_sum(mu, "quad") * deg2
-    return 1 + 4 * mean_negativity(mu) + 2 * mean_pair_product(mu) + 4 * c + d
-
-
 def variance_negativity(mu: int) -> SqrtPiPolynomial:
-    """Exact variance of the negativity: (<S^4> - <S^2>^2) / 4."""
-    s2 = sqrt_sum_second_moment(mu)
-    return (fourth_moment(mu) - s2 * s2) / 4
+    """Exact variance of the negativity: P/2 + C + D/4 - <N>^2.
+
+    This is (<S^4> - <S^2>^2)/4 for S = sum_i sqrt(p_i): S^2 = 1 + 2N and
+    S^4 = 1 + 4N + 2 sum_{i!=j} p_i p_j + 4C + D, where C and D sum
+    p_i sqrt(p_j p_k) and sqrt(p_i p_j p_k p_l) over distinct indices.
+    """
+    mean = mean_negativity(mu)
+    deg2 = Fraction(1, mu * mu * (mu * mu + 1))
+    c_and_d = (det_moment_sum(mu, "triple") + det_moment_sum(mu, "quad") / 4) * deg2
+    return mean_pair_product(mu) / 2 + c_and_d - mean * mean
 
 
 def max_negativity(mu: int):

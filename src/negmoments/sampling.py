@@ -144,7 +144,8 @@ class SampleBatch:
 
     Identical fields give identical sample vectors, independent of worker
     count or evaluation order. Either dims (Haar) or n_qubits must be set;
-    the circuit generator needs an even n_qubits.
+    the circuit generator needs an even n_qubits. count, j and n_qubits
+    must be integers (numpy integers included).
     """
 
     master_seed: int
@@ -155,6 +156,8 @@ class SampleBatch:
     j: int = 40
 
     def __post_init__(self):
+        for value in (self.count, self.j, 0 if self.n_qubits is None else self.n_qubits):
+            operator.index(value)  # TypeError for a float, as for the seed in _stream_key
         if (self.dims is None) == (self.n_qubits is None):
             raise ValueError("set exactly one of dims / n_qubits")
         if self.dims is not None and not (len(self.dims) == 2 and all(isinstance(d, int) and d >= 1 for d in self.dims)):

@@ -4,8 +4,9 @@ Each check exercises one structural invariant of the exact engine against
 an independent route: symmetry of the asymmetric term sum and its agreement
 with the recurrence-built pair matrices, orthonormality
 and tridiagonality at integer weights, the hypergeometric re-derivation,
-Gauss quadrature, and the naive determinant oracle against the trace
-expansion.
+Gauss quadrature, the naive determinant oracle against the trace
+expansion, and the variance against its assembly with the closed-form
+pair product.
 
 The naive oracle, naive_det_moment_sum, lives here rather than in the
 moment engine: it evaluates every small determinant of every ordered index
@@ -21,13 +22,7 @@ from fractions import Fraction
 
 from .exactring import SqrtPiPolynomial, eval_float
 from .laguerre import laguerre_pair_integral, laguerre_pair_integral_hyp3f2
-from .moments import (
-    build_pair_integral_matrix,
-    det_moment_sum,
-    fourth_moment,
-    sqrt_sum_second_moment,
-    variance_negativity,
-)
+from .moments import build_pair_integral_matrix, det_moment_sum, mean_negativity, variance_negativity
 from .quadrature import NodeConvergenceError, laguerre_pair_integral_quadrature
 
 __all__ = ["CheckResult", "naive_det_moment_sum", "run_all"]
@@ -224,9 +219,16 @@ def check_pair_trace_identity(max_mu: int) -> CheckResult:
 
 
 def check_variance_identity(max_mu: int) -> CheckResult:
+    """variance_negativity against P/2 + C + D/4 - <N>^2 with P in closed form.
+
+    P = <sum_{i!=j} p_i p_j> = 1 - <purity> = (mu-1)^2/(mu^2+1) (Lubkin,
+    J. Math. Phys. 19, 1028, 1978) stands in for the weight-1 pair sum, so
+    the suite checks that sum and its scaling.
+    """
     for mu in sorted({1, 2, 3, 4, max(2, max_mu // 2), max_mu}):
-        s2 = sqrt_sum_second_moment(mu)
-        if 4 * variance_negativity(mu) + s2 * s2 != fourth_moment(mu):
+        mean = mean_negativity(mu)
+        c_and_d = (det_moment_sum(mu, "triple") + det_moment_sum(mu, "quad") / 4) / (mu * mu * (mu * mu + 1))
+        if variance_negativity(mu) != Fraction((mu - 1) ** 2, 2 * (mu * mu + 1)) + c_and_d - mean * mean:
             return CheckResult("variance moment identity", False, f"mu={mu}")
     return CheckResult("variance moment identity", True, f"mu <= {max_mu}")
 

@@ -9,6 +9,7 @@ by integer arithmetic, so no command loads mpmath; only
 interpreter, because any earlier test in this process has loaded both.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -187,6 +188,41 @@ def test_cli_import_loads_what_the_benchmark_wraps():
     assert _fresh(code).strip() == f"{list(modules)!r} True"
 
 
+def _benchmark_traced() -> dict:
+    """``TRACED`` of perfbench/child.py, read from its source without importing it."""
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    for node in ast.parse(source.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TRACED"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/child.py defines no TRACED")
+
+
+class TestBenchmarkPins:
+    """perfbench wraps functions by name and reads ``verify``'s suites by count."""
+
+    def test_traced_names_resolve(self):
+        traced = _benchmark_traced()
+        assert "moments" in traced and "selfcheck" in traced
+        for module, names in traced.items():
+            owner = importlib.import_module(f"negmoments.{module}")
+            missing = [name for name in names if not callable(getattr(owner, name, None))]
+            assert missing == [], f"negmoments.{module} lacks {missing}"
+
+    def test_suite_names_and_order(self):
+        from negmoments import selfcheck
+
+        assert [result.name for result in selfcheck.run_all(2)] == [
+            "pair-integral symmetry",
+            "weight-0 orthonormality",
+            "weight-1 tridiagonal form",
+            "3F2 re-derivation",
+            "quadrature oracle agreement",
+            "naive vs trace determinant sums",
+            "pair sum trace identity",
+            "variance moment identity",
+        ]
+
+
 #: The names the package exports, by the submodule that defines them.
 EXPORTS = {
     "bounds": [
@@ -230,13 +266,11 @@ EXPORTS = {
         "build_pair_integral_matrix",
         "det_moment_sum",
         "extrapolate_limit",
-        "fourth_moment",
         "generate_table",
         "max_negativity",
         "mean_negativity",
         "mean_pair_product",
         "normalized_moments",
-        "sqrt_sum_second_moment",
         "variance_negativity",
     ],
     "quadrature": ["InsufficientNodesError", "laguerre_pair_integral_quadrature"],

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from negmoments import moments
 from negmoments.exactring import SqrtPiPolynomial, eval_float
 from negmoments.laguerre import laguerre_pair_integral
 from negmoments.moments import (
@@ -18,22 +19,26 @@ from negmoments.moments import (
     build_pair_integral_matrix,
     det_moment_sum,
     extrapolate_limit,
-    fourth_moment,
     generate_table,
     max_negativity,
     mean_negativity,
     mean_pair_product,
     normalized_moments,
-    sqrt_sum_second_moment,
     variance_negativity,
 )
-from negmoments.selfcheck import _det4, naive_det_moment_sum
+from negmoments.selfcheck import _det4, check_variance_identity, naive_det_moment_sum
 
 HALF = Fraction(1, 2)
 
 
 def poly(coeffs):
     return SqrtPiPolynomial({d: Fraction(v) for d, v in coeffs.items()})
+
+
+def fourth_moment(mu):
+    """<(sum_i sqrt(p_i))^4> = 4 Var N + (1 + 2 <N>)^2."""
+    s2 = 1 + 2 * mean_negativity(mu)
+    return 4 * variance_negativity(mu) + s2 * s2
 
 
 class TestPairIntegralMatrix:
@@ -90,6 +95,17 @@ class TestPairIntegralMatrix:
             build_pair_integral_matrix(0, HALF)
         with pytest.raises(ValueError):
             build_pair_integral_matrix(3, Fraction(1, 3))
+
+    @pytest.mark.parametrize(
+        "beta,twice", [(HALF, 1), (0.5, 1), ("1/2", 1), (np.float64(0.5), 1), (1, 2), (1.0, 2), (np.int64(1), 2)]
+    )
+    def test_weight_spellings(self, beta, twice):
+        assert build_pair_integral_matrix(3, beta).beta_twice == twice
+
+    @pytest.mark.parametrize("beta", [0, 2, -1, Fraction(3, 2), 0.3, 0.25, "abc"])
+    def test_other_weights_rejected(self, beta):
+        with pytest.raises(ValueError, match="^weight exponent must be 1/2 or 1$"):
+            build_pair_integral_matrix(3, beta)
 
 
 def _v2(x):
@@ -268,11 +284,6 @@ class TestExactMoments:
         for mu in (2, 3, 5, 9, 16):
             assert eval_float(variance_negativity(mu)) >= 0.0
 
-    def test_variance_moment_identity(self):
-        for mu in (1, 2, 3, 4, 8, 16):
-            s2 = sqrt_sum_second_moment(mu)
-            assert 4 * variance_negativity(mu) + s2 * s2 == fourth_moment(mu)
-
     def test_fourth_moment_against_monte_carlo(self):
         mu, count = 3, 200_000
         rng = np.random.default_rng(90210)
@@ -283,6 +294,26 @@ class TestExactMoments:
         estimate = s4.mean()
         stderr = s4.std(ddof=1) / math.sqrt(count)
         assert eval_float(fourth_moment(mu)) == pytest.approx(estimate, abs=4 * stderr)
+
+    def test_normalized_moments_takes_each_pair_trace_once(self, monkeypatch):
+        traced = []
+        pair_trace = moments._pair_trace
+
+        def counting(mat):
+            traced.append(mat.beta_twice)
+            return pair_trace(mat)
+
+        monkeypatch.setattr(moments, "_pair_trace", counting)
+        moments.mean_negativity.cache_clear()
+        normalized_moments(11)
+        assert sorted(traced) == [1, 2]  # B (beta = 1/2) once, A (beta = 1) once
+
+    def test_variance_suite_catches_a_wrong_pair_product(self, monkeypatch):
+        # The suite takes the pair product in closed form, so a wrong matrix
+        # route moves only variance_negativity.
+        pair_product = moments.mean_pair_product
+        monkeypatch.setattr(moments, "mean_pair_product", lambda mu: pair_product(mu) + Fraction(1, 10**6))
+        assert not check_variance_identity(8).passed
 
 
 def distinct_index_sums(points):

@@ -269,6 +269,25 @@ class TestSampleBatches:
             with pytest.raises(ValueError, match="dimensions must be at least 1"):
                 SampleBatch(master_seed=0, count=4, dims=dims)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"count": 10.5, "dims": (2, 2)},
+            {"count": 10, "n_qubits": 4, "generator": "circuit", "j": 2.5},
+            {"count": 10, "n_qubits": 4.0},
+        ],
+        ids=["count", "j", "n_qubits"],
+    )
+    def test_non_integer_fields_rejected(self, fields):
+        with pytest.raises(TypeError):
+            SampleBatch(master_seed=0, **fields)
+
+    def test_numpy_integers_accepted(self):
+        batch = SampleBatch(np.int64(3), np.int64(10), dims=(2, 2))
+        assert sample_negativities(batch).size == 10
+        circuit = SampleBatch(0, np.int64(4), n_qubits=np.int64(4), generator="circuit", j=np.int64(2))
+        assert sample_negativities(circuit).size == 4
+
 
 class TestStream:
     # Random123 known-answer vectors for Philox4x32-10: (key, counter, output).
