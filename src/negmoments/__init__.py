@@ -71,18 +71,10 @@ _EXPORTS = {
     ),
     "sampling": (
         "STREAM_ID",
-        "DensityMatrix",
-        "PureState",
         "SampleBatch",
-        "SchmidtSpectrum",
         "haar_pure_state",
-        "negativity_general",
-        "negativity_pure",
-        "partial_transpose",
-        "pseudorandom_circuit_state",
         "reduced_state_a",
         "sample_negativities",
-        "schmidt_spectrum",
     ),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -111,8 +111,7 @@ def cluster_check(rho_a, epsilon: float) -> bool:
 
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    entries = getattr(rho_a, "entries", rho_a)
-    entries = np.asarray(entries, dtype=np.complex128)
+    entries = np.asarray(rho_a, dtype=np.complex128)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError("reduced state must be a square matrix")
     d_a = entries.shape[0]

@@ -63,6 +63,7 @@ the size at EXACT_MODE_CEILING and raises ResourceCeilingError above it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -168,6 +169,7 @@ def _build_matrix_cached(mu: int, beta_twice: int) -> PairIntegralMatrix:
 
 def build_pair_integral_matrix(mu: int, beta) -> PairIntegralMatrix:
     """Shared symmetric matrix of J(k, l, beta) for k, l < mu (cached)."""
+    mu = operator.index(mu)
     if mu < 1:
         raise ValueError("dimension must be at least 1")
     try:
@@ -312,9 +314,14 @@ def det_moment_sum(mu: int, pattern: str, beta=None) -> SqrtPiPolynomial:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def mean_negativity(mu: int) -> SqrtPiPolynomial:
-    """Exact Haar-average negativity of an equal mu x mu bipartition (cached)."""
+    """Exact Haar-average negativity of an equal mu x mu bipartition (cached).
+
+    The cache is typed, so a float mu never finds the entry of an equal int
+    and fails in operator.index.
+    """
+    mu = operator.index(mu)
     if mu < 1:
         raise ValueError("dimension must be at least 1")
     return det_moment_sum(mu, "pair", beta=Fraction(1, 2)) / (2 * mu * mu)
@@ -322,6 +329,7 @@ def mean_negativity(mu: int) -> SqrtPiPolynomial:
 
 def mean_pair_product(mu: int) -> SqrtPiPolynomial:
     """Exact average of sum_{i != j} p_i p_j over the Schmidt simplex."""
+    mu = operator.index(mu)
     if mu < 1:
         raise ValueError("dimension must be at least 1")
     return det_moment_sum(mu, "pair", beta=1) / (mu * mu * (mu * mu + 1))
@@ -381,6 +389,7 @@ def normalized_moments(mu: int, *, exact: bool = False) -> MomentReport:
     from its exact value. exact=True adds a size cap: ResourceCeilingError
     when mu exceeds EXACT_MODE_CEILING.
     """
+    mu = operator.index(mu)
     if mu < 2:
         raise ValueError("normalized moments need mu >= 2")
     if exact and mu > EXACT_MODE_CEILING:

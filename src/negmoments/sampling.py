@@ -1,4 +1,4 @@
-"""Random pure states, Schmidt spectra, and negativity evaluation.
+"""Random pure states and the negativities of reproducible sample batches.
 
 Haar-random pure states are sampled as normalized complex Gaussian vectors
 (the induced measure on rays is the Haar one, at O(mu nu) cost instead of
@@ -13,8 +13,8 @@ easy as 1, 2, 3", SC'11) keyed by numpy's ``SeedSequence(master_seed)``,
 run on Python ints, and evaluated at the counter (block, 0, low and high 32
 bits of the sample index), each block turned into two standard normals by
 Box-Muller. Sample i of a batch is therefore a function of (master_seed, i)
-alone: results are bit-identical for any chunking or thread count, and the
-single-state functions at index i reproduce sample i of a batch. The chunked
+alone: results are bit-identical for any chunking or thread count, and a
+chunk kernel run over [i, i + 1) reproduces sample i of a batch. The chunked
 kernels vectorize over samples without changing any per-sample arithmetic.
 """
 
@@ -30,16 +30,8 @@ if TYPE_CHECKING:
 
 __all__ = [
     "STREAM_ID",
-    "PureState",
-    "SchmidtSpectrum",
-    "DensityMatrix",
     "SampleBatch",
     "haar_pure_state",
-    "schmidt_spectrum",
-    "negativity_pure",
-    "partial_transpose",
-    "negativity_general",
-    "pseudorandom_circuit_state",
     "sample_negativities",
     "reduced_state_a",
 ]
@@ -63,89 +55,13 @@ _DRAW_BLOCKS = 32
 
 
 @dataclass(frozen=True)
-class PureState:
-    """Normalized amplitude vector on a mu x nu bipartite space."""
-
-    amplitudes: np.ndarray
-    dims: tuple[int, int]
-
-    def __post_init__(self):
-        import numpy as np
-
-        mu, nu = self.dims
-        amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amplitudes.shape != (mu * nu,):
-            raise ValueError(f"amplitude vector must have length {mu * nu}")
-        norm_sq = float(np.sum(np.abs(amplitudes) ** 2))
-        if abs(norm_sq - 1.0) > 1e-12:
-            raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
-        object.__setattr__(self, "amplitudes", amplitudes)
-
-    def matrix(self) -> np.ndarray:
-        """Amplitudes reshaped to (mu, nu), subsystem A indexing rows."""
-        return self.amplitudes.reshape(self.dims)
-
-    def density_matrix(self) -> "DensityMatrix":
-        import numpy as np
-
-        rho = np.outer(self.amplitudes, self.amplitudes.conj())
-        return DensityMatrix(rho, self.dims)
-
-
-@dataclass(frozen=True)
-class SchmidtSpectrum:
-    """Probability vector of squared Schmidt coefficients, descending."""
-
-    p: np.ndarray
-
-    def __post_init__(self):
-        import numpy as np
-
-        p = np.asarray(self.p, dtype=float)
-        if p.ndim != 1 or p.size == 0:
-            raise ValueError("spectrum must be a nonempty vector")
-        if np.any(p < 0):
-            raise ValueError("spectrum has negative entries")
-        if np.any(np.diff(p) > 0):
-            raise ValueError("spectrum must be sorted in descending order")
-        if abs(float(p.sum()) - 1.0) > 1e-10:
-            raise ValueError("spectrum does not sum to one")
-        object.__setattr__(self, "p", p)
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite operator on mu x nu."""
-
-    entries: np.ndarray
-    dims: tuple[int, int]
-
-    def __post_init__(self):
-        import numpy as np
-
-        mu, nu = self.dims
-        d = mu * nu
-        entries = np.asarray(self.entries, dtype=np.complex128)
-        if entries.shape != (d, d):
-            raise ValueError(f"density matrix must be {d} x {d}")
-        if not np.allclose(entries, entries.conj().T, atol=1e-12):
-            raise ValueError("density matrix is not Hermitian")
-        trace = float(np.real(np.trace(entries)))
-        if abs(trace - 1.0) > 1e-10:
-            raise ValueError(f"density matrix trace is {trace!r}")
-        if float(np.linalg.eigvalsh(entries).min()) < -1e-10:
-            raise ValueError("density matrix is not positive semidefinite")
-        object.__setattr__(self, "entries", entries)
-
-
-@dataclass(frozen=True)
 class SampleBatch:
     """Reproducible sampling campaign specification.
 
     Identical fields give identical sample vectors, independent of worker
     count or evaluation order. Either dims (Haar) or n_qubits must be set;
-    the circuit generator needs an even n_qubits. count, j and n_qubits
-    must be integers (numpy integers included).
+    the circuit generator needs an even n_qubits. count, j, n_qubits and
+    both dims must be integers (numpy integers included).
     """
 
     master_seed: int
@@ -156,11 +72,11 @@ class SampleBatch:
     j: int = 40
 
     def __post_init__(self):
-        for value in (self.count, self.j, 0 if self.n_qubits is None else self.n_qubits):
+        for value in (self.count, self.j, 0 if self.n_qubits is None else self.n_qubits, *(self.dims or ())):
             operator.index(value)  # TypeError for a float, as for the seed in _stream_key
         if (self.dims is None) == (self.n_qubits is None):
             raise ValueError("set exactly one of dims / n_qubits")
-        if self.dims is not None and not (len(self.dims) == 2 and all(isinstance(d, int) and d >= 1 for d in self.dims)):
+        if self.dims is not None and not (len(self.dims) == 2 and min(self.dims) >= 1):
             raise ValueError("dimensions must be at least 1")
         if self.count < 0:
             raise ValueError("count must be nonnegative")
@@ -331,17 +247,23 @@ def _haar_amplitudes(mu: int, nu: int, key: tuple[int, int], start: int, stop: i
     return z
 
 
-def haar_pure_state(mu: int, nu: int, master_seed: int, index: int = 0) -> PureState:
+def haar_pure_state(mu: int, nu: int, master_seed: int, index: int = 0) -> np.ndarray:
     """Haar-random pure state on a mu x nu space: sample index of the stream.
 
-    Bit-identical to sample ``index`` of a Haar ``SampleBatch`` with the same
+    Returns the (mu, nu) complex128 amplitude matrix, subsystem A indexing
+    rows; it is sample ``index`` of a Haar ``SampleBatch`` with the same
     master seed and dimensions.
     """
     if mu < 1 or nu < 1:
         raise ValueError("dimensions must be at least 1")
     if not 0 <= index < 2**64:
         raise ValueError("sample index must be in [0, 2**64)")
-    return PureState(_haar_amplitudes(mu, nu, _stream_key(master_seed), index, index + 1)[0], (mu, nu))
+    return _haar_amplitudes(mu, nu, _stream_key(master_seed), index, index + 1)[0].reshape(mu, nu)
+
+
+def reduced_state_a(m: np.ndarray) -> np.ndarray:
+    """Reduced density matrix on subsystem A of a (mu, nu) amplitude matrix."""
+    return m @ m.conj().T
 
 
 def _spectra_from_matrices(matrices: np.ndarray) -> np.ndarray:
@@ -353,52 +275,15 @@ def _spectra_from_matrices(matrices: np.ndarray) -> np.ndarray:
     return np.where(p < SPECTRUM_CLIP, 0.0, p)
 
 
-def schmidt_spectrum(state: PureState) -> SchmidtSpectrum:
-    """Squared singular values of the reshaped amplitude matrix."""
-    import numpy as np
-
-    p = _spectra_from_matrices(state.matrix()[np.newaxis])[0]
-    return SchmidtSpectrum(p)
-
-
 def _negativities_from_spectra(p: np.ndarray) -> np.ndarray:
+    """Pure-state negativity ((sum_i sqrt(p_i))^2 - 1) / 2 of each Schmidt spectrum.
+
+    Between 0 and (mu - 1) / 2.
+    """
     import numpy as np
 
     s = np.sqrt(p).sum(axis=-1)
     return np.maximum(0.0, (s * s - 1.0) / 2.0)
-
-
-def negativity_pure(spectrum: SchmidtSpectrum) -> float:
-    """Negativity of a pure state from its Schmidt spectrum.
-
-    ((sum_i sqrt(p_i))^2 - 1) / 2, between 0 and (mu - 1) / 2.
-    """
-    import numpy as np
-
-    return float(_negativities_from_spectra(spectrum.p[np.newaxis])[0])
-
-
-def partial_transpose(rho: DensityMatrix) -> np.ndarray:
-    """Transpose the subsystem-A indices only; Hermiticity is preserved."""
-    import numpy as np
-
-    mu, nu = rho.dims
-    tensor = rho.entries.reshape(mu, nu, mu, nu)
-    return np.ascontiguousarray(tensor.transpose(2, 1, 0, 3)).reshape(mu * nu, mu * nu)
-
-
-def negativity_general(rho: DensityMatrix) -> float:
-    """(trace norm of the partial transpose - 1) / 2 for any state."""
-    import numpy as np
-
-    eigenvalues = np.linalg.eigvalsh(partial_transpose(rho))
-    return float((np.abs(eigenvalues).sum() - 1.0) / 2.0)
-
-
-def reduced_state_a(state: PureState) -> np.ndarray:
-    """Reduced density matrix on subsystem A."""
-    m = state.matrix()
-    return m @ m.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +348,8 @@ def _apply_single_qubit(psi: np.ndarray, gates: np.ndarray, qubit: int, n_qubits
 def _circuit_states(n_qubits: int, rounds: int, key: tuple[int, int], start: int, stop: int) -> np.ndarray:
     """Circuit statevectors of samples start..stop-1, shape (2**n, stop - start).
 
+    Qubit 0 is the most significant index, and _circuit_chunk splits the
+    first n/2 qubits from the rest; zero rounds leave the all-zeros state.
     Round r takes normals 4 n r .. 4 n (r + 1) - 1 of each sample, drawn
     _DRAW_BLOCKS at a time; the gates write to two state buffers in turn.
     """
@@ -485,25 +372,6 @@ def _circuit_states(n_qubits: int, rounds: int, key: tuple[int, int], start: int
                 psi, spare = spare, psi
             psi *= diag
     return psi
-
-
-def pseudorandom_circuit_state(n_qubits: int, j: int, master_seed: int, index: int = 0) -> PureState:
-    """State after j rounds of random single-qubit rotations + fixed coupling.
-
-    Qubit 0 is the most significant index; the bipartition used downstream
-    splits the first n/2 qubits from the rest. j = 0 returns the fiducial
-    all-zeros state. Bit-identical to sample ``index`` of a circuit
-    ``SampleBatch`` with the same master seed, qubit count and rounds.
-    """
-    if n_qubits < 2 or n_qubits % 2:
-        raise ValueError("n_qubits must be even and at least 2")
-    if j < 0:
-        raise ValueError("round count must be nonnegative")
-    if not 0 <= index < 2**64:
-        raise ValueError("sample index must be in [0, 2**64)")
-    psi = _circuit_states(n_qubits, j, _stream_key(master_seed), index, index + 1)[:, 0]
-    half = 2 ** (n_qubits // 2)
-    return PureState(psi, (half, half))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,23 @@
 """Internal identity suites behind the ``verify`` command.
 
-Each check exercises one structural invariant of the exact engine against
-an independent route: symmetry of the asymmetric term sum and its agreement
-with the recurrence-built pair matrices, orthonormality
-and tridiagonality at integer weights, the hypergeometric re-derivation,
-Gauss quadrature, the naive determinant oracle against the trace
-expansion, and the variance against its assembly with the closed-form
-pair product.
+Each suite compares two routes; what each side runs:
+
+- symmetry: the term sum (laguerre.laguerre_pair_integral) at (k, l) and
+  (l, k), and the term sum against the recurrence-built matrices of
+  moments.build_pair_integral_matrix.
+- orthonormality and tridiagonal form: the term sum alone, against the
+  known weight-0 and weight-1 values.
+- 3F2 re-derivation: the hypergeometric closed form against the term sum.
+- quadrature: a Gauss-Laguerre rule against the term sum.
+- naive vs trace: every small determinant of the recurrence matrices
+  (naive_det_moment_sum, below) against the power-sum trace expansion of
+  moments.det_moment_sum.
+- pair sum trace identity: det_moment_sum's pair sums against the
+  factorisation B = C H C^T (weight 1/2) and the closed form
+  mu^2 (mu-1)^2 (weight 1); neither route touches the recurrence or the
+  term sum.
+- variance identity: variance_negativity against its assembly with the
+  closed-form pair product.
 
 The naive oracle, naive_det_moment_sum, lives here rather than in the
 moment engine: it evaluates every small determinant of every ordered index
@@ -17,6 +28,7 @@ for small mu only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -205,15 +217,43 @@ def check_naive_vs_trace(max_mu: int) -> CheckResult:
     return CheckResult("naive vs trace determinant sums", True, f"mu <= {max_mu}")
 
 
+def _factored_pair_sum(mu: int) -> Fraction:
+    """t1^2 - t2 of B(mu) / sqrt(pi) from B = C H C^T, on integers.
+
+    C is the lower-triangular Toeplitz matrix of the coefficients c_m of
+    (1-z)^(1/2) and H_j = (2j+1) C(2j, j) / 2^(2j+1). With G = C^T C,
+    t1 = tr B = sum_j H_j G_jj and t2 = tr B^2 = sum_ij H_i H_j G_ij^2; G is
+    built from its last row up by G_ij = G_{i+1,j+1} + c_{mu-1-i} c_{mu-1-j}.
+    Neither the recurrence nor the term sum is used. Every c_m (m < mu) is
+    an integer over 4^(mu-1) and every H_j one over 2^(2 mu - 1), so the
+    sums run on those numerators: t1 is an integer over 2^(6 mu - 5) and t2
+    one over its square.
+    """
+    c = [1 << 2 * (mu - 1)]
+    for m in range(1, mu):
+        c.append(c[-1] * (2 * m - 3) // (2 * m))
+    h = [(2 * j + 1) * math.comb(2 * j, j) << 2 * (mu - 1 - j) for j in range(mu)]
+    t1 = t2 = 0
+    row = []  # G_{i+1, j} for j > i
+    for i in reversed(range(mu)):
+        c_i = c[mu - 1 - i]
+        row = [g + c_i * c[mu - 1 - j] for j, g in enumerate(row + [0], start=i)]
+        t1 += h[i] * row[0]
+        t2 += h[i] * (h[i] * row[0] ** 2 + 2 * sum(h_j * g * g for h_j, g in zip(h[i + 1 :], row[1:])))
+    return Fraction(t1 * t1 - t2, 1 << 2 * (6 * mu - 5))
+
+
 def check_pair_trace_identity(max_mu: int) -> CheckResult:
+    """Both pair sums against routes that share no code with the matrix builder.
+
+    Weight 1/2: the factorisation B = C H C^T (_factored_pair_sum). Weight 1:
+    the closed form mu^2 (mu-1)^2, which is mu^2 (mu^2+1) times Lubkin's
+    <sum_{i!=j} p_i p_j> = (mu-1)^2/(mu^2+1).
+    """
     for mu in (1, 2, 3, max(4, max_mu // 2), max_mu):
-        for beta in (_HALF, 1):
-            mat = build_pair_integral_matrix(mu, beta)
-            rows = mat.rows
-            t1 = sum(rows[i][i] for i in range(mu))
-            t2 = sum(rows[i][j] * rows[i][j] for i in range(mu) for j in range(mu))
-            expected = det_moment_sum(mu, "pair", beta=beta)
-            if expected.coefficient(2 * mat.power) != t1 * t1 - t2:
+        routes = {_HALF: {2: _factored_pair_sum(mu)}, 1: {0: mu * mu * (mu - 1) ** 2}}
+        for beta, coeffs in routes.items():
+            if det_moment_sum(mu, "pair", beta=beta) != SqrtPiPolynomial(coeffs):
                 return CheckResult("pair sum trace identity", False, f"mu={mu} beta={beta}")
     return CheckResult("pair sum trace identity", True, f"mu <= {max_mu}")
 

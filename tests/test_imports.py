@@ -276,18 +276,10 @@ EXPORTS = {
     "quadrature": ["InsufficientNodesError", "laguerre_pair_integral_quadrature"],
     "sampling": [
         "STREAM_ID",
-        "DensityMatrix",
-        "PureState",
         "SampleBatch",
-        "SchmidtSpectrum",
         "haar_pure_state",
-        "negativity_general",
-        "negativity_pure",
-        "partial_transpose",
-        "pseudorandom_circuit_state",
         "reduced_state_a",
         "sample_negativities",
-        "schmidt_spectrum",
     ],
 }
 
@@ -319,6 +311,23 @@ class TestPackageNamespace:
         assert not hasattr(negmoments, "Precision")
         with pytest.raises(ImportError):
             exec("from negmoments import no_such_name", {})
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "PureState",
+            "SchmidtSpectrum",
+            "DensityMatrix",
+            "schmidt_spectrum",
+            "negativity_pure",
+            "partial_transpose",
+            "negativity_general",
+            "pseudorandom_circuit_state",
+        ],
+    )
+    def test_single_state_surface_is_gone(self, name):
+        assert not hasattr(negmoments, name)
+        assert not hasattr(importlib.import_module("negmoments.sampling"), name)
 
 
 def test_first_numpy_use_under_threads_matches_one_thread():

@@ -219,6 +219,27 @@ class TestDetMomentSums:
         result = selfcheck.check_naive_vs_trace(3)
         assert not result.passed and result.detail == "quad differs at mu=1"
 
+    def test_pair_suite_catches_a_wrong_entry_beyond_the_naive_range(self, monkeypatch):
+        # Every reader of B sees the corrupted entries; the suite's
+        # factorisation route does not read B.
+        from negmoments import selfcheck
+
+        build = moments._build_matrix_cached
+
+        def corrupted(mu, beta_twice):
+            mat = build(mu, beta_twice)
+            if beta_twice != 1 or mu <= 20:
+                return mat
+            nums = [list(row) for row in mat.numerators]
+            nums[17][20] += 1
+            nums[20][17] += 1
+            return replace(mat, numerators=tuple(map(tuple, nums)))
+
+        monkeypatch.setattr(moments, "_build_matrix_cached", corrupted)
+        result = selfcheck.check_pair_trace_identity(32)
+        assert result.name == "pair sum trace identity"
+        assert not result.passed and result.detail == "mu=32 beta=1/2"
+
     @pytest.mark.parametrize("mu", [24, 32])
     def test_trace_sums_match_term_sum_matrices(self, mu):
         # A and B entry by entry from the term sum, as Fractions, then the
@@ -411,6 +432,25 @@ class TestNormalizedMoments:
     def test_monotone_in_mu(self):
         values = [normalized_moments(mu).mean_normalized for mu in (2, 4, 8, 16)]
         assert all(a < b for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+@pytest.mark.parametrize(
+    "entry",
+    [lambda mu: build_pair_integral_matrix(mu, HALF), mean_negativity, mean_pair_product, normalized_moments],
+    ids=["build_pair_integral_matrix", "mean_negativity", "mean_pair_product", "normalized_moments"],
+)
+def test_float_mu_rejected(entry, warm):
+    # A warm cache must not answer a float: lru_cache keys (2, 1) and
+    # (2.0, 1) alike, and np.int64(2) and 2.0 alike.
+    moments.mean_negativity.cache_clear()
+    moments._build_matrix_cached.cache_clear()
+    if warm:
+        entry(2)
+        entry(np.int64(2))
+    with pytest.raises(TypeError):
+        entry(2.0)
+    assert entry(np.int64(2)) == entry(2)
 
 
 class TestTable:

@@ -9,24 +9,15 @@ from hypothesis import strategies as st
 from negmoments import sampling
 from negmoments.exactring import eval_float
 from negmoments.moments import mean_negativity
-from negmoments.sampling import (
-    DensityMatrix,
-    PureState,
-    SampleBatch,
-    SchmidtSpectrum,
-    haar_pure_state,
-    negativity_general,
-    negativity_pure,
-    partial_transpose,
-    pseudorandom_circuit_state,
-    reduced_state_a,
-    sample_negativities,
-    schmidt_spectrum,
-)
+from negmoments.sampling import SampleBatch, haar_pure_state, reduced_state_a, sample_negativities
 from negmoments.sampling import (
     _apply_single_qubit,
     _box_muller,
+    _circuit_chunk,
+    _circuit_states,
     _haar_amplitudes,
+    _haar_chunk,
+    _negativities_from_spectra,
     _normals,
     _philox4x32_10,
     _spectra_from_matrices,
@@ -35,7 +26,37 @@ from negmoments.sampling import (
 
 
 def bell_state():
-    return PureState(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2), (2, 2))
+    return np.array([[1, 0], [0, 1]], dtype=complex) / math.sqrt(2)
+
+
+def spectrum(m):
+    """Schmidt spectrum of one (mu, nu) amplitude matrix, as the chunk kernels take it."""
+    return _spectra_from_matrices(m[np.newaxis])[0]
+
+
+def schmidt_negativity(m):
+    """Negativity of one amplitude matrix by the chunk kernels' Schmidt formula."""
+    return float(_negativities_from_spectra(spectrum(m)))
+
+
+def partial_transpose(rho, dims):
+    """Transpose the subsystem-A indices of a (mu nu) x (mu nu) operator."""
+    mu, nu = dims
+    return rho.reshape(mu, nu, mu, nu).transpose(2, 1, 0, 3).reshape(mu * nu, mu * nu)
+
+
+def trace_norm_negativity(rho, dims):
+    """(trace norm of the partial transpose - 1) / 2, for any state."""
+    return float((np.abs(np.linalg.eigvalsh(partial_transpose(rho, dims))).sum() - 1.0) / 2.0)
+
+
+def density_matrix(m):
+    vector = m.ravel()
+    return np.outer(vector, vector.conj())
+
+
+def circuit_state(n_qubits, rounds, seed, index=0):
+    return _circuit_states(n_qubits, rounds, _stream_key(seed), index, index + 1)[:, 0]
 
 
 def two_sample_ks(a, b):
@@ -47,110 +68,87 @@ def two_sample_ks(a, b):
 
 
 class TestPureState:
-    def test_normalization_enforced(self):
-        with pytest.raises(ValueError):
-            PureState(np.array([1.0, 1.0], dtype=complex), (2, 1))
-        with pytest.raises(ValueError):
-            PureState(np.ones(3, dtype=complex) / math.sqrt(3), (2, 2))
-
     def test_haar_state_shape_and_determinism(self):
         a = haar_pure_state(2, 2, 42)
         b = haar_pure_state(2, 2, 42)
-        assert np.array_equal(a.amplitudes, b.amplitudes)
-        assert a.amplitudes.shape == (4,)
+        assert np.array_equal(a, b)
+        assert a.shape == (2, 2) and a.dtype == np.complex128
+        assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
 
     def test_trivial_ray(self):
         state = haar_pure_state(1, 1, 3)
-        assert abs(abs(state.amplitudes[0]) - 1.0) < 1e-12
-        assert negativity_pure(schmidt_spectrum(state)) <= 1e-12
+        assert abs(abs(state[0, 0]) - 1.0) < 1e-12
+        assert schmidt_negativity(state) <= 1e-12
 
 
 class TestSchmidt:
     def test_product_state(self):
-        e00 = PureState(np.array([1, 0, 0, 0], dtype=complex), (2, 2))
-        assert np.allclose(schmidt_spectrum(e00).p, [1.0, 0.0])
+        e00 = np.array([[1, 0], [0, 0]], dtype=complex)
+        assert np.allclose(spectrum(e00), [1.0, 0.0])
 
     def test_bell_state(self):
-        assert np.allclose(schmidt_spectrum(bell_state()).p, [0.5, 0.5])
+        assert np.allclose(spectrum(bell_state()), [0.5, 0.5])
 
     def test_spectrum_sums_to_one(self):
         for i in range(25):
-            state = haar_pure_state(3, 5, 8, i)
-            p = schmidt_spectrum(state).p
+            p = spectrum(haar_pure_state(3, 5, 8, i))
             assert abs(p.sum() - 1.0) < 1e-10
             assert np.all(np.diff(p) <= 0)
 
     def test_lopsided_split_uses_consistent_spectrum(self):
-        state = haar_pure_state(2, 64, 4, 0)
-        p = schmidt_spectrum(state).p
-        m = state.matrix()
+        m = haar_pure_state(2, 64, 4, 0)
+        p = spectrum(m)
         reference = np.sort(np.linalg.svd(m, compute_uv=False) ** 2)[::-1]
         assert np.allclose(p, reference, atol=1e-12)
         assert p.size == 2
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SchmidtSpectrum(np.array([0.2, 0.8]))  # ascending
-        with pytest.raises(ValueError):
-            SchmidtSpectrum(np.array([0.9, 0.2]))  # sum != 1
-
 
 class TestNegativityPure:
     def test_examples(self):
-        assert negativity_pure(SchmidtSpectrum(np.array([1.0, 0.0]))) == 0.0
-        assert negativity_pure(SchmidtSpectrum(np.array([0.5, 0.5]))) == pytest.approx(0.5, abs=1e-15)
-        uniform = SchmidtSpectrum(np.full(8, 1 / 8))
-        assert negativity_pure(uniform) == pytest.approx(3.5, abs=1e-12)
+        assert _negativities_from_spectra(np.array([1.0, 0.0])) == 0.0
+        assert _negativities_from_spectra(np.array([0.5, 0.5])) == pytest.approx(0.5, abs=1e-15)
+        assert _negativities_from_spectra(np.full(8, 1 / 8)) == pytest.approx(3.5, abs=1e-12)
 
 
 class TestPartialTranspose:
+    """The partial transpose behind the trace-norm oracle below."""
+
     def test_product_state_transposes_first_factor(self):
         rng = np.random.default_rng(0)
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         rho_a = a @ a.conj().T
         rho_a /= np.trace(rho_a).real
         rho_b = np.diag([0.7, 0.3]).astype(complex)
-        rho = DensityMatrix(np.kron(rho_a, rho_b), (2, 2))
-        assert np.allclose(partial_transpose(rho), np.kron(rho_a.T, rho_b), atol=1e-14)
+        assert np.allclose(partial_transpose(np.kron(rho_a, rho_b), (2, 2)), np.kron(rho_a.T, rho_b), atol=1e-14)
 
     def test_involution(self):
-        # PT output need not be a state, so the second application uses the
-        # raw index map rather than the DensityMatrix-typed entry point.
-        rho = bell_state().density_matrix()
-        once = partial_transpose(rho)
-        again = once.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)
-        assert np.allclose(again, rho.entries, atol=1e-14)
-        mixed = DensityMatrix(np.eye(4) / 4, (2, 2))
-        assert np.allclose(partial_transpose(mixed), mixed.entries)
+        rho = density_matrix(bell_state())
+        assert np.allclose(partial_transpose(partial_transpose(rho, (2, 2)), (2, 2)), rho, atol=1e-14)
+        mixed = np.eye(4) / 4
+        assert np.allclose(partial_transpose(mixed, (2, 2)), mixed)
 
     def test_bell_eigenvalues(self):
-        pt = partial_transpose(bell_state().density_matrix())
+        pt = partial_transpose(density_matrix(bell_state()), (2, 2))
         assert np.allclose(np.sort(np.linalg.eigvalsh(pt)), [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
 
 class TestNegativityGeneral:
+    """The chunk kernels' Schmidt formula against the partial transpose's trace norm."""
+
     def test_maximally_mixed_is_ppt(self):
-        rho = DensityMatrix(np.eye(4) / 4, (2, 2))
-        assert negativity_general(rho) == pytest.approx(0.0, abs=1e-12)
+        assert trace_norm_negativity(np.eye(4) / 4, (2, 2)) == pytest.approx(0.0, abs=1e-12)
 
     def test_bell_projector(self):
-        assert negativity_general(bell_state().density_matrix()) == pytest.approx(0.5, abs=1e-12)
+        assert trace_norm_negativity(density_matrix(bell_state()), (2, 2)) == pytest.approx(0.5, abs=1e-12)
+        assert schmidt_negativity(bell_state()) == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("dims", [(2, 2), (4, 4), (2, 8)])
     def test_matches_pure_path(self, dims):
         mu, nu = dims
-        for i in range(100):
-            state = haar_pure_state(mu, nu, 1000 + mu * nu, i)
-            via_schmidt = negativity_pure(schmidt_spectrum(state))
-            via_trace_norm = negativity_general(state.density_matrix())
-            assert abs(via_schmidt - via_trace_norm) < 1e-8
-
-    def test_density_matrix_validation(self):
-        with pytest.raises(ValueError):
-            DensityMatrix(np.eye(4), (2, 2))  # trace 4
-        bad = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
-        with pytest.raises(ValueError):
-            DensityMatrix(bad, (2, 2))  # negative eigenvalue
+        states = _haar_amplitudes(mu, nu, _stream_key(1000 + mu * nu), 0, 100).reshape(-1, mu, nu)
+        via_schmidt = _negativities_from_spectra(_spectra_from_matrices(states))
+        for m, expected in zip(states, via_schmidt):
+            assert abs(trace_norm_negativity(density_matrix(m), dims) - expected) < 1e-8
 
 
 class TestTopSchmidtDistribution:
@@ -187,29 +185,25 @@ class TestHaarInvariance:
 
 class TestCircuitStates:
     def test_zero_rounds_is_fiducial(self):
-        state = pseudorandom_circuit_state(4, 0, 9)
         expected = np.zeros(16, dtype=complex)
         expected[0] = 1.0
-        assert np.array_equal(state.amplitudes, expected)
-        assert negativity_pure(schmidt_spectrum(state)) == 0.0
+        assert np.array_equal(circuit_state(4, 0, 9), expected)
+        assert _circuit_chunk(4, 0, _stream_key(9), 0, 1)[0] == 0.0
 
     def test_determinism(self):
-        a = pseudorandom_circuit_state(4, 7, 123)
-        b = pseudorandom_circuit_state(4, 7, 123)
-        assert np.array_equal(a.amplitudes, b.amplitudes)
+        assert np.array_equal(circuit_state(4, 7, 123), circuit_state(4, 7, 123))
 
     def test_two_qubit_ring_degenerates_to_one_edge(self):
         from negmoments.sampling import _cz_layer_diagonal
 
         assert np.array_equal(_cz_layer_diagonal(2), [1.0, 1.0, 1.0, -1.0])
-        state = pseudorandom_circuit_state(2, 3, 5)
-        assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(circuit_state(2, 3, 5)) - 1.0) < 1e-12
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            pseudorandom_circuit_state(3, 4, 0)
-        with pytest.raises(ValueError):
-            pseudorandom_circuit_state(4, -1, 0)
+        with pytest.raises(ValueError, match="n_qubits must be even"):
+            SampleBatch(master_seed=0, count=1, n_qubits=3, generator="circuit", j=4)
+        with pytest.raises(ValueError, match="round count must be nonnegative"):
+            SampleBatch(master_seed=0, count=1, n_qubits=4, generator="circuit", j=-1)
 
 
 class TestSampleBatches:
@@ -231,12 +225,11 @@ class TestSampleBatches:
     def test_matches_single_state_path(self):
         batch = SampleBatch(master_seed=7, count=9, n_qubits=4, generator="circuit", j=11)
         values = sample_negativities(batch)
-        state = pseudorandom_circuit_state(4, 11, 7, 4)
-        assert negativity_pure(schmidt_spectrum(state)) == values[4]
+        assert _circuit_chunk(4, 11, _stream_key(7), 4, 5)[0] == values[4]
         haar_batch = SampleBatch(master_seed=21, count=9, dims=(3, 3))
         haar_values = sample_negativities(haar_batch)
-        state = haar_pure_state(3, 3, 21, 6)
-        assert negativity_pure(schmidt_spectrum(state)) == haar_values[6]
+        assert _haar_chunk(3, 3, _stream_key(21), 6, 7)[0] == haar_values[6]
+        assert schmidt_negativity(haar_pure_state(3, 3, 21, 6)) == haar_values[6]
 
     def test_range_invariant(self):
         batch = SampleBatch(master_seed=2, count=2000, dims=(4, 4))
@@ -265,7 +258,7 @@ class TestSampleBatches:
             SampleBatch(master_seed=0, count=10, dims=(2, 2), generator="magic")
         with pytest.raises(ValueError):
             sample_negativities(SampleBatch(master_seed=0, count=4, dims=(2, 2)), threads=0)
-        for dims in ((0, 3), (-1, 2), (2,), (2, 2, 2), (2.0, 2)):
+        for dims in ((0, 3), (-1, 2), (2,), (2, 2, 2)):
             with pytest.raises(ValueError, match="dimensions must be at least 1"):
                 SampleBatch(master_seed=0, count=4, dims=dims)
 
@@ -275,8 +268,9 @@ class TestSampleBatches:
             {"count": 10.5, "dims": (2, 2)},
             {"count": 10, "n_qubits": 4, "generator": "circuit", "j": 2.5},
             {"count": 10, "n_qubits": 4.0},
+            {"count": 10, "dims": (2.0, 2)},
         ],
-        ids=["count", "j", "n_qubits"],
+        ids=["count", "j", "n_qubits", "dims"],
     )
     def test_non_integer_fields_rejected(self, fields):
         with pytest.raises(TypeError):
@@ -285,6 +279,8 @@ class TestSampleBatches:
     def test_numpy_integers_accepted(self):
         batch = SampleBatch(np.int64(3), np.int64(10), dims=(2, 2))
         assert sample_negativities(batch).size == 10
+        dims = SampleBatch(0, 4, dims=(np.int64(2), np.int64(2)))
+        assert np.array_equal(sample_negativities(dims), sample_negativities(SampleBatch(0, 4, dims=(2, 2))))
         circuit = SampleBatch(0, np.int64(4), n_qubits=np.int64(4), generator="circuit", j=np.int64(2))
         assert sample_negativities(circuit).size == 4
 
@@ -322,29 +318,24 @@ class TestStream:
             for threads in (1, 3):
                 batch = SampleBatch(master_seed=19, count=count, generator=generator, **kwargs)
                 assert np.array_equal(sample_negativities(batch, threads=threads), full[:count])
+        chunk, size = (_haar_chunk, 3) if generator == "haar" else (_circuit_chunk, 4)
         for index in (0, 1, 511, 512, 513, 1099):
-            if generator == "haar":
-                state = haar_pure_state(3, 3, 19, index)
-            else:
-                state = pseudorandom_circuit_state(4, 3, 19, index)
-            assert negativity_pure(schmidt_spectrum(state)) == full[index]
+            assert chunk(size, 3, _stream_key(19), index, index + 1)[0] == full[index]
 
     def test_seeds_of_any_size(self):
         a = haar_pure_state(2, 2, 2**70, 3)
         b = haar_pure_state(2, 2, 2**70 + 1, 3)
-        assert np.array_equal(a.amplitudes, haar_pure_state(2, 2, 2**70, 3).amplitudes)
-        assert not np.array_equal(a.amplitudes, b.amplitudes)
+        assert np.array_equal(a, haar_pure_state(2, 2, 2**70, 3))
+        assert not np.array_equal(a, b)
         with pytest.raises(ValueError):
             haar_pure_state(2, 2, -1)
 
     def test_index_range(self):
         last = 2**64 - 1
-        assert np.array_equal(haar_pure_state(2, 2, 5, last).amplitudes, haar_pure_state(2, 2, 5, last).amplitudes)
+        assert np.array_equal(haar_pure_state(2, 2, 5, last), haar_pure_state(2, 2, 5, last))
         for index in (-1, 2**64):
             with pytest.raises(ValueError):
                 haar_pure_state(2, 2, 5, index)
-            with pytest.raises(ValueError):
-                pseudorandom_circuit_state(2, 1, 5, index)
 
     def test_box_muller_extremes_are_finite(self):
         words = np.array([0, 1, 2**11, 2**63, 2**64 - 1], dtype=np.uint64)
@@ -433,8 +424,8 @@ def _sha256(array):
 
 class TestBytePins:
     """SHA-256 of sampled bytes, recorded before the circuit drew its gates in
-    blocks of rounds. The stream tests above compare a batch with the
-    single-state path; these catch a change that moves both. The bytes come
+    blocks of rounds. The stream tests above compare a batch with the chunk
+    kernels at one index; these catch a change that moves both. The bytes come
     from numpy's log, sin, cos and LAPACK SVD, so they are pinned for one
     platform (numpy 2.4, x86-64 with AVX-512)."""
 
@@ -467,7 +458,7 @@ class TestBytePins:
         ],
     )
     def test_circuit_state_bytes(self, index, digest):
-        assert _sha256(pseudorandom_circuit_state(6, 5, self.SEED, index).amplitudes) == digest
+        assert _sha256(circuit_state(6, 5, self.SEED, index)) == digest
 
 
 class TestGateKernel:
@@ -493,4 +484,4 @@ class TestReducedState:
         assert rho_a.shape == (2, 2)
         assert np.trace(rho_a).real == pytest.approx(1.0, abs=1e-12)
         eigenvalues = np.linalg.eigvalsh(rho_a)
-        assert np.allclose(np.sort(eigenvalues)[::-1], schmidt_spectrum(state).p, atol=1e-10)
+        assert np.allclose(np.sort(eigenvalues)[::-1], spectrum(state), atol=1e-10)
