@@ -25,8 +25,6 @@ _EXPORTS = {
         "cluster_check",
         "distillable_upper",
         "log_negativity",
-        "singlet_distance_lower",
-        "teleportation_fidelity_upper",
     ),
     "distribution": (
         "ComparisonReport",

@@ -1,10 +1,11 @@
-"""Operational consequences of the average negativity.
+"""Operational consequences of the average negativity, from its ratio alone.
 
-Lower bound on the singlet distance, upper bounds on teleportation fidelity
-and distillable entanglement, and the spectral concentration check that
-separates lopsided from balanced bipartitions. The check tests one given
-reduced state; no dimension threshold is offered for it, since the constant
-in its d_A log2(d_A) / epsilon^2 scale is not known.
+The asymptotic bounds at a ratio c = <N>/N_max: the singlet distance 2(1-c),
+the teleportation fidelity c, and the distillable entanglement
+log2(c 2^(n/2) + 1 - c), about n/2 + log2(c). Also the spectral
+concentration check that separates lopsided from balanced bipartitions. The
+check tests one given reduced state; no dimension threshold is offered for
+it, since the constant in its d_A log2(d_A) / epsilon^2 scale is not known.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from dataclasses import dataclass
 __all__ = [
     "RATIO_PRESET",
     "BoundsReport",
-    "singlet_distance_lower",
-    "teleportation_fidelity_upper",
     "asymptotic_singlet_distance",
     "distillable_upper",
     "log_negativity",
@@ -37,39 +36,15 @@ _MAX_N_QUBITS = 2046
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Clamped bound values for one system size (raw values kept alongside)."""
+    """Bound values for one system size at a ratio c, in CSV column order."""
 
     n_qubits: int
+    c: float
     mean_negativity: float
     singlet_distance_lb: float
     fidelity_ub: float
     distillable_ub_ebits: float
     log_neg_mean: float
-    singlet_distance_raw: float
-    fidelity_raw: float
-
-
-def singlet_distance_lower(mean_neg: float, m: int, clamp: bool = True) -> float:
-    """Lower bound 2 (1 - (2N + 1) / m) on the local distance to a singlet.
-
-    m is the local dimension of the target maximally entangled state. The
-    raw value goes negative for near-maximal negativity; the clamped form
-    floors it at zero.
-    """
-    if m < 2:
-        raise ValueError("singlet dimension must be at least 2")
-    if mean_neg < 0:
-        raise ValueError("mean negativity must be nonnegative")
-    raw = 2.0 * (1.0 - (2.0 * mean_neg + 1.0) / m)
-    return max(0.0, raw) if clamp else raw
-
-
-def teleportation_fidelity_upper(mean_neg: float, m: int, clamp: bool = True) -> float:
-    """Upper bound (2N + 1) / m on the optimal teleportation fidelity."""
-    if m < 2:
-        raise ValueError("singlet dimension must be at least 2")
-    raw = (2.0 * mean_neg + 1.0) / m
-    return min(1.0, raw) if clamp else raw
 
 
 def asymptotic_singlet_distance(c: float) -> float:
@@ -121,36 +96,23 @@ def cluster_check(rho_a, epsilon: float) -> bool:
     return bool(eigenvalues.min() >= lo and eigenvalues.max() <= hi)
 
 
-def build_bounds_report(n_qubits: int, c: float | None = None, mean_negativity: float | None = None) -> BoundsReport:
-    """Bounds for an n-qubit equal bipartition.
+def build_bounds_report(n_qubits: int, c: float) -> BoundsReport:
+    """Asymptotic bounds for an n-qubit equal bipartition at a ratio c in (0, 1].
 
-    With a ratio c the asymptotic forms are used (mean = c (m-1)/2, singlet
-    distance 2(1-c), fidelity c); with an explicit mean negativity the
-    finite-m formulas apply. Exactly one of the two must be given. n_qubits
-    runs up to 2046, where 2^(n/2) still fits a double.
+    The mean is c (m-1)/2 with m = 2^(n/2), the singlet distance 2(1-c) and
+    the fidelity c; neither needs clamping for c in (0, 1]. n_qubits runs up
+    to 2046, where 2^(n/2) still fits a double.
     """
     m = _local_dimension(n_qubits)
-    if (c is None) == (mean_negativity is None):
-        raise ValueError("set exactly one of c / mean_negativity")
-    if c is not None:
-        if not 0.0 < c <= 1.0:
-            raise ValueError("ratio must lie in (0, 1]")
-        mean = c * (m - 1) / 2.0
-        singlet_raw = asymptotic_singlet_distance(c)
-        fidelity_raw = c
-        distillable = distillable_upper(n_qubits, c)
-    else:
-        mean = float(mean_negativity)
-        singlet_raw = singlet_distance_lower(mean, m, clamp=False)
-        fidelity_raw = teleportation_fidelity_upper(mean, m, clamp=False)
-        distillable = log_negativity(mean)
+    if not 0.0 < c <= 1.0:
+        raise ValueError("ratio must lie in (0, 1]")
+    mean = c * (m - 1) / 2.0
     return BoundsReport(
         n_qubits=n_qubits,
+        c=c,
         mean_negativity=mean,
-        singlet_distance_lb=min(2.0, max(0.0, singlet_raw)),
-        fidelity_ub=min(1.0, fidelity_raw),
-        distillable_ub_ebits=distillable,
+        singlet_distance_lb=asymptotic_singlet_distance(c),
+        fidelity_ub=c,
+        distillable_ub_ebits=distillable_upper(n_qubits, c),
         log_neg_mean=log_negativity(mean),
-        singlet_distance_raw=singlet_raw,
-        fidelity_raw=fidelity_raw,
     )

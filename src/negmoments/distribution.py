@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 from .exactring import format_rational
@@ -212,16 +212,9 @@ def build_document(
             "total": histogram.total,
         }
     if reference is not None:
-        doc["reference"] = {
-            "mean_prime": reference.mean_prime,
-            "sigma_prime": reference.sigma_prime,
-        }
+        doc["reference"] = asdict(reference)
     if comparison is not None:
-        doc["comparison"] = {
-            "ks_statistic": comparison.ks_statistic,
-            "mean_zscore": comparison.mean_zscore,
-            "sigma_relative_error": comparison.sigma_relative_error,
-        }
+        doc["comparison"] = asdict(comparison)
     return doc
 
 
@@ -229,12 +222,9 @@ def build_document(
 _HISTOGRAM_COLUMNS = ("bin_left", "bin_right", "count", "density", "gaussian_density")
 
 
-def _histogram_rows(hist: Histogram, ref: GaussianReference | None):
-    import numpy as np
-
+def _histogram_rows(hist: Histogram, ref: GaussianReference):
     densities = hist.densities()
-    mids = hist.midpoints()
-    gauss = ref.density(mids) if ref is not None else np.zeros_like(mids)
+    gauss = ref.density(hist.midpoints())
     for i in range(hist.counts.size):
         yield (
             repr(float(hist.bin_edges[i])),
@@ -245,7 +235,7 @@ def _histogram_rows(hist: Histogram, ref: GaussianReference | None):
         )
 
 
-def render_csv(hist: Histogram, ref: GaussianReference | None) -> str:
+def render_csv(hist: Histogram, ref: GaussianReference) -> str:
     """The histogram as CSV, one ``bin_left,bin_right,count,density,gaussian_density`` row per bin."""
     return _csv_text(_HISTOGRAM_COLUMNS, _histogram_rows(hist, ref))
 

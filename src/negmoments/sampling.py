@@ -61,7 +61,8 @@ class SampleBatch:
     Identical fields give identical sample vectors, independent of worker
     count or evaluation order. Either dims (Haar) or n_qubits must be set;
     the circuit generator needs an even n_qubits. count, j, n_qubits and
-    both dims must be integers (numpy integers included).
+    both dims must be integers (numpy integers included), master_seed a
+    nonnegative one.
     """
 
     master_seed: int
@@ -89,6 +90,7 @@ class SampleBatch:
                 raise ValueError("round count must be nonnegative")
         if self.n_qubits is not None and (self.n_qubits < 2 or self.n_qubits % 2):
             raise ValueError("n_qubits must be even and at least 2")
+        _stream_key(self.master_seed)  # last, so the errors above come first
 
     @property
     def resolved_dims(self) -> tuple[int, int]:

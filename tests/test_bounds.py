@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,67 +11,42 @@ from negmoments.bounds import (
     cluster_check,
     distillable_upper,
     log_negativity,
-    singlet_distance_lower,
-    teleportation_fidelity_upper,
 )
-from negmoments.exactring import eval_float
-from negmoments.moments import mean_negativity
+from negmoments.cli import main
 from negmoments.sampling import SampleBatch, haar_pure_state, reduced_state_a, sample_negativities
 
 
 class TestSingletDistance:
     def test_maximally_entangled_saturates(self):
-        m = 8
-        assert singlet_distance_lower((m - 1) / 2, m) == 0.0
+        assert build_bounds_report(6, c=1.0).singlet_distance_lb == 0.0
 
     def test_asymptotic_preset(self):
         assert asymptotic_singlet_distance(RATIO_PRESET) == pytest.approx(0.55926, abs=1e-5)
 
-    def test_small_system_exact_mean(self):
-        mean = eval_float(mean_negativity(2))
-        expected = 1 - 3 * math.pi / 16
-        assert singlet_distance_lower(mean, 2) == pytest.approx(expected, abs=1e-12)
-
-    def test_clamping(self):
-        assert singlet_distance_lower(10.0, 2) == 0.0
-        assert singlet_distance_lower(10.0, 2, clamp=False) < 0.0
-
     def test_validation(self):
-        with pytest.raises(ValueError):
-            singlet_distance_lower(0.5, 1)
-        with pytest.raises(ValueError):
-            singlet_distance_lower(-0.1, 4)
+        for c in (0.0, -0.1, 1.5, math.nan):
+            with pytest.raises(ValueError, match=r"ratio must lie in \(0, 1\]"):
+                build_bounds_report(4, c=c)
 
 
 class TestFidelity:
     def test_asymptotic_preset(self):
-        # In the large-n limit the bound approaches the ratio itself.
-        assert teleportation_fidelity_upper(RATIO_PRESET * (2**10 - 1) / 2, 2**10) == pytest.approx(
-            RATIO_PRESET, abs=3e-4
-        )
+        # The large-n bound is the ratio itself.
+        assert build_bounds_report(20, c=RATIO_PRESET).fidelity_ub == RATIO_PRESET
 
     def test_maximally_entangled(self):
-        m = 16
-        assert teleportation_fidelity_upper((m - 1) / 2, m) == 1.0
-
-    def test_small_system_exact_mean(self):
-        mean = eval_float(mean_negativity(2))
-        assert teleportation_fidelity_upper(mean, 2) == pytest.approx((3 * math.pi / 16 + 1) / 2, abs=1e-12)
+        assert build_bounds_report(8, c=1.0).fidelity_ub == 1.0
 
     def test_consistency_with_distance(self):
-        for mean in (0.0, 0.3, 1.1, 2.0):
-            m = 8
-            fidelity = teleportation_fidelity_upper(mean, m, clamp=False)
-            distance = singlet_distance_lower(mean, m, clamp=False)
-            assert fidelity == pytest.approx(1 - distance / 2, abs=1e-12)
+        for c in (0.05, 0.3, 0.72, 1.0):
+            report = build_bounds_report(6, c=c)
+            assert report.fidelity_ub == pytest.approx(1 - report.singlet_distance_lb / 2, abs=1e-12)
 
     def test_monotone_in_mean(self):
-        grid = np.linspace(0.0, 7.5, 40)
-        m = 16
-        fidelities = [teleportation_fidelity_upper(v, m, clamp=False) for v in grid]
-        distances = [singlet_distance_lower(v, m, clamp=False) for v in grid]
-        assert all(a < b for a, b in zip(fidelities, fidelities[1:]))
-        assert all(a > b for a, b in zip(distances, distances[1:]))
+        reports = [build_bounds_report(8, c=c) for c in np.linspace(0.025, 1.0, 40)]
+        assert all(a.mean_negativity < b.mean_negativity for a, b in zip(reports, reports[1:]))
+        assert all(a.fidelity_ub < b.fidelity_ub for a, b in zip(reports, reports[1:]))
+        assert all(a.singlet_distance_lb > b.singlet_distance_lb for a, b in zip(reports, reports[1:]))
 
 
 class TestDistillable:
@@ -154,12 +130,6 @@ class TestBoundsReport:
         assert report.distillable_ub_ebits <= 11.0
         assert report.log_neg_mean == report.distillable_ub_ebits
 
-    def test_mean_form(self):
-        mean = eval_float(mean_negativity(2))
-        report = build_bounds_report(2, mean_negativity=mean)
-        assert report.fidelity_ub == pytest.approx((3 * math.pi / 16 + 1) / 2, abs=1e-12)
-        assert report.singlet_distance_lb == pytest.approx(1 - 3 * math.pi / 16, abs=1e-12)
-
     def test_invariants(self):
         for n in (4, 8, 16):
             report = build_bounds_report(n, c=0.9)
@@ -170,14 +140,31 @@ class TestBoundsReport:
     def test_validation(self):
         with pytest.raises(ValueError):
             build_bounds_report(3, c=0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             build_bounds_report(4)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             build_bounds_report(4, c=0.5, mean_negativity=1.0)
 
     def test_largest_size(self):
         assert build_bounds_report(2046, c=0.5).mean_negativity == 0.5 * (2.0**1023 - 1) / 2
-        assert build_bounds_report(2046, mean_negativity=1.0).fidelity_ub == 3.0 / 2.0**1023
-        for kwargs in ({"c": 0.5}, {"mean_negativity": 1.0}):
-            with pytest.raises(ValueError, match="at most 2046"):
-                build_bounds_report(2048, **kwargs)
+        with pytest.raises(ValueError, match="at most 2046"):
+            build_bounds_report(2048, c=0.5)
+
+    def test_fields_are_the_unclamped_formulas(self, capsys):
+        # For c in (0, 1] the bounds need no clamping, and the CLI's "raw"
+        # block repeats them.
+        header = "n_qubits,c,mean_negativity,singlet_distance_lb,fidelity_ub,distillable_ub_ebits,log_neg_mean"
+        for n in (2, 4, 22, 80, 2046):
+            for c in (RATIO_PRESET, 1.0, 0.3, 1e-300):
+                report = build_bounds_report(n, c=c)
+                assert report.c == c
+                assert report.singlet_distance_lb == 2.0 * (1.0 - c)
+                assert report.fidelity_ub == c
+                assert report.distillable_ub_ebits == distillable_upper(n, c)
+                assert report.log_neg_mean == log_negativity(c * (2 ** (n // 2) - 1) / 2.0)
+                args = ["bounds", "--n-qubits", str(n), "--c", repr(c)]
+                assert main(args) == 0
+                raw = json.loads(capsys.readouterr().out)["raw"]
+                assert raw == {"singlet_distance": report.singlet_distance_lb, "fidelity": report.fidelity_ub}
+                assert main(args + ["--format", "csv"]) == 0
+                assert capsys.readouterr().out.splitlines()[0] == header

@@ -170,8 +170,3 @@ class TestExport:
         assert doc["normalized"]["mean"] == pytest.approx(0.589049, abs=5e-7)
         text = render_json(doc)
         assert json.loads(text)["mu"] == 2
-
-    def test_csv_renders_without_reference(self):
-        _, _, hist = self.make_artifacts()
-        text = render_csv(hist, None)
-        assert text.splitlines()[0].endswith("gaussian_density")

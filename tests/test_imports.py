@@ -80,6 +80,11 @@ class TestImportBudget:
         assert report["stdout"] == f"negmoments {negmoments.__version__}\n"
         assert report["after"] == []
 
+    def test_version_loads_no_dataclasses(self):
+        # dataclasses imports inspect (~16 ms), so the bounds command imports it late.
+        code = "import sys; from negmoments import cli; cli.main(['--version']); print('dataclasses' in sys.modules)"
+        assert _fresh(code).splitlines()[-1] == "False"
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -233,8 +238,6 @@ EXPORTS = {
         "cluster_check",
         "distillable_upper",
         "log_negativity",
-        "singlet_distance_lower",
-        "teleportation_fidelity_upper",
     ],
     "distribution": [
         "ComparisonReport",
@@ -328,6 +331,11 @@ class TestPackageNamespace:
     def test_single_state_surface_is_gone(self, name):
         assert not hasattr(negmoments, name)
         assert not hasattr(importlib.import_module("negmoments.sampling"), name)
+
+    @pytest.mark.parametrize("name", ["singlet_distance_lower", "teleportation_fidelity_upper"])
+    def test_finite_mean_bounds_gone(self, name):
+        assert not hasattr(negmoments, name)
+        assert not hasattr(importlib.import_module("negmoments.bounds"), name)
 
 
 def test_first_numpy_use_under_threads_matches_one_thread():

@@ -262,6 +262,13 @@ class TestSampleBatches:
             with pytest.raises(ValueError, match="dimensions must be at least 1"):
                 SampleBatch(master_seed=0, count=4, dims=dims)
 
+    def test_bad_seed_rejected_when_built(self):
+        # An empty batch draws nothing, so only the constructor can see the seed.
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            SampleBatch(-1, 0, dims=(2, 2))
+        with pytest.raises(TypeError):
+            SampleBatch(1.5, 0, dims=(2, 2))
+
     @pytest.mark.parametrize(
         "fields",
         [
