@@ -4,8 +4,9 @@ Exact (big-rational, sqrt(pi)-graded) mean and variance for Haar-random
 equal bipartitions, a Monte Carlo and pseudorandom-circuit sampling lab to
 verify them, and the teleportation / distillation bounds they imply.
 
-The exports below are loaded on first use (PEP 562), so importing the
-package, or running ``negmoments --version``, loads no numpy. Only
+The package registers its submodules lazily and loads the exports below on
+first use (PEP 562), so importing the package, or running
+``negmoments --version``, loads no numpy. Only
 sampling, distribution and bounds.cluster_check use numpy, each inside the
 functions that need it; the exact engine and its ``verify`` oracles
 (exactring, laguerre, quadrature, moments, selfcheck) never import it.
@@ -13,7 +14,8 @@ Floats are correctly rounded by integer arithmetic, so no command loads
 mpmath: only ``SqrtPiPolynomial.evaluate_mpf`` imports it.
 """
 
-import importlib
+import importlib.util
+import sys
 
 #: Public names by the submodule that defines them.
 _EXPORTS = {
@@ -81,12 +83,32 @@ __all__ = list(_SOURCE)
 __version__ = "0.1.0"
 
 
+def _lazy(name: str):
+    """Submodule ``name``, put into sys.modules now and run on first attribute access.
+
+    A command runs only the modules it uses, and every module keeps its
+    usual name, so ``from .moments import ...`` elsewhere, the package's own
+    attributes and tools that look modules up in sys.modules all see this
+    one object.
+    """
+    fullname = f"{__name__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+globals().update({name: _lazy(name) for name in (*_EXPORTS, "selfcheck")})
+
+
 def __getattr__(name: str):
-    if name in _EXPORTS:  # a submodule, as ``negmoments.moments``
-        return importlib.import_module(f".{name}", __name__)
     if name not in _SOURCE:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_SOURCE[name]}", __name__), name)
+    value = getattr(globals()[_SOURCE[name]], name)
     globals()[name] = value
     return value
 

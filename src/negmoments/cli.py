@@ -17,44 +17,17 @@ limit (moments --exact asked for mu > 128, the run ran out of memory, or a
 size too large for Python's integers, such as moments --n-qubits 300),
 4 I/O failure.
 
-Each command loads only the modules it runs: the package's submodules are
-registered lazily and run when a command first needs them.
+Each command loads only the modules it runs: the package registers its
+submodules lazily, and they run when a command first needs them.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import os
 import sys
 
-from . import __version__
-
-
-def _lazy(name: str):
-    """Submodule ``name``, put into sys.modules now and run on first attribute access.
-
-    A command runs only the modules it uses, and every module keeps its
-    usual name, so ``from .moments import ...`` elsewhere, the package's own
-    attributes and tools that look modules up in sys.modules all see this
-    one object.
-    """
-    fullname = f"{__package__}.{name}"
-    if fullname in sys.modules:
-        return sys.modules[fullname]
-    spec = importlib.util.find_spec(fullname)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[fullname] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-bounds = _lazy("bounds")
-distribution = _lazy("distribution")
-moments = _lazy("moments")
-sampling = _lazy("sampling")
-selfcheck = _lazy("selfcheck")
+from . import __version__, bounds, distribution, moments, sampling, selfcheck
 
 __all__ = ["main"]
 
@@ -67,19 +40,6 @@ EXIT_IO = 4
 
 class UsageError(ValueError):
     pass
-
-
-def _default_threads() -> int:
-    env = os.environ.get("NEGMOMENTS_THREADS", "")
-    if env:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise UsageError(f"NEGMOMENTS_THREADS must be an integer, got {env!r}") from exc
-        if value < 1:
-            raise UsageError("NEGMOMENTS_THREADS must be at least 1")
-        return value
-    return os.cpu_count() or 1
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -96,7 +56,7 @@ def _add_sampling(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--samples", type=int, required=True)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--bins", type=int, default=60)
-    parser.add_argument("--threads", type=int, default=None, help="worker threads (env NEGMOMENTS_THREADS)")
+    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1, help="worker threads (default: all cores)")
     _add_common(parser)
 
 
@@ -182,8 +142,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_sample(args) -> int:
     """sample; compare is the same run plus the agreement figures."""
-    threads = args.threads if args.threads is not None else _default_threads()
-    if threads < 1:
+    if args.threads < 1:
         raise UsageError("--threads must be at least 1")
     if args.samples < 1:
         raise UsageError("--samples must be at least 1")
@@ -198,7 +157,7 @@ def _cmd_sample(args) -> int:
             raise UsageError("--j applies only to --generator circuit")
         mu, n = _resolve_size(args)
         batch = sampling.SampleBatch(args.seed, args.samples, dims=(mu, mu), generator="haar")
-    values = sampling.sample_negativities(batch, threads=threads)
+    values = sampling.sample_negativities(batch, threads=args.threads)
     report = moments.normalized_moments(mu)
     hist = distribution.build_histogram(values / ((mu - 1) / 2.0), args.bins)
     ref = distribution.gaussian_reference(report)

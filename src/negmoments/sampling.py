@@ -5,7 +5,8 @@ Haar-random pure states are sampled as normalized complex Gaussian vectors
 generating a full random unitary). Pseudorandom states come from a layered
 circuit: each round applies an independent Haar-random 2x2 rotation to every
 qubit followed by a fixed controlled-phase layer on a nearest-neighbour
-ring.
+ring. A sample's negativity comes straight from the singular values s_i of
+its amplitude matrix, as ((sum_i s_i)^2 - 1) / 2.
 
 Every random number comes from one counter-based stream, named by
 ``STREAM_ID``: Philox4x32-10 (Salmon et al., "Parallel random numbers: as
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -40,8 +41,8 @@ __all__ = [
 #: generator, its keying or the normal transform gets a new id.
 STREAM_ID = "philox4x32-10/box-muller/1"
 
-#: Squared singular values below this are round-off and clamped to zero
-#: before any square root is taken.
+#: A singular value s with s * s below this is round-off and counts as
+#: zero. The test is made on s * s, the Schmidt coefficient, not on s.
 SPECTRUM_CLIP = 1e-15
 
 #: Fixed vectorization width of the sampling kernels. Results are
@@ -59,9 +60,9 @@ class SampleBatch:
     """Reproducible sampling campaign specification.
 
     Identical fields give identical sample vectors, independent of worker
-    count or evaluation order. Either dims (Haar) or n_qubits must be set;
-    the circuit generator needs an even n_qubits. count, j, n_qubits and
-    both dims must be integers (numpy integers included), master_seed a
+    count or evaluation order. A haar batch is sized by dims alone, a
+    circuit batch by an even n_qubits alone. count, j, n_qubits and both
+    dims must be integers (numpy integers included), master_seed a
     nonnegative one.
     """
 
@@ -75,29 +76,21 @@ class SampleBatch:
     def __post_init__(self):
         for value in (self.count, self.j, 0 if self.n_qubits is None else self.n_qubits, *(self.dims or ())):
             operator.index(value)  # TypeError for a float, as for the seed in _stream_key
-        if (self.dims is None) == (self.n_qubits is None):
-            raise ValueError("set exactly one of dims / n_qubits")
+        circuit = self.generator == "circuit"
+        if (self.dims is None) != circuit or (self.n_qubits is None) == circuit:
+            raise ValueError("a haar batch takes dims and a circuit batch takes n_qubits")
         if self.dims is not None and not (len(self.dims) == 2 and min(self.dims) >= 1):
             raise ValueError("dimensions must be at least 1")
         if self.count < 0:
             raise ValueError("count must be nonnegative")
         if self.generator not in ("haar", "circuit"):
             raise ValueError(f"unknown generator {self.generator!r}")
-        if self.generator == "circuit":
-            if self.n_qubits is None:
-                raise ValueError("circuit generator needs n_qubits")
+        if circuit:
             if self.j < 0:
                 raise ValueError("round count must be nonnegative")
-        if self.n_qubits is not None and (self.n_qubits < 2 or self.n_qubits % 2):
-            raise ValueError("n_qubits must be even and at least 2")
+            if self.n_qubits < 2 or self.n_qubits % 2:
+                raise ValueError("n_qubits must be even and at least 2")
         _stream_key(self.master_seed)  # last, so the errors above come first
-
-    @property
-    def resolved_dims(self) -> tuple[int, int]:
-        if self.dims is not None:
-            return self.dims
-        half = 2 ** (self.n_qubits // 2)
-        return (half, half)
 
 
 # ---------------------------------------------------------------------------
@@ -268,24 +261,18 @@ def reduced_state_a(m: np.ndarray) -> np.ndarray:
     return m @ m.conj().T
 
 
-def _spectra_from_matrices(matrices: np.ndarray) -> np.ndarray:
-    """Descending squared singular values for a stack of (mu, nu) matrices."""
-    import numpy as np
+def _negativities(matrices: np.ndarray) -> np.ndarray:
+    """Pure-state negativity ((sum_i s_i)^2 - 1) / 2 of each (mu, nu) matrix in a stack.
 
-    s = np.linalg.svd(matrices, compute_uv=False)
-    p = s * s
-    return np.where(p < SPECTRUM_CLIP, 0.0, p)
-
-
-def _negativities_from_spectra(p: np.ndarray) -> np.ndarray:
-    """Pure-state negativity ((sum_i sqrt(p_i))^2 - 1) / 2 of each Schmidt spectrum.
-
-    Between 0 and (mu - 1) / 2.
+    The s_i are the singular values, the square roots of the Schmidt
+    coefficients. Between 0 and (mu - 1) / 2.
     """
     import numpy as np
 
-    s = np.sqrt(p).sum(axis=-1)
-    return np.maximum(0.0, (s * s - 1.0) / 2.0)
+    s = np.linalg.svd(matrices, compute_uv=False)
+    s[s * s < SPECTRUM_CLIP] = 0.0
+    total = s.sum(axis=-1)
+    return np.maximum(0.0, (total * total - 1.0) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -382,14 +369,12 @@ def _circuit_states(n_qubits: int, rounds: int, key: tuple[int, int], start: int
 
 
 def _haar_chunk(mu: int, nu: int, key: tuple[int, int], start: int, stop: int) -> np.ndarray:
-    amplitudes = _haar_amplitudes(mu, nu, key, start, stop)
-    return _negativities_from_spectra(_spectra_from_matrices(amplitudes.reshape(-1, mu, nu)))
+    return _negativities(_haar_amplitudes(mu, nu, key, start, stop).reshape(-1, mu, nu))
 
 
 def _circuit_chunk(n_qubits: int, rounds: int, key: tuple[int, int], start: int, stop: int) -> np.ndarray:
-    psi = _circuit_states(n_qubits, rounds, key, start, stop)
     half = 2 ** (n_qubits // 2)
-    return _negativities_from_spectra(_spectra_from_matrices(psi.T.reshape(-1, half, half)))
+    return _negativities(_circuit_states(n_qubits, rounds, key, start, stop).T.reshape(-1, half, half))
 
 
 def sample_negativities(batch: SampleBatch, threads: int = 1) -> np.ndarray:
@@ -406,20 +391,14 @@ def sample_negativities(batch: SampleBatch, threads: int = 1) -> np.ndarray:
     if batch.count == 0:
         return out
     key = _stream_key(batch.master_seed)
+    if batch.generator == "haar":
+        chunk = partial(_haar_chunk, *batch.dims, key)
+    else:
+        chunk = partial(_circuit_chunk, batch.n_qubits, batch.j, key)
     spans = [(start, min(start + _CHUNK, batch.count)) for start in range(0, batch.count, _CHUNK)]
 
-    if batch.generator == "haar":
-        mu, nu = batch.resolved_dims
-
-        def run(span):
-            start, stop = span
-            out[start:stop] = _haar_chunk(mu, nu, key, start, stop)
-
-    else:
-
-        def run(span):
-            start, stop = span
-            out[start:stop] = _circuit_chunk(batch.n_qubits, batch.j, key, start, stop)
+    def run(span):
+        out[slice(*span)] = chunk(*span)
 
     if threads == 1:
         for span in spans:

@@ -391,13 +391,6 @@ class TestEntryPoints:
         assert result.returncode == 0
         assert result.stdout.startswith("negmoments ")
 
-    def test_thread_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NEGMOMENTS_THREADS", "2")
-        out = tmp_path / "e.json"
-        assert main(["sample", "--mu", "2", "--samples", "300", "--output", str(out)]) == 0
-        monkeypatch.setenv("NEGMOMENTS_THREADS", "zero")
-        assert main(["sample", "--mu", "2", "--samples", "300", "--output", str(out)]) == 2
-
     def test_moments_rerun_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert main(["moments", "--mu", "4", "--output", str(a)]) == 0

@@ -161,8 +161,8 @@ class TestImportBudget:
         ids=["--version", "moments --mu 8", "table --n-max 6 --extrapolate", "bounds --n-qubits 6", "verify --max-mu 4"],
     )
     def test_command_runs_only_the_modules_it_needs(self, args, needed):
-        # cli registers its submodules lazily; one that never ran is absent
-        # from sys.modules or still of LazyLoader's own module type.
+        # The package registers its submodules lazily; one that never ran is
+        # absent from sys.modules or still of LazyLoader's own module type.
         report = json.loads(_fresh(_RAN, json.dumps(args)))
         assert report["code"] == 0
         assert set(report["ran"]) == {"cli", *needed}
@@ -182,8 +182,8 @@ class TestImportBudget:
 def test_cli_import_loads_what_the_benchmark_wraps():
     """perfbench/child.py ``instrument`` imports only ``negmoments.cli`` and then
     reads these modules from ``sys.modules`` by name and wraps
-    ``SqrtPiPolynomial.evaluate_mpf``; ``cli`` must keep them in sys.modules,
-    where it registers them lazily."""
+    ``SqrtPiPolynomial.evaluate_mpf``; they must be in sys.modules, where the
+    package registers them lazily, once ``cli`` is imported."""
     modules = ("moments", "bounds", "selfcheck", "sampling", "distribution")
     code = (
         "import sys, negmoments.cli\n"

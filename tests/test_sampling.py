@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from negmoments import sampling
 from negmoments.exactring import eval_float
 from negmoments.moments import mean_negativity
-from negmoments.sampling import SampleBatch, haar_pure_state, reduced_state_a, sample_negativities
+from negmoments.sampling import SPECTRUM_CLIP, SampleBatch, haar_pure_state, reduced_state_a, sample_negativities
 from negmoments.sampling import (
     _apply_single_qubit,
     _box_muller,
@@ -17,10 +17,9 @@ from negmoments.sampling import (
     _circuit_states,
     _haar_amplitudes,
     _haar_chunk,
-    _negativities_from_spectra,
+    _negativities,
     _normals,
     _philox4x32_10,
-    _spectra_from_matrices,
     _stream_key,
 )
 
@@ -30,13 +29,18 @@ def bell_state():
 
 
 def spectrum(m):
-    """Schmidt spectrum of one (mu, nu) amplitude matrix, as the chunk kernels take it."""
-    return _spectra_from_matrices(m[np.newaxis])[0]
+    """Descending Schmidt spectrum of one (mu, nu) amplitude matrix or of a stack of them."""
+    return np.linalg.svd(m, compute_uv=False) ** 2
 
 
 def schmidt_negativity(m):
     """Negativity of one amplitude matrix by the chunk kernels' Schmidt formula."""
-    return float(_negativities_from_spectra(spectrum(m)))
+    return float(_negativities(m[np.newaxis])[0])
+
+
+def spectrum_negativity(p):
+    """The chunk kernels' negativity of the Schmidt spectrum p, from the diagonal state diag(sqrt(p))."""
+    return schmidt_negativity(np.diag(np.sqrt(p)))
 
 
 def partial_transpose(rho, dims):
@@ -105,9 +109,25 @@ class TestSchmidt:
 
 class TestNegativityPure:
     def test_examples(self):
-        assert _negativities_from_spectra(np.array([1.0, 0.0])) == 0.0
-        assert _negativities_from_spectra(np.array([0.5, 0.5])) == pytest.approx(0.5, abs=1e-15)
-        assert _negativities_from_spectra(np.full(8, 1 / 8)) == pytest.approx(3.5, abs=1e-12)
+        assert spectrum_negativity([1.0, 0.0]) == 0.0
+        assert spectrum_negativity([0.5, 0.5]) == pytest.approx(0.5, abs=1e-15)
+        assert spectrum_negativity(np.full(8, 1 / 8)) == pytest.approx(3.5, abs=1e-12)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2)], ids=["2x2", "2x3", "3x2"])
+    def test_clip_boundary(self, shape):
+        # The largest s with s * s below the clip, and the next float up.
+        s = np.sqrt(SPECTRUM_CLIP)
+        while s * s >= SPECTRUM_CLIP:
+            s = np.nextafter(s, 0.0)
+        while np.nextafter(s, 1.0) ** 2 < SPECTRUM_CLIP:
+            s = np.nextafter(s, 1.0)
+        below, above = s, np.nextafter(s, 1.0)
+        assert below * below < SPECTRUM_CLIP <= above * above
+        for small, expected in ((below, 0.0), (above, pytest.approx(above, rel=1e-6))):
+            m = np.zeros(shape, dtype=complex)
+            m[0, 0], m[1, 1] = 1.0, small
+            assert np.linalg.svd(m, compute_uv=False)[1] == small  # the kernel sees s itself
+            assert _negativities(m[np.newaxis])[0] == expected
 
 
 class TestPartialTranspose:
@@ -146,7 +166,7 @@ class TestNegativityGeneral:
     def test_matches_pure_path(self, dims):
         mu, nu = dims
         states = _haar_amplitudes(mu, nu, _stream_key(1000 + mu * nu), 0, 100).reshape(-1, mu, nu)
-        via_schmidt = _negativities_from_spectra(_spectra_from_matrices(states))
+        via_schmidt = _negativities(states)
         for m, expected in zip(states, via_schmidt):
             assert abs(trace_norm_negativity(density_matrix(m), dims) - expected) < 1e-8
 
@@ -156,7 +176,7 @@ class TestTopSchmidtDistribution:
         # For a 2x2 split the larger coefficient has CDF (2p-1)^3 on [1/2, 1].
         count = 8000
         amplitudes = _haar_amplitudes(2, 2, _stream_key(5), 0, count)
-        p1 = _spectra_from_matrices(amplitudes.reshape(-1, 2, 2))[:, 0]
+        p1 = spectrum(amplitudes.reshape(-1, 2, 2))[:, 0]
         xs = np.sort(p1)
         model = (2.0 * xs - 1.0) ** 3
         ecdf_hi = np.arange(1, count + 1) / count
@@ -176,7 +196,7 @@ class TestHaarInvariance:
             matrices = _haar_amplitudes(4, 4, _stream_key(seed_base), 0, 8000).reshape(-1, 4, 4)
             if transform is not None:
                 matrices = transform @ matrices
-            return _spectra_from_matrices(matrices)[:, 0]
+            return spectrum(matrices)[:, 0]
 
         plain = top_values(100, None)
         rotated = top_values(200, unitary)
@@ -254,6 +274,10 @@ class TestSampleBatches:
             SampleBatch(master_seed=0, count=-1, dims=(2, 2))
         with pytest.raises(ValueError):
             SampleBatch(master_seed=0, count=10, n_qubits=3)
+        with pytest.raises(ValueError, match="^a haar batch takes dims and a circuit batch takes n_qubits$"):
+            SampleBatch(master_seed=0, count=10, n_qubits=4)
+        with pytest.raises(ValueError, match="^a haar batch takes dims and a circuit batch takes n_qubits$"):
+            SampleBatch(master_seed=0, count=10, dims=(4, 4), generator="circuit")
         with pytest.raises(ValueError):
             SampleBatch(master_seed=0, count=10, dims=(2, 2), generator="magic")
         with pytest.raises(ValueError):
