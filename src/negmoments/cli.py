@@ -158,8 +158,9 @@ def _cmd_sample(args) -> int:
         mu, n = _resolve_size(args)
         batch = sampling.SampleBatch(args.seed, args.samples, dims=(mu, mu), generator="haar")
     values = sampling.sample_negativities(batch, threads=args.threads)
+    values /= (mu - 1) / 2.0
     report = moments.normalized_moments(mu)
-    hist = distribution.build_histogram(values / ((mu - 1) / 2.0), args.bins)
+    hist = distribution.build_histogram(values, args.bins)
     ref = distribution.gaussian_reference(report)
     comparison = distribution.compare(hist, ref) if args.command == "compare" else None
     doc = distribution.build_document(report, n_qubits=n, histogram=hist, reference=ref, comparison=comparison)

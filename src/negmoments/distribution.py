@@ -102,7 +102,14 @@ def build_histogram(values, bins: int) -> Histogram:
     pad = (hi - lo) / bins if hi > lo else 0.5
     lo, hi = lo - pad, hi + pad
     width = (hi - lo) / bins
-    idx = np.clip(np.floor((values - lo) / width).astype(np.int64), 0, bins - 1)
+    # One sample-sized buffer: each value's bin position, floored and then
+    # cast to int64 in place (the cast reads each element before writing it).
+    position = np.subtract(values, lo)
+    position /= width
+    np.floor(position, out=position)
+    idx = position.view(np.int64)
+    np.copyto(idx, position, casting="unsafe")
+    np.clip(idx, 0, bins - 1, out=idx)
     counts = np.bincount(idx, minlength=bins)
     edges = lo + width * np.arange(bins + 1)
     return Histogram(edges, counts, int(values.size))

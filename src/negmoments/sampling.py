@@ -17,6 +17,12 @@ Box-Muller. Sample i of a batch is therefore a function of (master_seed, i)
 alone: results are bit-identical for any chunking or thread count, and a
 chunk kernel run over [i, i + 1) reproduces sample i of a batch. The chunked
 kernels vectorize over samples without changing any per-sample arithmetic.
+
+A chunk is sized by its work rather than by a sample count: it holds about
+_CHUNK_ELEMENTS amplitudes, and never fewer than 128 samples. Each numpy
+call then covers enough work for worker threads to overlap, and large
+states come in chunks of few samples, which bounds the memory. The calling
+thread is one of the workers.
 """
 
 from __future__ import annotations
@@ -45,14 +51,13 @@ STREAM_ID = "philox4x32-10/box-muller/1"
 #: zero. The test is made on s * s, the Schmidt coefficient, not on s.
 SPECTRUM_CLIP = 1e-15
 
-#: Fixed vectorization width of the sampling kernels. Results are
-#: per-sample deterministic, so this constant and _DRAW_BLOCKS only affect
-#: speed and memory. A Haar draw holds _CHUNK x (normals per sample) words.
-_CHUNK = 512
-
-#: Philox blocks per sample a circuit draws at a time, in whole rounds of 2 n
-#: (at least one), so its memory does not grow with the round count.
-_DRAW_BLOCKS = 32
+#: Work per numpy call of the sampling kernels. A chunk holds
+#: max(128, _CHUNK_ELEMENTS // amplitudes per sample) samples, and a circuit
+#: chunk draws its gates in whole rounds of at most _CHUNK_ELEMENTS Philox
+#: blocks (at least one round), so its memory does not grow with the round
+#: count. Results are per-sample deterministic: this only moves speed and
+#: memory.
+_CHUNK_ELEMENTS = 2**14
 
 
 @dataclass(frozen=True)
@@ -211,8 +216,10 @@ def _box_muller(x: np.ndarray, y: np.ndarray, z0: np.ndarray, z1: np.ndarray) ->
     np.sqrt(r, out=r)
     theta = y.astype(np.float64)
     theta *= 2.0 * np.pi * 2.0**-53
-    np.multiply(r, np.cos(theta), out=z0)
-    np.multiply(r, np.sin(theta), out=z1)
+    np.cos(theta, out=z0)
+    z0 *= r
+    np.sin(theta, out=z1)
+    z1 *= r
 
 
 def _normals(key: tuple[int, int], start: int, stop: int, pairs: int, first: int = 0) -> np.ndarray:
@@ -284,17 +291,19 @@ def _su2_from_gaussians(g: np.ndarray) -> np.ndarray:
     """Map (..., 4, batch) real Gaussians to Haar-random SU(2) (..., 2, 2, batch).
 
     The quaternion (a, b, c, d) / |(a, b, c, d)| becomes
-    [[a + ib, c + id], [-c + id, a - ib]].
+    [[a + ib, c + id], [-c + id, a - ib]]. g is overwritten with the
+    normalized quaternions.
     """
     import numpy as np
 
     a, b, c, d = np.moveaxis(g, -2, 0)
-    norm = np.sqrt(a * a + b * b + c * c + d * d)
-    a, b, c, d = a / norm, b / norm, c / norm, d / norm
+    norm = a * a
+    for x in (b, c, d):
+        norm += x * x
+    g /= np.sqrt(norm, out=norm)[..., np.newaxis, :]
     u = np.empty(g.shape[:-2] + (2, 2) + g.shape[-1:], dtype=np.complex128)
     re, im = u.real, u.imag
-    re[..., 0, 0, :], im[..., 0, 0, :] = a, b
-    re[..., 0, 1, :], im[..., 0, 1, :] = c, d
+    re[..., 0, :, :], im[..., 0, :, :] = g[..., 0::2, :], g[..., 1::2, :]
     re[..., 1, 0, :], im[..., 1, 0, :] = -c, d
     re[..., 1, 1, :], im[..., 1, 1, :] = a, -b
     return u
@@ -315,23 +324,23 @@ def _cz_layer_diagonal(n_qubits: int) -> np.ndarray:
     return diag
 
 
-def _apply_single_qubit(psi: np.ndarray, gates: np.ndarray, qubit: int, n_qubits: int, out: np.ndarray) -> None:
+def _apply_single_qubit(psi: np.ndarray, gates: np.ndarray, qubit: int, out: np.ndarray, scratch: np.ndarray) -> None:
     """Apply per-sample 2x2 gates (2, 2, batch) on one qubit of a (2**n, batch) stack.
 
-    The result goes to out, a buffer of psi's shape that does not overlap it.
-    Samples run along the last axis, so each product below broadcasts the
-    gate entries over contiguous rows of the batch.
+    The result goes to out; scratch holds the second products. Both are
+    buffers of psi's shape that overlap neither psi nor each other. Samples
+    run along the last axis, so each product broadcasts a gate column over
+    contiguous rows of the batch.
     """
     import numpy as np
 
-    pre = 2**qubit
-    post = 2 ** (n_qubits - 1 - qubit)
-    view = psi.reshape(pre, 2, post, -1)
-    v0, v1 = view[:, 0], view[:, 1]
-    target = out.reshape(view.shape)
-    for row in (0, 1):
-        np.multiply(gates[row, 0], v0, out=target[:, row])
-        target[:, row] += gates[row, 1] * v1
+    view = psi.reshape(2**qubit, 2, -1, psi.shape[-1])
+    # Output row r is gates[r, 0] v0 + gates[r, 1] v1, both rows in each call.
+    products = out.reshape(view.shape)
+    np.multiply(gates[:, 0, np.newaxis], view[:, 0, np.newaxis], out=products)
+    second = scratch.reshape(view.shape)
+    np.multiply(gates[:, 1, np.newaxis], view[:, 1, np.newaxis], out=second)
+    products += second
 
 
 def _circuit_states(n_qubits: int, rounds: int, key: tuple[int, int], start: int, stop: int) -> np.ndarray:
@@ -339,8 +348,9 @@ def _circuit_states(n_qubits: int, rounds: int, key: tuple[int, int], start: int
 
     Qubit 0 is the most significant index, and _circuit_chunk splits the
     first n/2 qubits from the rest; zero rounds leave the all-zeros state.
-    Round r takes normals 4 n r .. 4 n (r + 1) - 1 of each sample, drawn
-    _DRAW_BLOCKS at a time; the gates write to two state buffers in turn.
+    Round r takes normals 4 n r .. 4 n (r + 1) - 1 of each sample, drawn in
+    whole rounds of at most _CHUNK_ELEMENTS Philox blocks (at least one
+    round); the gates write to two state buffers in turn.
     """
     import numpy as np
 
@@ -349,17 +359,20 @@ def _circuit_states(n_qubits: int, rounds: int, key: tuple[int, int], start: int
     psi[0] = 1.0
     if rounds == 0:
         return psi
-    spare = np.empty_like(psi)
+    spare, scratch = np.empty_like(psi), np.empty_like(psi)
     diag = _cz_layer_diagonal(n_qubits)[:, np.newaxis]
-    per_draw = max(1, _DRAW_BLOCKS // (2 * n_qubits))
+    per_draw = max(1, _CHUNK_ELEMENTS // (2 * n_qubits * batch))
     for first in range(0, rounds, per_draw):
         count = min(per_draw, rounds - first)
-        gaussians = _normals(key, start, stop, 2 * count * n_qubits, 2 * first * n_qubits)
-        for layer in _su2_from_gaussians(gaussians.reshape(count, n_qubits, 4, batch)):
+        gates = _su2_from_gaussians(
+            _normals(key, start, stop, 2 * count * n_qubits, 2 * first * n_qubits).reshape(count, n_qubits, 4, batch)
+        )
+        for r in range(count):
             for q in range(n_qubits):
-                _apply_single_qubit(psi, layer[q], q, n_qubits, spare)
+                _apply_single_qubit(psi, gates[r, q], q, spare, scratch)
                 psi, spare = spare, psi
             psi *= diag
+        del gates  # freed before the next draw, where a chunk peaks
     return psi
 
 
@@ -381,31 +394,52 @@ def sample_negativities(batch: SampleBatch, threads: int = 1) -> np.ndarray:
     """Negativity of every sample in the batch, in sample order.
 
     Sample i depends only on (master_seed, i), so the output is identical
-    for any thread count and any chunking of the work.
+    for any thread count and any chunking of the work. The calling thread
+    is one of the workers; a helper that cannot start leaves its chunks to
+    the workers already running.
     """
+    import threading
+
     import numpy as np
 
     if threads < 1:
         raise ValueError("threads must be at least 1")
     out = np.empty(batch.count)
-    if batch.count == 0:
-        return out
     key = _stream_key(batch.master_seed)
     if batch.generator == "haar":
-        chunk = partial(_haar_chunk, *batch.dims, key)
+        chunk, amplitudes = partial(_haar_chunk, *batch.dims, key), batch.dims[0] * batch.dims[1]
     else:
-        chunk = partial(_circuit_chunk, batch.n_qubits, batch.j, key)
-    spans = [(start, min(start + _CHUNK, batch.count)) for start in range(0, batch.count, _CHUNK)]
+        chunk, amplitudes = partial(_circuit_chunk, batch.n_qubits, batch.j, key), 2**batch.n_qubits
+    # Below 128 samples a chunk's numpy calls get too short to pay for themselves.
+    size = max(128, _CHUNK_ELEMENTS // amplitudes)
+    starts = range(0, batch.count, size)
+    pending = iter(starts)
+    lock = threading.Lock()
+    failures = []
 
-    def run(span):
-        out[slice(*span)] = chunk(*span)
+    def work():
+        try:
+            while not failures:
+                with lock:
+                    start = next(pending, None)
+                if start is None:
+                    return
+                stop = min(start + size, batch.count)
+                out[start:stop] = chunk(start, stop)
+        except BaseException as exc:  # raised again below, once every worker has stopped
+            failures.append(exc)
 
-    if threads == 1:
-        for span in spans:
-            run(span)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, spans))
+    helpers = []
+    for _ in range(min(threads, len(starts)) - 1):
+        helper = threading.Thread(target=work)
+        try:
+            helper.start()
+        except RuntimeError:  # "can't start new thread"
+            break
+        helpers.append(helper)
+    work()
+    for helper in helpers:
+        helper.join()
+    if failures:
+        raise failures[0]
     return out

@@ -117,6 +117,21 @@ class TestSampleAndCompare:
         assert main(args + ["--threads", "2", "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_thread_that_cannot_start_is_not_fatal(self, monkeypatch, capsys):
+        # Stands in for "can't start new thread": the caller samples alone.
+        import threading
+
+        args = ["sample", "--mu", "4", "--samples", "2500", "--seed", "5"]
+        assert main(args + ["--threads", "1"]) == 0
+        expected = capsys.readouterr()
+
+        def start(thread):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        assert main(args + ["--threads", "2"]) == 0
+        assert capsys.readouterr() == expected
+
     def test_sample_json_document(self, tmp_path):
         out = tmp_path / "s.json"
         assert main(["sample", "--mu", "2", "--samples", "400", "--seed", "3", "--output", str(out)]) == 0

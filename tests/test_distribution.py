@@ -48,6 +48,28 @@ class TestBuildHistogram:
         with pytest.raises(ValueError):
             build_histogram([1.0], 0)
 
+    def test_bins_match_the_array_expression(self):
+        # The bin of each value as one expression, a temporary per step.
+        rng = np.random.default_rng(8)
+        values = np.concatenate([rng.normal(0.6, 0.1, 5000), [0.0, 1.0, 0.6]])
+        lo, hi = float(values.min()), float(values.max())
+        pad = (hi - lo) / 37
+        lo, hi = lo - pad, hi + pad
+        idx = np.clip(np.floor((values - lo) / ((hi - lo) / 37)).astype(np.int64), 0, 36)
+        assert np.array_equal(build_histogram(values, 37).counts, np.bincount(idx, minlength=37))
+
+    def test_one_sample_sized_temporary(self):
+        import tracemalloc
+
+        values = np.random.default_rng(9).random(10**6)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            build_histogram(values, 60)
+            assert tracemalloc.get_traced_memory()[1] - base < 1.5 * values.nbytes
+        finally:
+            tracemalloc.stop()
+
     def test_mode_bin_near_analytic_mean(self):
         batch = SampleBatch(master_seed=2024, count=100_000, dims=(4, 4))
         values = sample_negativities(batch, threads=2) / 1.5

@@ -242,6 +242,54 @@ class TestSampleBatches:
             multi = sample_negativities(batch, threads=3)
             assert np.array_equal(single, multi)
 
+    @pytest.mark.parametrize("started", [0, 1], ids=["no-helper", "one-helper"])
+    def test_helper_that_cannot_start(self, monkeypatch, started):
+        # Stands in for "can't start new thread"; three chunks ask for two helpers.
+        import threading
+
+        batch = SampleBatch(master_seed=17, count=3000, dims=(4, 4))
+        expected = sample_negativities(batch, threads=1)
+        real_start = threading.Thread.start
+        helpers = []
+
+        def start(thread):
+            if len(helpers) == started:
+                raise RuntimeError("can't start new thread")
+            helpers.append(thread)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        assert np.array_equal(sample_negativities(batch, threads=3), expected)
+        assert len(helpers) == started and not any(helper.is_alive() for helper in helpers)
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        real_chunk = sampling._haar_chunk
+
+        def chunk(mu, nu, key, start, stop):
+            if start > 0:
+                raise MemoryError("no room for this chunk")
+            return real_chunk(mu, nu, key, start, stop)
+
+        monkeypatch.setattr(sampling, "_haar_chunk", chunk)
+        batch = SampleBatch(master_seed=17, count=5000, dims=(4, 4))
+        for threads in (1, 2):
+            with pytest.raises(MemoryError, match="^no room for this chunk$"):
+                sample_negativities(batch, threads=threads)
+
+    def test_more_workers_than_cores(self, monkeypatch):
+        import sys
+
+        monkeypatch.setattr(sampling, "_CHUNK_ELEMENTS", 1)  # 128-sample chunks
+        batch = SampleBatch(master_seed=5, count=128 * 40 + 7, dims=(2, 2))
+        expected = sample_negativities(batch, threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            values = sample_negativities(batch, threads=6)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(values, expected)
+
     def test_matches_single_state_path(self):
         batch = SampleBatch(master_seed=7, count=9, n_qubits=4, generator="circuit", j=11)
         values = sample_negativities(batch)
@@ -344,13 +392,16 @@ class TestStream:
 
     @pytest.mark.parametrize("generator, kwargs", [("haar", {"dims": (3, 3)}), ("circuit", {"n_qubits": 4, "j": 3})])
     def test_sample_depends_on_seed_and_index_only(self, generator, kwargs):
-        full = sample_negativities(SampleBatch(master_seed=19, count=1100, generator=generator, **kwargs), threads=3)
-        for count in (1, 511, 512, 513):
+        # The chunk size: 2**14 // 9 samples of 3 x 3 amplitudes, 2**14 // 16 of 4 qubits.
+        edge = {"haar": 1820, "circuit": 1024}[generator]
+        batch = SampleBatch(master_seed=19, count=2 * edge + 60, generator=generator, **kwargs)
+        full = sample_negativities(batch, threads=3)
+        for count in (1, 511, 512, 513, edge - 1, edge, edge + 1):
             for threads in (1, 3):
                 batch = SampleBatch(master_seed=19, count=count, generator=generator, **kwargs)
                 assert np.array_equal(sample_negativities(batch, threads=threads), full[:count])
         chunk, size = (_haar_chunk, 3) if generator == "haar" else (_circuit_chunk, 4)
-        for index in (0, 1, 511, 512, 513, 1099):
+        for index in (0, 1, 511, 512, 513, 1099, edge - 1, edge, edge + 1, 2 * edge + 59):
             assert chunk(size, 3, _stream_key(19), index, index + 1)[0] == full[index]
 
     def test_seeds_of_any_size(self):
@@ -416,15 +467,30 @@ class TestStreamKey:
 
 
 class TestDrawBlocks:
-    """Circuit gates are drawn a few rounds at a time; the block size moves no byte."""
+    """Chunks, and the gate draws of a circuit chunk, are sized by the element
+    budget _CHUNK_ELEMENTS; the budget moves no byte."""
 
     @pytest.mark.parametrize("draw_blocks", [1, 24, 64])
     @pytest.mark.parametrize("n_qubits, rounds", [(2, 5), (4, 0), (4, 1), (4, 5), (4, 9), (6, 7)])
     def test_any_block_size_gives_the_same_bytes(self, monkeypatch, draw_blocks, n_qubits, rounds):
+        # A budget of draw_blocks Philox blocks per sample of a 128-sample chunk.
+        # At 1, every batch is cut into 128-sample chunks that draw one round
+        # at a time; larger budgets give fewer chunks and several rounds per draw.
         batch = SampleBatch(master_seed=11, count=600, n_qubits=n_qubits, generator="circuit", j=rounds)
         expected = sample_negativities(batch)
-        monkeypatch.setattr(sampling, "_DRAW_BLOCKS", draw_blocks)
-        assert np.array_equal(sample_negativities(batch), expected)
+        monkeypatch.setattr(sampling, "_CHUNK_ELEMENTS", 128 * draw_blocks)
+        for threads in (1, 3):
+            assert np.array_equal(sample_negativities(batch, threads=threads), expected)
+
+    @pytest.mark.parametrize("budget", [1, 2**20])
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 5)])
+    def test_any_budget_gives_the_same_haar_bytes(self, monkeypatch, budget, dims):
+        # 1 gives 128-sample chunks, 2**20 one chunk for the whole batch.
+        batch = SampleBatch(master_seed=11, count=600, dims=dims)
+        expected = sample_negativities(batch)
+        monkeypatch.setattr(sampling, "_CHUNK_ELEMENTS", budget)
+        for threads in (1, 3):
+            assert np.array_equal(sample_negativities(batch, threads=threads), expected)
 
     def test_normals_offset_continues_the_stream(self):
         key = _stream_key(9)
@@ -445,6 +511,23 @@ class TestDrawBlocks:
         try:
             peak(1)  # fills the module's caches
             assert abs(peak(400) - peak(40)) < 0.25 * 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_large_haar_states_come_in_small_chunks(self):
+        import tracemalloc
+
+        # 300 samples of 32 x 32 amplitudes, 16 KiB each, are three chunks of at
+        # most 128 samples, and one 2 MiB chunk's draw and SVD peak near 6 MiB.
+        # As one 300-sample chunk they peak above 16 MiB.
+        batch = SampleBatch(master_seed=3, count=300, dims=(32, 32))
+        tracemalloc.start()
+        try:
+            sample_negativities(SampleBatch(master_seed=3, count=1, dims=(32, 32)))  # fills the caches
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            sample_negativities(batch, threads=1)
+            assert tracemalloc.get_traced_memory()[1] - base < 8 * 2**20
         finally:
             tracemalloc.stop()
 
@@ -501,8 +584,8 @@ class TestGateKernel:
         psi = rng.standard_normal((dim, batch)) + 1j * rng.standard_normal((dim, batch))
         for qubit in range(n_qubits):
             gates = rng.standard_normal((2, 2, batch)) + 1j * rng.standard_normal((2, 2, batch))
-            out = np.empty_like(psi)
-            _apply_single_qubit(psi, gates, qubit, n_qubits, out)
+            out, scratch = np.empty_like(psi), np.empty_like(psi)
+            _apply_single_qubit(psi, gates, qubit, out, scratch)
             for b in range(batch):
                 dense = np.kron(np.kron(np.eye(2**qubit), gates[:, :, b]), np.eye(2 ** (n_qubits - 1 - qubit)))
                 assert np.abs(out[:, b] - dense @ psi[:, b]).max() < 1e-12
