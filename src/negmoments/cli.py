@@ -14,7 +14,8 @@ the size at mu <= 128.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
 limit (moments --exact asked for mu > 128, the run ran out of memory, or a
-size too large for Python's integers, such as moments --n-qubits 300),
+size too large for Python's integers or the random stream's 2**32 blocks
+per sample, such as moments --n-qubits 300 or sample --mu 100000),
 4 I/O failure.
 
 Each command loads only the modules it runs: the package registers its
@@ -146,16 +147,15 @@ def _cmd_sample(args) -> int:
         raise UsageError("--threads must be at least 1")
     if args.samples < 1:
         raise UsageError("--samples must be at least 1")
+    mu, n = _resolve_size(args)
     if args.generator == "circuit":
         if args.n_qubits is None:
             raise UsageError("circuit generator needs --n-qubits")
         j = 40 if args.j is None else args.j
-        batch = sampling.SampleBatch(args.seed, args.samples, n_qubits=args.n_qubits, generator="circuit", j=j)
-        mu, n = _resolve_size(args)
+        batch = sampling.SampleBatch(args.seed, args.samples, n_qubits=n, generator="circuit", j=j)
     else:
         if args.j is not None:
             raise UsageError("--j applies only to --generator circuit")
-        mu, n = _resolve_size(args)
         batch = sampling.SampleBatch(args.seed, args.samples, dims=(mu, mu), generator="haar")
     values = sampling.sample_negativities(batch, threads=args.threads)
     values /= (mu - 1) / 2.0

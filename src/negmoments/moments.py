@@ -31,12 +31,12 @@ J(0, l) = (-1)^l Gamma(beta+1)^2 / (l! Gamma(beta+1-l))), on the upper
 triangle only and in Python integers. A is an integer matrix, and B is
 dyadic: B = C H C^T, with C the lower-triangular Toeplitz matrix of the
 coefficients of (1-z)^(1/2) (c_0 = 1, c_m = -Catalan(m-1) / 2^(2m-1)) and
-H_j = (2j+1) C(2j, j) / 2^(2j+1), so 2^(2k+2l+1) B_kl is an integer. Every
-entry is therefore scaled by 2^(4 mu), a multiple of every denominator, and
-each step divides exactly by 2(l+1); the gcd of all entries is divided out
-at the end, which leaves a power of two as B's denominator. Each matrix is
-cached once per (mu, beta) as integer numerators over one common
-denominator. The term sum in laguerre.py is the oracle for this builder.
+H_j = (2j+1) C(2j, j) / 2^(2j+1), so 2^(2k+2l+1) B_kl is an integer. The
+recurrence for B therefore runs on those integers, and A's on A itself;
+each step divides exactly by l+1. Each entry is then shifted onto one
+common denominator, 2^(4 mu - 3) for B and 1 for A, and each matrix is
+cached once per (mu, beta) as integer numerators over it, in one pass. The
+term sum in laguerre.py is the oracle for this builder.
 
 Each determinant sum is evaluated by expanding its permutation sum into
 power-sum traces,
@@ -48,7 +48,7 @@ power-sum traces,
 and evaluates them on the integer numerators: B^2 is formed once per mu and
 shared by triple and quad, A is read only on its band, and each sum becomes
 a rational once, at the end. B^2 multiplies B's numerators with their
-common powers of two split off (see _square_sums). The naive oracle, which
+known powers of two split off (see _square_sums). The naive oracle, which
 evaluates every small determinant explicitly, lives in selfcheck.py
 (naive_det_moment_sum) and is run by ``verify``.
 
@@ -62,7 +62,6 @@ the size at EXACT_MODE_CEILING and raises ResourceCeilingError above it.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,7 +70,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .exactring import SqrtPiPolynomial, eval_float, eval_sqrt_float
-from .exactring import _gamma_half_twice, _twice
+from .exactring import _twice
 
 __all__ = [
     "ResourceCeilingError",
@@ -93,8 +92,9 @@ __all__ = [
 #: Largest mu that normalized_moments(exact=True) (the CLI's moments --exact)
 #: accepts. Larger sizes are still exact without it; the cap only bounds the
 #: time of a run that asks for exactness: the variance's integer square of B
-#: costs O(mu^3) products of numerators that reach 499 bits at mu = 128
-#: (about 240 bits on average once their powers of two are split off).
+#: costs O(mu^3) products of numerators over 2^(4 mu - 3) that reach 513
+#: bits at mu = 128 (about 246 bits on average once their known powers of
+#: two are split off).
 EXACT_MODE_CEILING = 128
 
 _HALF = Fraction(1, 2)
@@ -128,43 +128,31 @@ class PairIntegralMatrix:
         return SqrtPiPolynomial({self.power: Fraction(self.numerators[k][l], self.denominator)})
 
 
-def _scaled_rows(mu: int, beta_twice: int, scale: int):
-    """Yield scale * J(k, l, beta) for l >= k, one row k at a time."""
-    seed = _gamma_half_twice(beta_twice + 2).coefficient(beta_twice % 2)  # Gamma(beta+1) / sqrt(pi)^power
-    prev: list[int] = []
-    for k in range(mu):
-        if k:
-            cur, row, first = prev[1], [], k - 1  # J(k, k-1) = J(k-1, k)
-        else:
-            cur = scale * int(seed.numerator) // int(seed.denominator)
-            row, first = [cur], 0
-        for l in range(first, mu - 1):
-            num = (2 * (l - k) - beta_twice) * cur
-            if k:
-                num += 2 * k * prev[l - k + 1]
-            cur = num // (2 * (l + 1))
-            row.append(cur)
-        yield row
-        prev = row
-
-
 @lru_cache(maxsize=None)
 def _build_matrix_cached(mu: int, beta_twice: int) -> PairIntegralMatrix:
-    # Every J(k, l, beta) with k, l < mu is an integer over 2^(4 mu): A is
-    # integral and 2^(2k+2l+1) B_kl is an integer (module docstring), so the
-    # scaled recurrence stays in the integers and each division by 2(l+1) is
-    # exact. The rows are generated twice, once for their gcd and once to
-    # store them reduced, so the scaled values never all live at once.
-    scale = 1 << (4 * mu)
-    common = scale
-    for row in _scaled_rows(mu, beta_twice, scale):
-        common = math.gcd(common, *row)
-    rows = [[0] * mu for _ in range(mu)]
-    for k, row in enumerate(_scaled_rows(mu, beta_twice, scale)):
+    # The recurrence runs on the integers M_kl = 2^(s (k+l) + e) J(k, l, beta):
+    # s = e = 0 for the integral A, s = 2 and e = 1 for B (module docstring).
+    # M_00 = 1, and each step
+    #     (l+1) M_{k,l+1} = 2^(s-1) (2 (l-k) - 2 beta) M_kl + 4^s k M_{k-1,l}
+    # divides exactly. Entry (k, l) is shifted by a_k + a_l, a_i = s (mu-1-i),
+    # onto the common denominator 2^(2 s (mu-1) + e).
+    shift = 2 if beta_twice == 1 else 0
+    denominator = 1 << (2 * shift * (mu - 1) + beta_twice % 2)  # before any row, so a huge mu fails at once
+    a = [shift * (mu - 1 - i) for i in range(mu)]
+    nums = [[0] * mu for _ in range(mu)]
+    row: list[int] = []
+    for k in range(mu):
+        prev = row
+        cur, row, first = (prev[1], [], k - 1) if k else (1, [1], 0)  # M_{k,k-1} = M_{k-1,k}
+        for l in range(first, mu - 1):
+            num = ((2 * (l - k) - beta_twice) << shift) // 2 * cur
+            if k:
+                num += (k << 2 * shift) * prev[l - k + 1]
+            cur = num // (l + 1)
+            row.append(cur)
         for l, value in enumerate(row, start=k):
-            rows[k][l] = rows[l][k] = value // common
-    power = 1 if beta_twice % 2 else 0
-    return PairIntegralMatrix(mu, beta_twice, power, tuple(map(tuple, rows)), scale // common)
+            nums[k][l] = nums[l][k] = value << (a[k] + a[l])
+    return PairIntegralMatrix(mu, beta_twice, beta_twice % 2, tuple(map(tuple, nums)), denominator)
 
 
 def build_pair_integral_matrix(mu: int, beta) -> PairIntegralMatrix:
@@ -202,26 +190,6 @@ def _band_overlap(a, diag, superdiag) -> int:
     return total + 2 * sum(a[i][i + 1] * x for i, x in enumerate(superdiag))
 
 
-def _v2(x: int) -> int:
-    """2-adic valuation of x, or -1 for x = 0."""
-    return (x & -x).bit_length() - 1
-
-
-def _two_adic_split(nums) -> tuple:
-    """Exponents a and integers O with nums[i][k] = 2^(a_i + a_k) O[i][k].
-
-    nums is a symmetric integer matrix. With r_i the 2-adic valuation of
-    row i and m = max(0, r_i + r_k - v2(nums[i][k])) over the nonzero
-    entries, a_i = max(0, r_i - m) gives a_i + a_k <= v2(nums[i][k]), so
-    every O[i][k] is exact. m is 0 for B at every size measured.
-    """
-    r = [_v2(math.gcd(*row)) for row in nums]
-    excess = (r[i] + r[k] - _v2(row[k]) for i, row in enumerate(nums) for k in range(i, len(row)) if row[k])
-    m = max(0, max(excess, default=0))
-    a = [max(0, r_i - m) for r_i in r]
-    return a, [[x >> (a_i + a_k) for x, a_k in zip(row, a)] for row, a_i in zip(nums, a)]
-
-
 @lru_cache(maxsize=None)
 def _square_sums(mu: int) -> tuple:
     """Power sums of N = numerators of B(mu) that need N^2.
@@ -230,13 +198,14 @@ def _square_sums(mu: int) -> tuple:
     tr(N^4). N^2 is formed once, upper triangle only, and not kept; the
     triple and quad sums share the result.
 
-    B's denominator is a power of two, so the entries of N end in long runs
-    of zero bits. With N_ik = 2^(a_i + a_k) O_ik (_two_adic_split), each
-    entry of N^2 is 2^(a_i + a_j) sum_k O_ik (O_jk << 2 a_k), one shifted
-    row j at a time: the O(mu^3) products run on about half the bits.
+    N_ik = 2^(a_i + a_k) O_ik with a_i = 2 (mu-1-i) and O_ik = 2^(2i+2k+1)
+    B_ik an integer (_build_matrix_cached), so each entry of N^2 is
+    2^(a_i + a_j) sum_k O_ik (O_jk << 2 a_k), one shifted row j at a time:
+    the O(mu^3) products run on about half the bits.
     """
     b = build_pair_integral_matrix(mu, _HALF).numerators
-    a, o = _two_adic_split(b)
+    a = [2 * (mu - 1 - i) for i in range(mu)]
+    o = [[x >> (a_i + a_k) for x, a_k in zip(row, a)] for row, a_i in zip(b, a)]
     diag, superdiag = [], []
     t3 = t4 = 0
     for j, row_j in enumerate(o):

@@ -68,7 +68,8 @@ class SampleBatch:
     count or evaluation order. A haar batch is sized by dims alone, a
     circuit batch by an even n_qubits alone. count, j, n_qubits and both
     dims must be integers (numpy integers included), master_seed a
-    nonnegative one.
+    nonnegative one. A sample may draw at most 2**32 Philox blocks
+    (dims[0] * dims[1], or 2 n_qubits j); OverflowError beyond that.
     """
 
     master_seed: int
@@ -95,6 +96,7 @@ class SampleBatch:
                 raise ValueError("round count must be nonnegative")
             if self.n_qubits < 2 or self.n_qubits % 2:
                 raise ValueError("n_qubits must be even and at least 2")
+        _check_blocks(2 * self.n_qubits * self.j if circuit else self.dims[0] * self.dims[1])
         _stream_key(self.master_seed)  # last, so the errors above come first
 
 
@@ -106,6 +108,17 @@ class SampleBatch:
 _PHILOX_M = (0xD2511F53, 0xCD9E8D57)
 _PHILOX_W = (0x9E3779B9, 0xBB67AE85)
 _PHILOX_ROUNDS = 10
+
+def _check_blocks(blocks: int) -> None:
+    """Refuse a sample of more than 2**32 Philox blocks.
+
+    Block b is the first 32-bit counter word, so block 2**32 would wrap to
+    block 0 and repeat it. A Haar sample draws mu * nu blocks, a circuit
+    sample 2 n_qubits j.
+    """
+    if blocks > 2**32:
+        raise OverflowError(f"a sample needs {blocks} Philox blocks, more than 2**32")
+
 
 #: Explicit little-endian words, so the 32-bit halves of a 64-bit product
 #: sit at the same view positions on every platform.
@@ -254,12 +267,14 @@ def haar_pure_state(mu: int, nu: int, master_seed: int, index: int = 0) -> np.nd
 
     Returns the (mu, nu) complex128 amplitude matrix, subsystem A indexing
     rows; it is sample ``index`` of a Haar ``SampleBatch`` with the same
-    master seed and dimensions.
+    master seed and dimensions, and like it refuses mu * nu > 2**32 with
+    OverflowError.
     """
     if mu < 1 or nu < 1:
         raise ValueError("dimensions must be at least 1")
     if not 0 <= index < 2**64:
         raise ValueError("sample index must be in [0, 2**64)")
+    _check_blocks(mu * nu)
     return _haar_amplitudes(mu, nu, _stream_key(master_seed), index, index + 1)[0].reshape(mu, nu)
 
 

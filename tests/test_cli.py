@@ -59,7 +59,7 @@ class TestMoments:
 
     @pytest.mark.parametrize("size", [["--n-qubits", "300"], ["--mu", "100000000000000000000"]])
     def test_size_beyond_python_integers_exits_three(self, size, capsys):
-        # The recurrence scale 2^(4 mu) has too many digits for an int.
+        # B's common denominator 2^(4 mu - 3) has too many digits for an int.
         assert main(["moments", *size]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -189,6 +189,27 @@ class TestSampleAndCompare:
     def test_circuit_requires_n_qubits(self):
         assert main(["sample", "--mu", "4", "--generator", "circuit", "--samples", "10"]) == 2
 
+    @pytest.mark.parametrize(
+        "size,line",
+        [
+            (["--n-qubits", "3"], "--n-qubits must be even and at least 2"),
+            (["--mu", "1"], "--mu must be at least 2"),
+        ],
+    )
+    @pytest.mark.parametrize("generator", ["haar", "circuit"])
+    def test_size_errors_are_the_same_for_both_generators(self, size, line, generator, capsys):
+        assert main(["sample", *size, "--generator", generator, "--samples", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {line}\n"
+
+    def test_size_past_the_block_counter_exits_three(self, capsys):
+        # 99999999999^2 Philox blocks per sample: refused before any draw.
+        assert main(["sample", "--mu", "99999999999", "--samples", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: size out of range: ")
+
     def test_negative_seed_is_usage_error(self, capsys):
         assert main(["sample", "--mu", "2", "--samples", "5", "--seed", "-1"]) == 2
         captured = capsys.readouterr()
@@ -215,7 +236,7 @@ class TestSampleAndCompare:
             raise error
 
         monkeypatch.setattr(sampling, "sample_negativities", exhausted)
-        assert main(["sample", "--mu", "100000", "--samples", "1", "--threads", "1"]) == 3
+        assert main(["sample", "--mu", "65536", "--samples", "1", "--threads", "1"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: out of memory: {line}\n"
@@ -468,6 +489,8 @@ EXACT_STDOUT_SHA256 = {
     "moments --mu 64 --format csv": "41562a07f12bc2ca3a0dab338d9dbe1f46936435fb4d01cf7f9c35797dda0684",
     "moments --mu 96 --format json": "1d588ebc554af5e21c85b2d933bfec2768c86f22501f2a483dc6044b87a80666",
     "moments --mu 96 --format csv": "897086d597e96cb7c7cea8c4eb624ab1c4b28b011960b4e03001fe6fbf97d503",
+    "moments --mu 127 --format json": "88adadc3c038676b28b3c6b1824d1c65e23a3876c2b297c614961b02f6af2fd5",
+    "moments --mu 128 --format json": "86509cca3a36ed47d1c4b4816177e820918939a8ea9ab5228bf9308a4e3dd162",
     "table --n-max 16 --extrapolate --format json": "fa3669b655917a8d106f9c9e41abf02d12ec46890584f44f29b049301dd90401",
     "table --n-max 16 --extrapolate --format csv": "10de68966d9619cd0ddec6c79fbcc1e74810be0466b3bbb475c36e42b91f8942",
 }

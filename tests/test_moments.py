@@ -108,12 +108,8 @@ class TestPairIntegralMatrix:
             build_pair_integral_matrix(3, beta)
 
 
-def _v2(x):
-    return (x & -x).bit_length() - 1
-
-
 class TestDyadicKernel:
-    """B(mu) has power-of-two denominators; the builder and _square_sums use it."""
+    """B(mu) has power-of-two denominators; the builder and _square_sums state them."""
 
     @staticmethod
     def square_sums_reference(mu):
@@ -134,42 +130,39 @@ class TestDyadicKernel:
 
     @pytest.mark.parametrize("beta_twice", [1, 2])
     def test_builder_matches_the_factorial_scale(self, beta_twice):
-        # The recurrence on the old scale 4^mu ((mu-1)!)^2, a multiple of
-        # every denominator by the term sum, reduced by its gcd.
-        from negmoments.moments import _build_matrix_cached, _scaled_rows
+        # The recurrence on integers scaled by 4^128 (127!)^2, a multiple of
+        # every denominator by the term sum, which shares no scale with the
+        # builder. J(k, l) does not depend on mu, so B(mu) and A(mu) are the
+        # leading blocks of the mu = 128 matrix.
+        from negmoments.moments import _build_matrix_cached
 
-        for mu in range(1, 129):
-            scale = 4**mu * math.factorial(mu - 1) ** 2
-            upper = list(_scaled_rows(mu, beta_twice, scale))
-            common = math.gcd(scale, *(x for row in upper for x in row))
-            nums = [[0] * mu for _ in range(mu)]
-            for k, row in enumerate(upper):
-                for l, value in enumerate(row, start=k):
-                    nums[k][l] = nums[l][k] = value // common
-            built = _build_matrix_cached.__wrapped__(mu, beta_twice)
-            assert built.numerators == tuple(map(tuple, nums)), mu
-            assert built.denominator == scale // common, mu
+        top = 128
+        scale = 4**top * math.factorial(top - 1) ** 2
+        ref = [[0] * top for _ in range(top)]
+        ref[0][0] = scale // 2 if beta_twice == 1 else scale  # Gamma(beta + 1) / sqrt(pi)^power
+        for k in range(top):
+            for l in range(max(k - 1, 0), top - 1):  # from J(k, k-1) = J(k-1, k)
+                num = (2 * (l - k) - beta_twice) * ref[k][l] + (2 * k * ref[k - 1][l] if k else 0)
+                assert num % (2 * (l + 1)) == 0
+                ref[k][l + 1] = ref[l + 1][k] = num // (2 * (l + 1))
+        ref = [[Fraction(x, scale) for x in row] for row in ref]
+        for mu in range(1, top + 1):
+            rows = _build_matrix_cached.__wrapped__(mu, beta_twice).rows
+            assert rows == tuple(tuple(row[:mu]) for row in ref[:mu]), mu
 
     def test_denominators_are_powers_of_two_and_the_split_is_tight(self):
-        from negmoments.moments import _build_matrix_cached, _two_adic_split
+        # B is stored over 2^(4 mu - 3) = 2^(a_k + a_l + 2k + 2l + 1), with
+        # a_i = 2 (mu-1-i). So 2^(a_k + a_l) divides the numerator N_kl
+        # exactly when 2^(2k+2l+1) B_kl is an integer, and then the split
+        # N_kl = 2^(a_k + a_l) O_kl of _square_sums is exact. A is integral.
+        from negmoments.moments import _build_matrix_cached
 
         for mu in range(1, 129):
+            assert _build_matrix_cached.__wrapped__(mu, 2).denominator == 1, mu
             b = _build_matrix_cached.__wrapped__(mu, 1)
-            assert b.denominator & (b.denominator - 1) == 0, mu
-            a, _ = _two_adic_split(b.numerators)
-            assert all(_v2(x) == a[i] + a[k] for i, row in enumerate(b.numerators) for k, x in enumerate(row)), mu
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 6).flatmap(lambda n: st.lists(st.integers(-(2**12), 2**12) | st.just(0), min_size=n * n, max_size=n * n)))
-    def test_split_is_exact_on_any_symmetric_matrix(self, flat):
-        # Zero entries, zero rows and rows whose valuations overlap (m > 0).
-        from negmoments.moments import _two_adic_split
-
-        n = math.isqrt(len(flat))
-        nums = [[flat[n * min(i, k) + max(i, k)] << (3 * (i + k) % 7) for k in range(n)] for i in range(n)]
-        a, o = _two_adic_split(nums)
-        assert all(x >= 0 for x in a)
-        assert all(o[i][k] << (a[i] + a[k]) == nums[i][k] for i in range(n) for k in range(n))
+            assert b.denominator == 1 << (4 * mu - 3), mu
+            a = [2 * (mu - 1 - i) for i in range(mu)]
+            assert all(x % (1 << (a[k] + a[l])) == 0 for k, row in enumerate(b.numerators) for l, x in enumerate(row)), mu
 
     @pytest.mark.parametrize("mu", [3, 8, 24, 64])
     def test_b_factors_as_c_h_ct(self, mu):

@@ -334,6 +334,19 @@ class TestSampleBatches:
             with pytest.raises(ValueError, match="dimensions must be at least 1"):
                 SampleBatch(master_seed=0, count=4, dims=dims)
 
+    def test_block_counter_limit(self):
+        # Block b is one 32-bit counter word: block 2**32 is block 0 again.
+        key = _stream_key(0)
+        assert np.array_equal(_normals(key, 0, 3, 1, first=2**32), _normals(key, 0, 3, 1))
+        SampleBatch(0, 1, dims=(65536, 65536))
+        with pytest.raises(OverflowError, match="more than 2\\*\\*32"):
+            SampleBatch(0, 1, dims=(65536, 65537))
+        SampleBatch(0, 1, n_qubits=2, generator="circuit", j=2**30)
+        with pytest.raises(OverflowError, match="more than 2\\*\\*32"):
+            SampleBatch(0, 1, n_qubits=2, generator="circuit", j=2**30 + 1)
+        with pytest.raises(OverflowError, match="more than 2\\*\\*32"):
+            haar_pure_state(65536, 65537, 0)
+
     def test_bad_seed_rejected_when_built(self):
         # An empty batch draws nothing, so only the constructor can see the seed.
         with pytest.raises(ValueError, match="^expected non-negative integer$"):
