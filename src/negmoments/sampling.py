@@ -1,28 +1,32 @@
 """Random pure states and the negativities of reproducible sample batches.
 
-Haar-random pure states are sampled as normalized complex Gaussian vectors
-(the induced measure on rays is the Haar one, at O(mu nu) cost instead of
-generating a full random unitary). Pseudorandom states come from a layered
-circuit: each round applies an independent Haar-random 2x2 rotation to every
-qubit followed by a fixed controlled-phase layer on a nearest-neighbour
-ring. A sample's negativity comes straight from the singular values s_i of
-its amplitude matrix, as ((sum_i s_i)^2 - 1) / 2.
+A sample's negativity is ((sum_i s_i)^2 - 1) / 2, with s_i the square
+roots of its Schmidt coefficients. A Haar batch needs no state: it draws the
+Schmidt spectrum from the bidiagonal model of the fixed-trace Laguerre
+ensemble (one small tridiagonal eigenvalue problem per sample). The Haar
+state itself, ``haar_pure_state``, is a normalized complex Gaussian vector
+(the induced measure on rays is the Haar one), and serves as the oracle of
+the batch's law. Pseudorandom states come from a layered circuit: each
+round applies an independent Haar-random 2x2 rotation to every qubit
+followed by a fixed controlled-phase layer on a nearest-neighbour ring, and
+their s_i are the singular values of the amplitude matrix.
 
 Every random number comes from one counter-based stream, named by
 ``STREAM_ID``: Philox4x32-10 (Salmon et al., "Parallel random numbers: as
 easy as 1, 2, 3", SC'11) keyed by numpy's ``SeedSequence(master_seed)``,
 run on Python ints, and evaluated at the counter (block, 0, low and high 32
-bits of the sample index), each block turned into two standard normals by
-Box-Muller. Sample i of a batch is therefore a function of (master_seed, i)
+bits of the sample index). A Haar batch turns each block into two uniforms,
+the circuit and ``haar_pure_state`` into two standard normals by Box-Muller.
+Sample i of a batch is therefore a function of (master_seed, i)
 alone: results are bit-identical for any chunking or thread count, and a
 chunk kernel run over [i, i + 1) reproduces sample i of a batch. The chunked
 kernels vectorize over samples without changing any per-sample arithmetic.
 
 A chunk is sized by its work rather than by a sample count: it holds about
-_CHUNK_ELEMENTS amplitudes, and never fewer than 128 samples. Each numpy
-call then covers enough work for worker threads to overlap, and large
-states come in chunks of few samples, which bounds the memory. The calling
-thread is one of the workers.
+_CHUNK_ELEMENTS amplitudes (uniforms, for a Haar batch), and never fewer
+than 128 samples. Each numpy call then covers enough work for worker
+threads to overlap, and large states come in chunks of few samples, which
+bounds the memory. The calling thread is one of the workers.
 """
 
 from __future__ import annotations
@@ -44,15 +48,16 @@ __all__ = [
 ]
 
 #: Names the random stream behind every sampled value. Any change to the
-#: generator, its keying or the normal transform gets a new id.
-STREAM_ID = "philox4x32-10/box-muller/1"
+#: generator, its keying or the transforms of its words gets a new id.
+STREAM_ID = "philox4x32-10/bidiagonal/2"
 
-#: A singular value s with s * s below this is round-off and counts as
-#: zero. The test is made on s * s, the Schmidt coefficient, not on s.
+#: A Schmidt coefficient below this is round-off and counts as zero. For a
+#: singular value s of an amplitude matrix the test is made on s * s, for
+#: an eigenvalue of the bidiagonal model's B^T B on the eigenvalue itself.
 SPECTRUM_CLIP = 1e-15
 
 #: Work per numpy call of the sampling kernels. A chunk holds
-#: max(128, _CHUNK_ELEMENTS // amplitudes per sample) samples, and a circuit
+#: max(128, _CHUNK_ELEMENTS // (mu nu or 2**n_qubits)) samples, and a circuit
 #: chunk draws its gates in whole rounds of at most _CHUNK_ELEMENTS Philox
 #: blocks (at least one round), so its memory does not grow with the round
 #: count. Results are per-sample deterministic: this only moves speed and
@@ -69,7 +74,8 @@ class SampleBatch:
     circuit batch by an even n_qubits alone. count, j, n_qubits and both
     dims must be integers (numpy integers included), master_seed a
     nonnegative one. A sample may draw at most 2**32 Philox blocks
-    (dims[0] * dims[1], or 2 n_qubits j); OverflowError beyond that.
+    (ceil(dims[0] * dims[1] / 2), or 2 n_qubits j); OverflowError beyond
+    that.
     """
 
     master_seed: int
@@ -96,7 +102,7 @@ class SampleBatch:
                 raise ValueError("round count must be nonnegative")
             if self.n_qubits < 2 or self.n_qubits % 2:
                 raise ValueError("n_qubits must be even and at least 2")
-        _check_blocks(2 * self.n_qubits * self.j if circuit else self.dims[0] * self.dims[1])
+        _check_blocks(2 * self.n_qubits * self.j if circuit else (self.dims[0] * self.dims[1] + 1) // 2)
         _stream_key(self.master_seed)  # last, so the errors above come first
 
 
@@ -113,8 +119,8 @@ def _check_blocks(blocks: int) -> None:
     """Refuse a sample of more than 2**32 Philox blocks.
 
     Block b is the first 32-bit counter word, so block 2**32 would wrap to
-    block 0 and repeat it. A Haar sample draws mu * nu blocks, a circuit
-    sample 2 n_qubits j.
+    block 0 and repeat it. A Haar batch sample draws ceil(mu nu / 2)
+    blocks, a circuit sample 2 n_qubits j, and haar_pure_state mu nu.
     """
     if blocks > 2**32:
         raise OverflowError(f"a sample needs {blocks} Philox blocks, more than 2**32")
@@ -253,6 +259,28 @@ def _normals(key: tuple[int, int], start: int, stop: int, pairs: int, first: int
     return out.reshape(2 * pairs, stop - start)
 
 
+def _uniforms(key: tuple[int, int], start: int, stop: int, count: int) -> np.ndarray:
+    """Uniforms 0 .. count - 1 in (0, 1] of samples start..stop-1, shape (count, stop - start).
+
+    Block b of sample i is the counter of _normals, and its two packed
+    words give uniforms 2b and 2b + 1 by Box-Muller's u1 rule: the top 53
+    bits, plus one, times 2**-53. An odd count leaves the second word of the
+    last block unused.
+    """
+    import numpy as np
+
+    index = np.arange(start, stop, dtype=np.uint64)
+    blocks = np.arange((count + 1) // 2, dtype=np.uint64)[:, np.newaxis]
+    words = _philox4x32_10(key, blocks, 0, index & 0xFFFFFFFF, index >> 32)
+    u = np.empty((blocks.size, 2, stop - start))
+    for k, word in enumerate(words):
+        word >>= 11
+        u[:, k] = word
+    u += 1.0
+    u *= 2.0**-53
+    return u.reshape(-1, stop - start)[:count]
+
+
 def _haar_amplitudes(mu: int, nu: int, key: tuple[int, int], start: int, stop: int) -> np.ndarray:
     """Normalized complex Gaussian vectors of samples start..stop-1."""
     import numpy as np
@@ -263,12 +291,14 @@ def _haar_amplitudes(mu: int, nu: int, key: tuple[int, int], start: int, stop: i
 
 
 def haar_pure_state(mu: int, nu: int, master_seed: int, index: int = 0) -> np.ndarray:
-    """Haar-random pure state on a mu x nu space: sample index of the stream.
+    """Haar-random pure state on a mu x nu space: the Ginibre oracle of a Haar batch.
 
     Returns the (mu, nu) complex128 amplitude matrix, subsystem A indexing
-    rows; it is sample ``index`` of a Haar ``SampleBatch`` with the same
-    master seed and dimensions, and like it refuses mu * nu > 2**32 with
-    OverflowError.
+    rows: 2 mu nu normals from the mu nu Philox blocks of sample ``index``,
+    normalized. Its Schmidt spectrum has the law of a Haar ``SampleBatch``
+    sample, but it is not that sample, and it reads the same blocks, so an
+    independent check of a batch takes another seed. It refuses
+    mu nu > 2**32 with OverflowError.
     """
     if mu < 1 or nu < 1:
         raise ValueError("dimensions must be at least 1")
@@ -293,6 +323,13 @@ def _negativities(matrices: np.ndarray) -> np.ndarray:
 
     s = np.linalg.svd(matrices, compute_uv=False)
     s[s * s < SPECTRUM_CLIP] = 0.0
+    return _root_sum_negativity(s)
+
+
+def _root_sum_negativity(s: np.ndarray) -> np.ndarray:
+    """((sum_i s_i)^2 - 1) / 2 over the last axis of the Schmidt roots s_i, at least 0."""
+    import numpy as np
+
     total = s.sum(axis=-1)
     return np.maximum(0.0, (total * total - 1.0) / 2.0)
 
@@ -396,8 +433,53 @@ def _circuit_states(n_qubits: int, rounds: int, key: tuple[int, int], start: int
 # ---------------------------------------------------------------------------
 
 
+def _bidiagonal_squares(m: int, n: int, key: tuple[int, int], start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Squared entries of the bidiagonal model of Haar samples start..stop-1, over their sum.
+
+    For m <= n, the Schmidt spectrum of a Haar state on an m x n space is
+    that of B^T B / tr(B^T B), for a lower-bidiagonal m x m B whose squared
+    diagonal entries are Gamma(n), ..., Gamma(n - m + 1) and squared
+    subdiagonal entries Gamma(m - 1), ..., Gamma(1), all independent
+    (Dumitriu and Edelman, J. Math. Phys. 43, 5830, 2002). A Gamma(k)
+    variate is -sum ln U over the sample's next k uniforms, in that order,
+    so a sample takes m n uniforms. Returns the diagonal (m, batch) and the
+    subdiagonal (m - 1, batch) squares, which sum to 1.
+    """
+    import numpy as np
+
+    logs = np.log(_uniforms(key, start, stop, m * n))
+    degrees = np.array([*range(n, n - m, -1), *range(m - 1, 0, -1)])
+    first = np.concatenate(([0], np.cumsum(degrees[:-1])))
+    # Every sum runs term by term, left to right: a numpy reduction could
+    # pick another order for another chunk size. The sums stay negative,
+    # which leaves their ratios as they are.
+    g = logs[first]
+    for j in range(1, n):
+        live = np.flatnonzero(degrees > j)
+        g[live] += logs[first[live] + j]
+    total = g[0].copy()
+    for row in g[1:]:
+        total += row
+    g /= total
+    return g[:m], g[m:]
+
+
 def _haar_chunk(mu: int, nu: int, key: tuple[int, int], start: int, stop: int) -> np.ndarray:
-    return _negativities(_haar_amplitudes(mu, nu, key, start, stop).reshape(-1, mu, nu))
+    """Negativities of Haar samples start..stop-1, from the eigenvalues of the bidiagonal model's B^T B."""
+    import numpy as np
+
+    m = min(mu, nu)
+    diagonal, sub = _bidiagonal_squares(m, max(mu, nu), key, start, stop)
+    # B^T B is tridiagonal: diagonal d[i] + e[i] and off-diagonal
+    # sqrt(e[i] d[i + 1]) for the squares d and e; eigvalsh reads the lower
+    # triangle.
+    gram = np.zeros((stop - start, m * m))
+    gram[:, :: m + 1] = diagonal.T
+    gram[:, : (m - 1) * (m + 1) : m + 1] += sub.T
+    gram[:, m :: m + 1] = np.sqrt(sub * diagonal[1:]).T
+    p = np.linalg.eigvalsh(gram.reshape(-1, m, m))
+    p[p < SPECTRUM_CLIP] = 0.0
+    return _root_sum_negativity(np.sqrt(p, out=p))
 
 
 def _circuit_chunk(n_qubits: int, rounds: int, key: tuple[int, int], start: int, stop: int) -> np.ndarray:
@@ -422,11 +504,11 @@ def sample_negativities(batch: SampleBatch, threads: int = 1) -> np.ndarray:
     out = np.empty(batch.count)
     key = _stream_key(batch.master_seed)
     if batch.generator == "haar":
-        chunk, amplitudes = partial(_haar_chunk, *batch.dims, key), batch.dims[0] * batch.dims[1]
+        chunk, elements = partial(_haar_chunk, *batch.dims, key), batch.dims[0] * batch.dims[1]
     else:
-        chunk, amplitudes = partial(_circuit_chunk, batch.n_qubits, batch.j, key), 2**batch.n_qubits
+        chunk, elements = partial(_circuit_chunk, batch.n_qubits, batch.j, key), 2**batch.n_qubits
     # Below 128 samples a chunk's numpy calls get too short to pay for themselves.
-    size = max(128, _CHUNK_ELEMENTS // amplitudes)
+    size = max(128, _CHUNK_ELEMENTS // elements)
     starts = range(0, batch.count, size)
     pending = iter(starts)
     lock = threading.Lock()

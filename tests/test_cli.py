@@ -204,7 +204,7 @@ class TestSampleAndCompare:
         assert captured.err == f"error: {line}\n"
 
     def test_size_past_the_block_counter_exits_three(self, capsys):
-        # 99999999999^2 Philox blocks per sample: refused before any draw.
+        # 99999999999^2 / 2 Philox blocks per sample: refused before any draw.
         assert main(["sample", "--mu", "99999999999", "--samples", "1"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from negmoments.moments import mean_negativity
 from negmoments.sampling import SPECTRUM_CLIP, SampleBatch, haar_pure_state, reduced_state_a, sample_negativities
 from negmoments.sampling import (
     _apply_single_qubit,
+    _bidiagonal_squares,
     _box_muller,
     _circuit_chunk,
     _circuit_states,
@@ -20,7 +22,9 @@ from negmoments.sampling import (
     _negativities,
     _normals,
     _philox4x32_10,
+    _root_sum_negativity,
     _stream_key,
+    _uniforms,
 )
 
 
@@ -203,6 +207,73 @@ class TestHaarInvariance:
         assert two_sample_ks(plain, rotated) < 0.02
 
 
+def ks_bound(*sizes):
+    """The KS statistic a correct law exceeds with probability about 0.001 (1.95 / sqrt of the effective size)."""
+    return 1.95 * math.sqrt(sum(1.0 / size for size in sizes))
+
+
+class TestBidiagonalSpectra:
+    """A Haar batch draws its spectra from the bidiagonal model; the Ginibre
+    states of _haar_amplitudes and the exact engine are its oracles."""
+
+    def test_uniforms_are_the_u1_rule_of_each_word(self):
+        key = _stream_key(4)
+        u = _uniforms(key, 3, 40, 7)
+        x, y = _philox4x32_10(key, np.arange(4, dtype=np.uint64)[:, np.newaxis], 0, np.arange(3, 40, dtype=np.uint64), 0)
+        words = np.stack([x, y], axis=1).reshape(8, -1)[:7]
+        assert u.shape == (7, 37)
+        assert np.array_equal(u, ((words >> np.uint64(11)).astype(float) + 1.0) * 2.0**-53)
+        assert np.all((u > 0.0) & (u <= 1.0))
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 5), (5, 3), (16, 16)])
+    def test_squares_sum_to_one(self, dims):
+        m, n = min(dims), max(dims)
+        diagonal, sub = _bidiagonal_squares(m, n, _stream_key(2101), 0, 300)
+        assert diagonal.shape == (m, 300) and sub.shape == (m - 1, 300)
+        assert np.all(diagonal > 0.0) and np.all(sub > 0.0)
+        assert np.abs(diagonal.sum(axis=0) + sub.sum(axis=0) - 1.0).max() < 1e-14
+
+    @pytest.mark.parametrize("mu, count", [(2, 2000), (4, 2000), (16, 500), (64, 100), (128, 40)])
+    def test_gram_route_matches_the_svd_of_the_bidiagonal(self, mu, count):
+        # The singular values of B itself, per sample, against the eigenvalues of B^T B.
+        diagonal, sub = _bidiagonal_squares(mu, mu, _stream_key(2102), 0, count)
+        b = np.zeros((count, mu, mu))
+        b[:, np.arange(mu), np.arange(mu)] = np.sqrt(diagonal).T
+        b[:, np.arange(1, mu), np.arange(mu - 1)] = np.sqrt(sub).T
+        s = np.linalg.svd(b, compute_uv=False)
+        s[s * s < SPECTRUM_CLIP] = 0.0
+        gram = _haar_chunk(mu, mu, _stream_key(2102), 0, count)
+        assert np.abs(gram - _root_sum_negativity(s)).max() < 1e-12
+
+    @pytest.mark.parametrize("dims", [(1, 1), (1, 6), (6, 1)])
+    def test_product_spaces_give_exact_zeros(self, dims):
+        values = sample_negativities(SampleBatch(master_seed=2103, count=300, dims=dims))
+        assert np.array_equal(values, np.zeros(300))
+
+    def test_mu2_matches_the_exact_law(self):
+        # N' = 2N at mu = 2 has P(N' <= y) = 1 - (1 - y^2)^(3/2); unbinned one-sample KS.
+        count = 200_000
+        y = np.sort(2.0 * sample_negativities(SampleBatch(master_seed=2104, count=count, dims=(2, 2)), threads=2))
+        law = 1.0 - (1.0 - np.minimum(y, 1.0) ** 2) ** 1.5
+        rank = np.arange(1, count + 1) / count
+        assert max(np.abs(rank - law).max(), np.abs(law - (rank - 1.0 / count)).max()) < ks_bound(count)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (4, 4), (2, 3), (3, 5), (5, 3)])
+    def test_law_matches_the_ginibre_oracle(self, dims):
+        count = 20_000
+        mu, nu = dims
+        batch = sample_negativities(SampleBatch(master_seed=2105, count=count, dims=dims), threads=2)
+        oracle = _negativities(_haar_amplitudes(mu, nu, _stream_key(2106), 0, count).reshape(-1, mu, nu))
+        assert two_sample_ks(batch, oracle) < ks_bound(count, count)
+
+    @pytest.mark.parametrize("mu", [2, 3, 4])
+    def test_mean_within_four_standard_errors(self, mu):
+        count = 100_000
+        values = sample_negativities(SampleBatch(master_seed=2107, count=count, dims=(mu, mu)), threads=2)
+        stderr = values.std(ddof=1) / math.sqrt(count)
+        assert abs(values.mean() - eval_float(mean_negativity(mu))) < 4 * stderr
+
+
 class TestCircuitStates:
     def test_zero_rounds_is_fiducial(self):
         expected = np.zeros(16, dtype=complex)
@@ -297,7 +368,6 @@ class TestSampleBatches:
         haar_batch = SampleBatch(master_seed=21, count=9, dims=(3, 3))
         haar_values = sample_negativities(haar_batch)
         assert _haar_chunk(3, 3, _stream_key(21), 6, 7)[0] == haar_values[6]
-        assert schmidt_negativity(haar_pure_state(3, 3, 21, 6)) == haar_values[6]
 
     def test_range_invariant(self):
         batch = SampleBatch(master_seed=2, count=2000, dims=(4, 4))
@@ -338,13 +408,14 @@ class TestSampleBatches:
         # Block b is one 32-bit counter word: block 2**32 is block 0 again.
         key = _stream_key(0)
         assert np.array_equal(_normals(key, 0, 3, 1, first=2**32), _normals(key, 0, 3, 1))
-        SampleBatch(0, 1, dims=(65536, 65536))
-        with pytest.raises(OverflowError, match="more than 2\\*\\*32"):
-            SampleBatch(0, 1, dims=(65536, 65537))
+        # A Haar batch sample takes two uniforms a block, haar_pure_state one block per amplitude.
+        SampleBatch(0, 1, dims=(92681, 92681))
+        with pytest.raises(OverflowError, match="^a sample needs 4294976562 Philox blocks, more than 2\\*\\*32$"):
+            SampleBatch(0, 1, dims=(92682, 92682))
         SampleBatch(0, 1, n_qubits=2, generator="circuit", j=2**30)
         with pytest.raises(OverflowError, match="more than 2\\*\\*32"):
             SampleBatch(0, 1, n_qubits=2, generator="circuit", j=2**30 + 1)
-        with pytest.raises(OverflowError, match="more than 2\\*\\*32"):
+        with pytest.raises(OverflowError, match="^a sample needs 4295032832 Philox blocks, more than 2\\*\\*32$"):
             haar_pure_state(65536, 65537, 0)
 
     def test_bad_seed_rejected_when_built(self):
@@ -403,19 +474,22 @@ class TestStream:
             x1, y1 = _philox4x32_10(key, *(np.array([w], dtype=np.uint64) for w in row))
             assert (xi, yi) == (x1[0], y1[0])
 
-    @pytest.mark.parametrize("generator, kwargs", [("haar", {"dims": (3, 3)}), ("circuit", {"n_qubits": 4, "j": 3})])
+    @pytest.mark.parametrize(
+        "generator, kwargs",
+        [("haar", {"dims": (3, 3)}), ("circuit", {"n_qubits": 4, "j": 3}), pytest.param("haar", {"dims": (5, 3)}, id="haar-5x3")],
+    )
     def test_sample_depends_on_seed_and_index_only(self, generator, kwargs):
-        # The chunk size: 2**14 // 9 samples of 3 x 3 amplitudes, 2**14 // 16 of 4 qubits.
-        edge = {"haar": 1820, "circuit": 1024}[generator]
+        # The chunk size: 2**14 // 9 samples of 3 x 3 uniforms, 2**14 // 15 of 5 x 3, 2**14 // 16 of 4 qubits.
+        edge = 2**14 // (math.prod(kwargs["dims"]) if generator == "haar" else 16)
         batch = SampleBatch(master_seed=19, count=2 * edge + 60, generator=generator, **kwargs)
         full = sample_negativities(batch, threads=3)
         for count in (1, 511, 512, 513, edge - 1, edge, edge + 1):
             for threads in (1, 3):
                 batch = SampleBatch(master_seed=19, count=count, generator=generator, **kwargs)
                 assert np.array_equal(sample_negativities(batch, threads=threads), full[:count])
-        chunk, size = (_haar_chunk, 3) if generator == "haar" else (_circuit_chunk, 4)
+        chunk = partial(_haar_chunk, *kwargs["dims"]) if generator == "haar" else partial(_circuit_chunk, 4, 3)
         for index in (0, 1, 511, 512, 513, 1099, edge - 1, edge, edge + 1, 2 * edge + 59):
-            assert chunk(size, 3, _stream_key(19), index, index + 1)[0] == full[index]
+            assert chunk(_stream_key(19), index, index + 1)[0] == full[index]
 
     def test_seeds_of_any_size(self):
         a = haar_pure_state(2, 2, 2**70, 3)
@@ -496,7 +570,7 @@ class TestDrawBlocks:
             assert np.array_equal(sample_negativities(batch, threads=threads), expected)
 
     @pytest.mark.parametrize("budget", [1, 2**20])
-    @pytest.mark.parametrize("dims", [(2, 2), (3, 5)])
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 5), (5, 3)])
     def test_any_budget_gives_the_same_haar_bytes(self, monkeypatch, budget, dims):
         # 1 gives 128-sample chunks, 2**20 one chunk for the whole batch.
         batch = SampleBatch(master_seed=11, count=600, dims=dims)
@@ -530,9 +604,9 @@ class TestDrawBlocks:
     def test_large_haar_states_come_in_small_chunks(self):
         import tracemalloc
 
-        # 300 samples of 32 x 32 amplitudes, 16 KiB each, are three chunks of at
-        # most 128 samples, and one 2 MiB chunk's draw and SVD peak near 6 MiB.
-        # As one 300-sample chunk they peak above 16 MiB.
+        # 300 samples of 32 x 32 uniforms, 8 KiB each, are three chunks of at
+        # most 128 samples, and one 1 MiB chunk's draw and eigenvalues peak near
+        # 3 MiB. As one 300-sample chunk they peak above 7 MiB.
         batch = SampleBatch(master_seed=3, count=300, dims=(32, 32))
         tracemalloc.start()
         try:
@@ -540,7 +614,7 @@ class TestDrawBlocks:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             sample_negativities(batch, threads=1)
-            assert tracemalloc.get_traced_memory()[1] - base < 8 * 2**20
+            assert tracemalloc.get_traced_memory()[1] - base < 5 * 2**20
         finally:
             tracemalloc.stop()
 
@@ -550,19 +624,22 @@ def _sha256(array):
 
 
 class TestBytePins:
-    """SHA-256 of sampled bytes, recorded before the circuit drew its gates in
-    blocks of rounds. The stream tests above compare a batch with the chunk
-    kernels at one index; these catch a change that moves both. The bytes come
-    from numpy's log, sin, cos and LAPACK SVD, so they are pinned for one
-    platform (numpy 2.4, x86-64 with AVX-512)."""
+    """SHA-256 of sampled bytes. The circuit digests were recorded before the
+    circuit drew its gates in blocks of rounds, the Haar ones when Haar
+    batches moved to the bidiagonal model (stream philox4x32-10/bidiagonal/2).
+    The stream tests above compare a batch with the chunk kernels at one
+    index; these catch a change that moves both. The Haar bytes come from
+    numpy's log and sqrt and LAPACK syevd, the circuit bytes from numpy's
+    log, sin, cos and LAPACK SVD, so they are pinned for one platform
+    (numpy 2.4, x86-64 with AVX-512)."""
 
     SEED = 20261018
 
     @pytest.mark.parametrize(
         "generator, kwargs, count, digest",
         [
-            pytest.param("haar", {"dims": (2, 2)}, 1100, "d908b10378136f4f8b0672590dbb5143caaf7046bd21369c06f39e30c3467be7", id="haar-mu2"),
-            pytest.param("haar", {"dims": (4, 4)}, 1100, "aa4acf289bb664406ed0eb3de25d46de21e4341c14cecaad45216ed6ea47938c", id="haar-mu4"),
+            pytest.param("haar", {"dims": (2, 2)}, 1100, "1b984cb111c45b28c693e426b5a17c63e67ece3b80df5ee053e6d9f642c80585", id="haar-mu2"),
+            pytest.param("haar", {"dims": (4, 4)}, 1100, "19d9f8657e8f5574359ecc9843be0ef677321861e03be3a54cc015fba6bf9f7e", id="haar-mu4"),
             pytest.param("circuit", {"n_qubits": 4, "j": 0}, 600, "24ddaa4710480313757f965c38d60208a334556cb244f830d5006a893edd8da7", id="circuit-n4-j0"),
             pytest.param("circuit", {"n_qubits": 4, "j": 1}, 600, "4abed0f2f28b4f43b604e80f225d3be10230b6e88a445da0fd1da140e5e85f5c", id="circuit-n4-j1"),
             pytest.param("circuit", {"n_qubits": 4, "j": 3}, 600, "a20b51f6335379279f20d6a04d338b321fb1d5fd76e7f75a2bde57b61076fc3c", id="circuit-n4-j3"),
