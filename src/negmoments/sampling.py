@@ -9,14 +9,16 @@ state itself, ``haar_pure_state``, is a normalized complex Gaussian vector
 the batch's law. Pseudorandom states come from a layered circuit: each
 round applies an independent Haar-random 2x2 rotation to every qubit
 followed by a fixed controlled-phase layer on a nearest-neighbour ring, and
-their s_i are the singular values of the amplitude matrix.
+a circuit sample's Schmidt coefficients are the eigenvalues of the Gram
+matrix M M^H of its amplitude matrix M.
 
 Every random number comes from one counter-based stream, named by
 ``STREAM_ID``: Philox4x32-10 (Salmon et al., "Parallel random numbers: as
 easy as 1, 2, 3", SC'11) keyed by numpy's ``SeedSequence(master_seed)``,
 run on Python ints, and evaluated at the counter (block, 0, low and high 32
-bits of the sample index). A Haar batch turns each block into two uniforms,
-the circuit and ``haar_pure_state`` into two standard normals by Box-Muller.
+bits of the sample index). A Haar batch and the circuit turn each block
+into two uniforms (the circuit builds each gate from three, in Hopf
+coordinates), ``haar_pure_state`` into two standard normals by Box-Muller.
 Sample i of a batch is therefore a function of (master_seed, i)
 alone: results are bit-identical for any chunking or thread count, and a
 chunk kernel run over [i, i + 1) reproduces sample i of a batch. The chunked
@@ -49,11 +51,11 @@ __all__ = [
 
 #: Names the random stream behind every sampled value. Any change to the
 #: generator, its keying or the transforms of its words gets a new id.
-STREAM_ID = "philox4x32-10/bidiagonal/2"
+STREAM_ID = "philox4x32-10/hopf/3"
 
-#: A Schmidt coefficient below this is round-off and counts as zero. For a
-#: singular value s of an amplitude matrix the test is made on s * s, for
-#: an eigenvalue of the bidiagonal model's B^T B on the eigenvalue itself.
+#: A Schmidt coefficient below this is round-off and counts as zero. The
+#: test is made on the eigenvalues of a Gram matrix: the circuit's M M^H or
+#: the bidiagonal model's B^T B.
 SPECTRUM_CLIP = 1e-15
 
 #: Work per numpy call of the sampling kernels. A chunk holds
@@ -74,8 +76,8 @@ class SampleBatch:
     circuit batch by an even n_qubits alone. count, j, n_qubits and both
     dims must be integers (numpy integers included), master_seed a
     nonnegative one. A sample may draw at most 2**32 Philox blocks
-    (ceil(dims[0] * dims[1] / 2), or 2 n_qubits j); OverflowError beyond
-    that.
+    (ceil(dims[0] * dims[1] / 2), or 3 n_qubits j / 2); OverflowError
+    beyond that.
     """
 
     master_seed: int
@@ -102,7 +104,7 @@ class SampleBatch:
                 raise ValueError("round count must be nonnegative")
             if self.n_qubits < 2 or self.n_qubits % 2:
                 raise ValueError("n_qubits must be even and at least 2")
-        _check_blocks(2 * self.n_qubits * self.j if circuit else (self.dims[0] * self.dims[1] + 1) // 2)
+        _check_blocks(3 * self.n_qubits * self.j // 2 if circuit else (self.dims[0] * self.dims[1] + 1) // 2)
         _stream_key(self.master_seed)  # last, so the errors above come first
 
 
@@ -120,7 +122,7 @@ def _check_blocks(blocks: int) -> None:
 
     Block b is the first 32-bit counter word, so block 2**32 would wrap to
     block 0 and repeat it. A Haar batch sample draws ceil(mu nu / 2)
-    blocks, a circuit sample 2 n_qubits j, and haar_pure_state mu nu.
+    blocks, a circuit sample 3 n_qubits j / 2, and haar_pure_state mu nu.
     """
     if blocks > 2**32:
         raise OverflowError(f"a sample needs {blocks} Philox blocks, more than 2**32")
@@ -259,8 +261,8 @@ def _normals(key: tuple[int, int], start: int, stop: int, pairs: int, first: int
     return out.reshape(2 * pairs, stop - start)
 
 
-def _uniforms(key: tuple[int, int], start: int, stop: int, count: int) -> np.ndarray:
-    """Uniforms 0 .. count - 1 in (0, 1] of samples start..stop-1, shape (count, stop - start).
+def _uniforms(key: tuple[int, int], start: int, stop: int, count: int, first: int = 0) -> np.ndarray:
+    """Uniforms 2 first .. 2 first + count - 1 in (0, 1] of samples start..stop-1, shape (count, stop - start).
 
     Block b of sample i is the counter of _normals, and its two packed
     words give uniforms 2b and 2b + 1 by Box-Muller's u1 rule: the top 53
@@ -270,7 +272,7 @@ def _uniforms(key: tuple[int, int], start: int, stop: int, count: int) -> np.nda
     import numpy as np
 
     index = np.arange(start, stop, dtype=np.uint64)
-    blocks = np.arange((count + 1) // 2, dtype=np.uint64)[:, np.newaxis]
+    blocks = np.arange(first, first + (count + 1) // 2, dtype=np.uint64)[:, np.newaxis]
     words = _philox4x32_10(key, blocks, 0, index & 0xFFFFFFFF, index >> 32)
     u = np.empty((blocks.size, 2, stop - start))
     for k, word in enumerate(words):
@@ -309,21 +311,23 @@ def haar_pure_state(mu: int, nu: int, master_seed: int, index: int = 0) -> np.nd
 
 
 def reduced_state_a(m: np.ndarray) -> np.ndarray:
-    """Reduced density matrix on subsystem A of a (mu, nu) amplitude matrix."""
-    return m @ m.conj().T
+    """Reduced density matrix M M^H on subsystem A of a (mu, nu) amplitude matrix M, or of each in a stack."""
+    return m @ m.conj().swapaxes(-1, -2)
 
 
-def _negativities(matrices: np.ndarray) -> np.ndarray:
-    """Pure-state negativity ((sum_i s_i)^2 - 1) / 2 of each (mu, nu) matrix in a stack.
+def _gram_negativity(gram: np.ndarray) -> np.ndarray:
+    """Pure-state negativity from each unit-trace Gram matrix in a stack.
 
-    The s_i are the singular values, the square roots of the Schmidt
-    coefficients. Between 0 and (mu - 1) / 2.
+    The Gram matrix is a reduced state, or one with its spectrum, so its
+    eigenvalues p_i are the Schmidt coefficients. Those below SPECTRUM_CLIP
+    count as zero, and the rest give ((sum_i sqrt p_i)^2 - 1) / 2. eigvalsh
+    reads the lower triangle only.
     """
     import numpy as np
 
-    s = np.linalg.svd(matrices, compute_uv=False)
-    s[s * s < SPECTRUM_CLIP] = 0.0
-    return _root_sum_negativity(s)
+    p = np.linalg.eigvalsh(gram)
+    p[p < SPECTRUM_CLIP] = 0.0
+    return _root_sum_negativity(np.sqrt(p, out=p))
 
 
 def _root_sum_negativity(s: np.ndarray) -> np.ndarray:
@@ -339,26 +343,45 @@ def _root_sum_negativity(s: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _su2_from_gaussians(g: np.ndarray) -> np.ndarray:
-    """Map (..., 4, batch) real Gaussians to Haar-random SU(2) (..., 2, 2, batch).
+def _su2_from_uniforms(u: np.ndarray) -> np.ndarray:
+    """Map (..., 3, batch) uniforms in (0, 1] to Haar-random SU(2) (..., 2, 2, batch).
 
-    The quaternion (a, b, c, d) / |(a, b, c, d)| becomes
-    [[a + ib, c + id], [-c + id, a - ib]]. g is overwritten with the
-    normalized quaternions.
+    Hopf coordinates (Shoemake, "Uniform random rotations", Graphics Gems
+    III, 1992): uniforms (x, v, w) give a + ib = sqrt(x) e^(i alpha) and
+    c + id = sqrt(1 - x) e^(i beta), with alpha = 2 pi v - pi and beta =
+    2 pi w - pi, placed in [[a + ib, c + id], [-c + id, a - ib]]. Each phase
+    comes from the tangent of its half angle, t = tan(pi (v - 1/2)), as
+    cos = (1 - t^2) / (1 + t^2) and sin = 2 t / (1 + t^2): no log, sin, cos
+    or normalization. u is overwritten.
     """
     import numpy as np
 
-    a, b, c, d = np.moveaxis(g, -2, 0)
-    norm = a * a
-    for x in (b, c, d):
-        norm += x * x
-    g /= np.sqrt(norm, out=norm)[..., np.newaxis, :]
-    u = np.empty(g.shape[:-2] + (2, 2) + g.shape[-1:], dtype=np.complex128)
-    re, im = u.real, u.imag
-    re[..., 0, :, :], im[..., 0, :, :] = g[..., 0::2, :], g[..., 1::2, :]
-    re[..., 1, 0, :], im[..., 1, 0, :] = -c, d
-    re[..., 1, 1, :], im[..., 1, 1, :] = a, -b
-    return u
+    x, t = u[..., 0, :], u[..., 1:, :]
+    t -= 0.5
+    t *= np.pi
+    np.tan(t, out=t)
+    gates = np.empty(u.shape[:-2] + (2, 2) + u.shape[-1:], dtype=np.complex128)
+    re, im = gates.real, gates.imag
+    # Until the first row is written, the second holds 1 + t^2 and
+    # scale = r / (1 + t^2), for the moduli r = sqrt(x) and sqrt(1 - x) of
+    # a + ib and c + id: no buffer beyond the gates.
+    scale, square = re[..., 1, :, :], im[..., 1, :, :]
+    np.multiply(t, t, out=square)
+    square += 1.0
+    np.sqrt(x, out=scale[..., 0, :])
+    np.subtract(1.0, x, out=scale[..., 1, :])
+    np.sqrt(scale[..., 1, :], out=scale[..., 1, :])
+    scale /= square
+    # First row: r (1 - t^2) / (1 + t^2) = scale (2 - square), and 2 t scale.
+    np.subtract(2.0, square, out=square)
+    np.multiply(scale, square, out=re[..., 0, :, :])
+    t += t
+    np.multiply(scale, t, out=im[..., 0, :, :])
+    np.negative(re[..., 0, 1, :], out=re[..., 1, 0, :])
+    im[..., 1, 0, :] = im[..., 0, 1, :]
+    re[..., 1, 1, :] = re[..., 0, 0, :]
+    np.negative(im[..., 0, 0, :], out=im[..., 1, 1, :])
+    return gates
 
 
 @lru_cache(maxsize=None)
@@ -400,9 +423,10 @@ def _circuit_states(n_qubits: int, rounds: int, key: tuple[int, int], start: int
 
     Qubit 0 is the most significant index, and _circuit_chunk splits the
     first n/2 qubits from the rest; zero rounds leave the all-zeros state.
-    Round r takes normals 4 n r .. 4 n (r + 1) - 1 of each sample, drawn in
-    whole rounds of at most _CHUNK_ELEMENTS Philox blocks (at least one
-    round); the gates write to two state buffers in turn.
+    Gate q of round r takes uniforms 3 (n r + q) .. 3 (n r + q) + 2 of each
+    sample, so a round is 3 n / 2 Philox blocks, drawn in whole rounds of at
+    most _CHUNK_ELEMENTS blocks (at least one round); the gates write to two
+    state buffers in turn.
     """
     import numpy as np
 
@@ -413,11 +437,12 @@ def _circuit_states(n_qubits: int, rounds: int, key: tuple[int, int], start: int
         return psi
     spare, scratch = np.empty_like(psi), np.empty_like(psi)
     diag = _cz_layer_diagonal(n_qubits)[:, np.newaxis]
-    per_draw = max(1, _CHUNK_ELEMENTS // (2 * n_qubits * batch))
+    round_blocks = 3 * n_qubits // 2
+    per_draw = max(1, _CHUNK_ELEMENTS // (round_blocks * batch))
     for first in range(0, rounds, per_draw):
         count = min(per_draw, rounds - first)
-        gates = _su2_from_gaussians(
-            _normals(key, start, stop, 2 * count * n_qubits, 2 * first * n_qubits).reshape(count, n_qubits, 4, batch)
+        gates = _su2_from_uniforms(
+            _uniforms(key, start, stop, 3 * count * n_qubits, round_blocks * first).reshape(count, n_qubits, 3, batch)
         )
         for r in range(count):
             for q in range(n_qubits):
@@ -477,14 +502,14 @@ def _haar_chunk(mu: int, nu: int, key: tuple[int, int], start: int, stop: int) -
     gram[:, :: m + 1] = diagonal.T
     gram[:, : (m - 1) * (m + 1) : m + 1] += sub.T
     gram[:, m :: m + 1] = np.sqrt(sub * diagonal[1:]).T
-    p = np.linalg.eigvalsh(gram.reshape(-1, m, m))
-    p[p < SPECTRUM_CLIP] = 0.0
-    return _root_sum_negativity(np.sqrt(p, out=p))
+    return _gram_negativity(gram.reshape(-1, m, m))
 
 
 def _circuit_chunk(n_qubits: int, rounds: int, key: tuple[int, int], start: int, stop: int) -> np.ndarray:
+    """Negativities of circuit samples start..stop-1, from the eigenvalues of M M^H for each amplitude matrix M."""
     half = 2 ** (n_qubits // 2)
-    return _negativities(_circuit_states(n_qubits, rounds, key, start, stop).T.reshape(-1, half, half))
+    states = _circuit_states(n_qubits, rounds, key, start, stop)
+    return _gram_negativity(reduced_state_a(states.T.reshape(-1, half, half)))
 
 
 def sample_negativities(batch: SampleBatch, threads: int = 1) -> np.ndarray:
