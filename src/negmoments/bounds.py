@@ -11,7 +11,7 @@ it, since the constant in its d_A log2(d_A) / epsilon^2 scale is not known.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "RATIO_PRESET",
@@ -34,8 +34,7 @@ RATIO_PRESET = 0.72037
 _MAX_N_QUBITS = 2046
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     """Bound values for one system size at a ratio c, in CSV column order."""
 
     n_qubits: int

@@ -184,12 +184,10 @@ def _cmd_bounds(args) -> int:
             c = float(args.c)
         except ValueError as exc:
             raise UsageError("--c must be a number or 'preset'") from exc
-    from dataclasses import asdict, astuple, fields  # here, so that --version does not load it
-
     report = bounds.build_bounds_report(n, c=c)
-    doc = asdict(report)
+    doc = report._asdict()
     doc["raw"] = {"singlet_distance": report.singlet_distance_lb, "fidelity": report.fidelity_ub}
-    return _emit(args, doc, [f.name for f in fields(report)], [astuple(report)])
+    return _emit(args, doc, report._fields, [tuple(report)])
 
 
 def _cmd_verify(args) -> int:

@@ -13,8 +13,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .exactring import format_rational
 from .moments import MomentReport
@@ -33,29 +32,38 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Histogram:
-    """Equal-width counts of a sample."""
+#: _make of a record whose __new__ checks its fields. _replace builds its
+#: copy with _make, so the copy is checked as well.
+_checked_make = classmethod(lambda cls, iterable: cls(*iterable))
 
+
+class _HistogramFields(NamedTuple):
     bin_edges: np.ndarray
     counts: np.ndarray
     total: int
 
-    def __post_init__(self):
+
+class Histogram(_HistogramFields):
+    """Equal-width counts of a sample."""
+
+    __slots__ = ()
+
+    def __new__(cls, bin_edges, counts, total: int):
         import numpy as np
 
-        edges = np.asarray(self.bin_edges, dtype=float)
-        counts = np.asarray(self.counts, dtype=np.int64)
+        edges = np.asarray(bin_edges, dtype=float)
+        counts = np.asarray(counts, dtype=np.int64)
         if edges.ndim != 1 or edges.size < 2:
             raise ValueError("need at least one bin")
         if np.any(np.diff(edges) <= 0):
             raise ValueError("bin edges must be strictly ascending")
         if counts.shape != (edges.size - 1,):
             raise ValueError("counts length must match bin count")
-        if int(counts.sum()) != self.total:
+        if int(counts.sum()) != total:
             raise ValueError("counts do not sum to total")
-        object.__setattr__(self, "bin_edges", edges)
-        object.__setattr__(self, "counts", counts)
+        return super().__new__(cls, edges, counts, total)
+
+    _make = _checked_make
 
     def densities(self) -> np.ndarray:
         import numpy as np
@@ -115,16 +123,22 @@ def build_histogram(values, bins: int) -> Histogram:
     return Histogram(edges, counts, int(values.size))
 
 
-@dataclass(frozen=True)
-class GaussianReference:
-    """Normal density with the normalized analytic mean and deviation."""
-
+class _GaussianFields(NamedTuple):
     mean_prime: float
     sigma_prime: float
 
-    def __post_init__(self):
-        if not self.sigma_prime > 0:
+
+class GaussianReference(_GaussianFields):
+    """Normal density with the normalized analytic mean and deviation."""
+
+    __slots__ = ()
+
+    def __new__(cls, mean_prime: float, sigma_prime: float):
+        if not sigma_prime > 0:
             raise ValueError("sigma must be positive")
+        return super().__new__(cls, mean_prime, sigma_prime)
+
+    _make = _checked_make
 
     def density(self, x):
         import numpy as np
@@ -148,8 +162,7 @@ def gaussian_reference(report: MomentReport) -> GaussianReference:
     return GaussianReference(report.mean_normalized, report.sigma_normalized)
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Histogram-vs-reference agreement figures."""
 
     ks_statistic: float
@@ -219,9 +232,9 @@ def build_document(
             "total": histogram.total,
         }
     if reference is not None:
-        doc["reference"] = asdict(reference)
+        doc["reference"] = reference._asdict()
     if comparison is not None:
-        doc["comparison"] = asdict(comparison)
+        doc["comparison"] = comparison._asdict()
     return doc
 
 

@@ -46,10 +46,12 @@ def _twice(value) -> int:
     """Twice an integer or half-integer value; ValueError for anything else."""
     if isinstance(value, int):
         return 2 * value
-    doubled = Fraction(value) * 2
-    if doubled.denominator != 1:
+    # A Fraction is already reduced: it is taken as it is, and twice it is
+    # whole exactly when its denominator divides 2.
+    exact = value if type(value) is Fraction else Fraction(value)
+    if 2 % exact.denominator:
         raise ValueError(f"{value!r} is not an integer or half-integer")
-    return int(doubled)
+    return int(2 // exact.denominator * exact.numerator)
 
 
 def format_rational(x) -> str:
@@ -61,6 +63,8 @@ _ZERO = Fraction(0)
 
 
 def _coerce_rational(value) -> Fraction:
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("exact ring does not accept floats")
     return Fraction(value.numerator, value.denominator) if not isinstance(value, int) else Fraction(value)

@@ -120,12 +120,16 @@ def laguerre_pair_integral_hyp3f2(k: int, l: int) -> SqrtPiPolynomial:
     three_halves = Fraction(3, 2)
     # Successive terms of the 3F2 series have the ratio
     # (3/2+t)^2 (t-k) / ((1+t) (3/2-l+t) (t+1)); times 4/4 it is a ratio of
-    # integers.
-    term = Fraction(1)
-    series = term
+    # integers. Each term is kept as an integer over the running product of
+    # those denominators, and so is the partial sum: it is rescaled by each
+    # new denominator factor, and becomes one rational at the end.
+    term = den = partial = 1
     for t in range(k):
-        term = term * Fraction((2 * t + 3) ** 2 * (t - k), 2 * (t + 1) ** 2 * (2 * t + 3 - 2 * l))
-        series = series + term
+        step = 2 * (t + 1) ** 2 * (2 * t + 3 - 2 * l)
+        term *= (2 * t + 3) ** 2 * (t - k)
+        den *= step
+        partial = partial * step + term
+    series = Fraction(partial, den)
     # Gamma(3/2) and Gamma(3/2 - l) are rational multiples of sqrt(pi)
     # (3/2 - l is never a pole), so the prefactor is their coefficient ratio
     # times sqrt(pi).

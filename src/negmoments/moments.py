@@ -63,11 +63,10 @@ the size at EXACT_MODE_CEILING and raises ResourceCeilingError above it.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .exactring import SqrtPiPolynomial, eval_float, eval_sqrt_float
 from .exactring import _twice
@@ -104,8 +103,7 @@ class ResourceCeilingError(RuntimeError):
     """Exact evaluation was forced beyond the configured size ceiling."""
 
 
-@dataclass(frozen=True)
-class PairIntegralMatrix:
+class PairIntegralMatrix(NamedTuple):
     """Symmetric mu x mu matrix of exact Laguerre pair integrals.
 
     Every entry shares one sqrt(pi) grade (``power``). The coefficients are
@@ -225,9 +223,13 @@ def _square_sums(mu: int) -> tuple:
 
 
 def _pair_trace(mat: PairIntegralMatrix):
+    # N is symmetric: t2 = sum_k N_kk^2 + 2 sum_{k<l} N_kl^2, one row at a time.
     nums = mat.numerators
-    t1 = _int_trace(nums)
-    t2 = sum(x * x for row in nums for x in row)
+    t1 = t2 = 0
+    for k, row in enumerate(nums):
+        upper = row[k + 1 :]
+        t1 += row[k]
+        t2 += row[k] * row[k] + 2 * sum(map(mul, upper, upper))
     return Fraction(t1 * t1 - t2, mat.denominator**2)
 
 
@@ -327,8 +329,7 @@ def max_negativity(mu: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MomentReport:
+class MomentReport(NamedTuple):
     """Exact moments for one bipartition size and their float values."""
 
     mu: int
@@ -341,8 +342,7 @@ class MomentReport:
     n_max: object  # rational (mu - 1) / 2
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     """One row of the normalized-mean convergence table."""
 
     n_qubits: int

@@ -22,15 +22,18 @@ Each suite compares two routes; what each side runs:
 The naive oracle, naive_det_moment_sum, lives here rather than in the
 moment engine: it evaluates every small determinant of every ordered index
 tuple explicitly, on the integer numerators of the pair matrices, and
-divides by the common denominators once at the end. It is O(mu^4) and meant
-for small mu only.
+divides by the common denominators once at the end. The 2x2 and 3x3
+determinants are written out; each 4x4 one is the Laplace expansion along
+its first two rows, six products of 2x2 minors read from a table of every
+row pair's minors (mu^4 entries, built once). It is O(mu^4) and meant for
+small mu only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactring import SqrtPiPolynomial, eval_float
 from .laguerre import laguerre_pair_integral, laguerre_pair_integral_hyp3f2
@@ -55,20 +58,6 @@ def _det3(m):
     )
 
 
-def _det4(m):
-    # Laplace expansion along the first two rows: each 2x2 minor of rows 0-1
-    # times its complementary minor of rows 2-3.
-    (a, b, c, d), (e, f, g, h), (i, j, k, l), (q, r, s, t) = m
-    return (
-        (a * f - b * e) * (k * t - l * s)
-        - (a * g - c * e) * (j * t - l * r)
-        + (a * h - d * e) * (j * s - k * r)
-        + (b * g - c * f) * (i * t - l * q)
-        - (b * h - d * f) * (i * s - k * q)
-        + (c * h - d * g) * (i * r - j * q)
-    )
-
-
 def _naive_pair(rows):
     total = 0
     n = len(rows)
@@ -89,14 +78,32 @@ def _naive_triple(a_rows, b_rows):
 
 
 def _naive_quad(b_rows):
-    total = 0
+    # Each 4x4 determinant by its Laplace expansion along the first two rows:
+    # a 2x2 minor of rows (k, l) times the complementary minor of rows
+    # (m, p). minors[r][s][c][d] is the minor of rows (r, s) and columns
+    # (c, d), tabulated once for every row pair; the columns are (k, l, m, p).
     n = len(b_rows)
+    minors = [
+        [[[x * row_s[d] - row_r[d] * y for d in range(n)] for x, y in zip(row_r, row_s)] for row_s in b_rows]
+        for row_r in b_rows
+    ]
+    total = 0
     for k in range(n):
         for l in range(n):
+            top = minors[k][l]
+            top_k, top_l = top[k], top[l]
             for m_ in range(n):
+                top_m = top[m_]
                 for p in range(n):
-                    idx = (k, l, m_, p)
-                    total += _det4([[b_rows[r][c] for c in idx] for r in idx])
+                    low = minors[m_][p]
+                    total += (
+                        top_k[l] * low[m_][p]
+                        - top_k[m_] * low[l][p]
+                        + top_k[p] * low[l][m_]
+                        + top_l[m_] * low[k][p]
+                        - top_l[p] * low[k][m_]
+                        + top_m[p] * low[k][l]
+                    )
     return total
 
 
@@ -133,8 +140,7 @@ def naive_det_moment_sum(mu: int, pattern: str, beta=None) -> SqrtPiPolynomial:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

@@ -277,6 +277,35 @@ class TestBoundsCommand:
             assert captured.err == "error: n_qubits must be at most 2046: 2^(n/2) must fit a double\n"
 
 
+#: A factory for each record the package returns, by type name.
+RECORDS = {
+    "PairIntegralMatrix": lambda: negmoments.build_pair_integral_matrix(2, 1),
+    "MomentReport": lambda: negmoments.normalized_moments(2),
+    "TableRow": lambda: negmoments.generate_table([2])[0],
+    "BoundsReport": lambda: negmoments.build_bounds_report(6, c=0.7),
+    "CheckResult": lambda: negmoments.selfcheck.CheckResult("suite", True, "detail"),
+    "Histogram": lambda: negmoments.Histogram([0.0, 1.0], [3], 3),
+    "GaussianReference": lambda: negmoments.GaussianReference(0.5, 0.1),
+    "ComparisonReport": lambda: negmoments.ComparisonReport(0.1, 0.2, 0.3),
+}
+
+
+class TestRecords:
+    """The records are named tuples: read-only fields, and _fields in output order."""
+
+    @pytest.mark.parametrize("name", list(RECORDS))
+    def test_fields_are_read_only(self, name):
+        record = RECORDS[name]()
+        assert type(record).__name__ == name and isinstance(record, tuple)
+        assert tuple(record) == tuple(getattr(record, field) for field in record._fields)
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+
+    def test_bounds_csv_header_is_the_field_order(self, capsys):
+        assert main(["bounds", "--n-qubits", "6", "--format", "csv"]) == 0
+        assert tuple(capsys.readouterr().out.splitlines()[0].split(",")) == negmoments.BoundsReport._fields
+
+
 class TestOneWriter:
     """Every command but verify prints through one writer, and compare is sample plus statistics."""
 

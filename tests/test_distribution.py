@@ -94,6 +94,11 @@ class TestHistogramInvariants:
             Histogram(np.array([0.0, 1.0]), np.array([3]), total=4)
         with pytest.raises(ValueError):
             Histogram(np.array([1.0, 0.0]), np.array([3]), total=3)
+        hist = Histogram([0.0, 1.0], [3], 3)
+        assert hist.bin_edges.dtype == float and hist.counts.dtype == np.int64
+        assert hist._replace(counts=[1, 2], bin_edges=[0, 1, 2]).counts.dtype == np.int64
+        with pytest.raises(ValueError):
+            hist._replace(total=4)
 
 
 class TestGaussianReference:
@@ -120,6 +125,8 @@ class TestGaussianReference:
     def test_requires_positive_sigma(self):
         with pytest.raises(ValueError):
             GaussianReference(0.5, 0.0)
+        with pytest.raises(ValueError):
+            GaussianReference(0.5, 0.1)._replace(sigma_prime=-0.1)
 
 
 class TestCompare:

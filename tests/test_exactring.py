@@ -35,6 +35,11 @@ class TestHalfInteger:
         assert _twice(Fraction(3, 2)) == 3
         assert _twice(-0.5) == -1
 
+    @pytest.mark.parametrize("value,twice", [(Fraction(-3, 2), -3), (Fraction(4), 8), (Fraction(0), 0)])
+    def test_fractions_are_read_as_they_are(self, value, twice):
+        assert _twice(value) == twice
+        assert type(_twice(value)) is int
+
     def test_rejects_non_halves(self):
         with pytest.raises(ValueError, match=r"^Fraction\(1, 3\) is not an integer or half-integer$"):
             _twice(Fraction(1, 3))

@@ -95,8 +95,9 @@ class TestHyp3F2Path:
         assert laguerre_pair_integral_hyp3f2(1, 1) == SqrtPiPolynomial({1: Fraction(7, 8)})
 
     def test_matches_binomial_sum(self):
-        for k in range(13):
-            for l in range(13):
+        # k, l <= 32, as far as the verify suite reaches.
+        for k in range(33):
+            for l in range(33):
                 assert laguerre_pair_integral_hyp3f2(k, l) == laguerre_pair_integral(k, l, HALF)
 
     def test_verify_suite_catches_a_wrong_term_sum(self, monkeypatch):

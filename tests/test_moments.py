@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +25,7 @@ from negmoments.moments import (
     normalized_moments,
     variance_negativity,
 )
-from negmoments.selfcheck import _det4, check_variance_identity, naive_det_moment_sum
+from negmoments.selfcheck import _naive_quad, check_variance_identity, naive_det_moment_sum
 
 HALF = Fraction(1, 2)
 
@@ -83,7 +82,7 @@ class TestPairIntegralMatrix:
             mat = build_pair_integral_matrix(mu, beta)
             nums = [list(row) for row in mat.numerators]
             nums[2][3] += 1
-            return replace(mat, numerators=tuple(map(tuple, nums)))
+            return mat._replace(numerators=tuple(map(tuple, nums)))
 
         monkeypatch.setattr(selfcheck, "build_pair_integral_matrix", corrupted)
         result = selfcheck.check_symmetry(4)
@@ -190,15 +189,24 @@ class TestDetMomentSums:
                 trace = det_moment_sum(mu, pattern, **kwargs)
                 assert naive == trace
 
-    def test_det4_matches_permutation_expansion(self):
-        rng = random.Random(7)
-        for _ in range(200):
-            m = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
-            leibniz = 0
-            for perm in itertools.permutations(range(4)):
-                inversions = sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4))
-                leibniz += (-1) ** inversions * math.prod(m[r][perm[r]] for r in range(4))
-            assert _det4(m) == leibniz
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_naive_quad_matches_leibniz_sum(self, n):
+        # Every ordered 4-tuple's determinant by the Leibniz formula, on
+        # random integer matrices that need not be symmetric.
+        signed = []
+        for perm in itertools.permutations(range(4)):
+            inversions = sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4))
+            signed.append(((-1) ** inversions, perm))
+        rng = random.Random(7 + n)
+        for _ in range(3):
+            b = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            leibniz = sum(
+                sign * math.prod(b[idx[r]][idx[perm[r]]] for r in range(4))
+                for idx in itertools.product(range(n), repeat=4)
+                for sign, perm in signed
+            )
+            assert _naive_quad(b) == leibniz
+            assert (leibniz != 0) == (n >= 4)  # below 4 indices, every tuple repeats one
 
     def test_naive_suite_catches_a_trace_off_by_one_unit(self, monkeypatch):
         from negmoments import moments, selfcheck
@@ -226,7 +234,7 @@ class TestDetMomentSums:
             nums = [list(row) for row in mat.numerators]
             nums[17][20] += 1
             nums[20][17] += 1
-            return replace(mat, numerators=tuple(map(tuple, nums)))
+            return mat._replace(numerators=tuple(map(tuple, nums)))
 
         monkeypatch.setattr(moments, "_build_matrix_cached", corrupted)
         result = selfcheck.check_pair_trace_identity(32)
