@@ -776,6 +776,24 @@ class TestBytePins:
     def test_circuit_state_bytes(self, index, digest):
         assert _sha256(circuit_state(6, 5, self.SEED, index)) == digest
 
+    # The Ginibre oracle's Box-Muller normals (numpy's log, sqrt, cos and
+    # sin), recorded while _normals still read the Philox words itself.
+    @pytest.mark.parametrize(
+        "dims, index, digest",
+        [
+            pytest.param((2, 2), 0, "a9a8b5e5a70d8f426f439fd6d09ff489d5076d2d43b849ab729962337b4ce9a6", id="2x2-index0"),
+            pytest.param((2, 2), 2**40 + 1, "e715f627a65748b1dee5f64bc1b4aa36af7c931d58241e6f3c027da9d7d96b75", id="2x2-index2**40+1"),
+            pytest.param((3, 5), 0, "a87d9cb5a52509034a8441b2b3a8273ab3246759a5416804905e2e82461a0b54", id="3x5-index0"),
+            pytest.param((3, 5), 2**40 + 1, "81e58a9ba417d212c2aed8297f059b1f9361b43d28b5f9d6c1aa6e62f80eefd3", id="3x5-index2**40+1"),
+        ],
+    )
+    def test_haar_pure_state_bytes(self, dims, index, digest):
+        assert _sha256(haar_pure_state(*dims, self.SEED, index)) == digest
+
+    def test_normals_bytes(self):
+        digest = "51e853877a958b4dc161ec98618e462924719cc0703cab0ef1cdb04c9359a9b2"
+        assert _sha256(_normals(_stream_key(self.SEED), 5, 700, 7, first=5)) == digest
+
 
 class TestGateKernel:
     @pytest.mark.parametrize("n_qubits", [2, 4, 6])
