@@ -6,10 +6,11 @@ verify them, and the teleportation / distillation bounds they imply.
 
 The package registers its submodules lazily and loads the exports below on
 first use (PEP 562), so importing the package, or running
-``negmoments --version``, loads no numpy. Only
-sampling, distribution and bounds.cluster_check use numpy, each inside the
-functions that need it; the exact engine and its ``verify`` oracles
-(exactring, laguerre, quadrature, moments, selfcheck) never import it.
+``negmoments --version``, loads no numpy. sampling imports numpy when it
+runs, and only ``sample`` and ``compare`` run it; distribution and
+bounds.cluster_check import it inside the functions that need it. The exact
+engine and its ``verify`` oracles (exactring, laguerre, quadrature, moments,
+selfcheck) never import it.
 Floats are correctly rounded by integer arithmetic, so no command loads
 mpmath: only ``SqrtPiPolynomial.evaluate_mpf`` imports it.
 """

@@ -206,11 +206,12 @@ def _cmd_verify(args) -> int:
 #: Each command and the modules it runs. They are loaded before the command
 #: starts: Python 3.11's LazyLoader is not thread-safe on a module's first
 #: access, and compiling them after numpy has loaded raises the peak memory.
+#: So sampling, which imports numpy, comes last.
 _COMMANDS = {
     "moments": (_cmd_moments, (moments, distribution)),
     "table": (_cmd_table, (moments, distribution)),
-    "sample": (_cmd_sample, (sampling, moments, distribution)),
-    "compare": (_cmd_sample, (sampling, moments, distribution)),
+    "sample": (_cmd_sample, (moments, distribution, sampling)),
+    "compare": (_cmd_sample, (moments, distribution, sampling)),
     "bounds": (_cmd_bounds, (moments, bounds, distribution)),
     "verify": (_cmd_verify, (selfcheck,)),
 }

@@ -50,6 +50,14 @@ def _laguerre_sequence(n: int, alpha: float, x: float) -> list[float]:
     return values[: n + 1]
 
 
+def _laguerre_pair(n: int, alpha: float, x: float) -> tuple[float, float]:
+    """(L_{n-1}^{(alpha)}(x), L_n^{(alpha)}(x)) for n >= 1: _laguerre_sequence's steps, keeping two values."""
+    below, value = 1.0, 1.0 + alpha - x
+    for i in range(1, n):
+        below, value = value, ((2 * i + alpha + 1 - x) * value - (i + alpha) * below) / (i + 1)
+    return below, value
+
+
 @lru_cache(maxsize=None)
 def _gauss_rule(n: int, alpha: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Nodes and weights for integral_0^inf f(x) x**alpha e**(-x) dx, n >= 1.
@@ -69,7 +77,7 @@ def _gauss_rule(n: int, alpha: float) -> tuple[tuple[float, ...], tuple[float, .
             a = i - 1
             z += ((1 + 2.55 * a) / (1.9 * a) + 1.26 * a * alpha / (1 + 3.5 * a)) * (z - nodes[-2]) / (1 + 0.3 * alpha)
         for _ in range(_NEWTON_CAP):
-            below, value = _laguerre_sequence(n, alpha, z)[-2:]
+            below, value = _laguerre_pair(n, alpha, z)
             step = value * z / (n * value - (n + alpha) * below)
             z -= step
             if abs(step) <= _STEP_TOLERANCE * z:
@@ -78,7 +86,7 @@ def _gauss_rule(n: int, alpha: float) -> tuple[tuple[float, ...], tuple[float, .
         if not (abs(step) <= _STEP_TOLERANCE * z and z > (nodes[-1] if nodes else 0.0)):
             raise NodeConvergenceError(f"no new zero {i + 1} of L_{n}^({alpha}) within {_NEWTON_CAP} Newton steps")
         nodes.append(z)
-        weights.append(norm * z / ((n + alpha) ** 2 * _laguerre_sequence(n - 1, alpha, z)[-1] ** 2))
+        weights.append(norm * z / ((n + alpha) ** 2 * _laguerre_pair(n, alpha, z)[0] ** 2))
     return tuple(nodes), tuple(weights)
 
 

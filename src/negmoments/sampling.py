@@ -16,30 +16,33 @@ Every random number comes from one counter-based stream, named by
 ``STREAM_ID``: Philox4x32-10 (Salmon et al., "Parallel random numbers: as
 easy as 1, 2, 3", SC'11) keyed by numpy's ``SeedSequence(master_seed)``,
 run on Python ints, and evaluated at the counter (block, 0, low and high 32
-bits of the sample index). A Haar batch and the circuit turn each block
-into two uniforms (the circuit builds each gate from three, in Hopf
-coordinates), ``haar_pure_state`` into two standard normals by Box-Muller.
-Sample i of a batch is therefore a function of (master_seed, i)
-alone: results are bit-identical for any chunking or thread count, and a
-chunk kernel run over [i, i + 1) reproduces sample i of a batch. The chunked
-kernels vectorize over samples without changing any per-sample arithmetic.
+bits of the sample index). One reader, ``_uniforms``, turns each block
+into two uniforms. A Haar batch takes them as they are, the circuit builds
+each gate from three, in Hopf coordinates, and ``haar_pure_state`` turns
+each pair into two standard normals by Box-Muller. Sample i of a batch is
+therefore a function of (master_seed, i) alone: results are bit-identical
+for any chunking or thread count, and a chunk kernel run over [i, i + 1)
+reproduces sample i of a batch. The chunked kernels vectorize over samples
+without changing any per-sample arithmetic.
 
 A chunk is sized by its work rather than by a sample count: it holds about
 _CHUNK_ELEMENTS amplitudes (uniforms, for a Haar batch), and never fewer
 than 128 samples. Each numpy call then covers enough work for worker
 threads to overlap, and large states come in chunks of few samples, which
 bounds the memory. The calling thread is one of the workers.
+
+The module imports numpy when it runs; only ``sample`` and ``compare``
+run it, and the package loads it lazily.
 """
 
 from __future__ import annotations
 
 import operator
+import threading
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:
-    import numpy as np
+import numpy as np
 
 __all__ = [
     "STREAM_ID",
@@ -187,8 +190,6 @@ def _philox4x32_10(key: tuple[int, int], c0, c1, c2, c3) -> tuple[np.ndarray, np
     of the broadcast shape (at least one axis): w0 * 2**32 + w1 and
     w2 * 2**32 + w3.
     """
-    import numpy as np
-
     counter = np.broadcast(c0, c1, c2, c3)
     lead = (2,) + (1,) * counter.ndim
     # Both halves of a round run as one stacked operation: even holds the
@@ -218,59 +219,17 @@ def _philox4x32_10(key: tuple[int, int], c0, c1, c2, c3) -> tuple[np.ndarray, np
     return product[1], product[0]
 
 
-def _box_muller(x: np.ndarray, y: np.ndarray, z0: np.ndarray, z1: np.ndarray) -> None:
-    """Two standard normals per pair of 64-bit words, written to z0 and z1.
-
-    The top 53 bits of x, plus one, give u1 in (0, 1]; those of y give u2 in
-    [0, 1). Then z0 = r cos(2 pi u2) and z1 = r sin(2 pi u2) with
-    r = sqrt(-2 ln u1). x and y are overwritten.
-    """
-    import numpy as np
-
-    x >>= 11
-    y >>= 11
-    r = x.astype(np.float64)
-    r += 1.0
-    r *= 2.0**-53
-    np.log(r, out=r)
-    r *= -2.0
-    np.sqrt(r, out=r)
-    theta = y.astype(np.float64)
-    theta *= 2.0 * np.pi * 2.0**-53
-    np.cos(theta, out=z0)
-    z0 *= r
-    np.sin(theta, out=z1)
-    z1 *= r
-
-
-def _normals(key: tuple[int, int], start: int, stop: int, pairs: int, first: int = 0) -> np.ndarray:
-    """Normals 2 first .. 2 (first + pairs) - 1 of samples start..stop-1, shape (2 * pairs, stop - start).
-
-    Normal 2 first + k of sample start + s is entry [k, s]: samples run along
-    the last axis, which keeps every later per-sample operation contiguous.
-    Block b of sample i is Philox4x32-10 at the counter (b, 0, i mod 2**32,
-    i >> 32); Box-Muller turns its words into normals 2b and 2b + 1.
-    """
-    import numpy as np
-
-    index = np.arange(start, stop, dtype=np.uint64)
-    blocks = np.arange(first, first + pairs, dtype=np.uint64)[:, np.newaxis]
-    x, y = _philox4x32_10(key, blocks, 0, index & 0xFFFFFFFF, index >> 32)
-    out = np.empty((pairs, 2, stop - start))
-    _box_muller(x, y, out[:, 0], out[:, 1])
-    return out.reshape(2 * pairs, stop - start)
-
-
 def _uniforms(key: tuple[int, int], start: int, stop: int, count: int, first: int = 0) -> np.ndarray:
     """Uniforms 2 first .. 2 first + count - 1 in (0, 1] of samples start..stop-1, shape (count, stop - start).
 
-    Block b of sample i is the counter of _normals, and its two packed
-    words give uniforms 2b and 2b + 1 by Box-Muller's u1 rule: the top 53
-    bits, plus one, times 2**-53. An odd count leaves the second word of the
-    last block unused.
+    Uniform 2 first + k of sample start + s is entry [k, s]: samples run
+    along the last axis, which keeps every later per-sample operation
+    contiguous. Block b of sample i is Philox4x32-10 at the counter
+    (b, 0, i mod 2**32, i >> 32), and its two packed words give uniforms 2b
+    and 2b + 1: the top 53 bits, plus one, times 2**-53. An odd count leaves
+    the second word of the last block unused. This is the only reader of
+    the stream.
     """
-    import numpy as np
-
     index = np.arange(start, stop, dtype=np.uint64)
     blocks = np.arange(first, first + (count + 1) // 2, dtype=np.uint64)[:, np.newaxis]
     words = _philox4x32_10(key, blocks, 0, index & 0xFFFFFFFF, index >> 32)
@@ -283,10 +242,32 @@ def _uniforms(key: tuple[int, int], start: int, stop: int, count: int, first: in
     return u.reshape(-1, stop - start)[:count]
 
 
+def _normals(key: tuple[int, int], start: int, stop: int, pairs: int, first: int = 0) -> np.ndarray:
+    """Normals 2 first .. 2 (first + pairs) - 1 of samples start..stop-1, shape (2 * pairs, stop - start).
+
+    Box-Muller on uniforms 2b and 2b + 1 of _uniforms, u1 and u2: normals
+    2b and 2b + 1 are r cos(theta) and r sin(theta), with r = sqrt(-2 ln u1)
+    and theta = 2 pi (u2 - 2**-53) in [0, 2 pi). The subtraction is exact:
+    u2 - 2**-53 is the word's top 53 bits over 2**53.
+    """
+    u = _uniforms(key, start, stop, 2 * pairs, first).reshape(pairs, 2, stop - start)
+    # log, cos and sin read contiguous copies: numpy's strided loops can
+    # round differently from its contiguous ones.
+    r = u[:, 0].copy()
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta = u[:, 1] - 2.0**-53
+    theta *= 2.0 * np.pi
+    np.cos(theta, out=u[:, 0])
+    u[:, 0] *= r
+    np.sin(theta, out=u[:, 1])
+    u[:, 1] *= r
+    return u.reshape(2 * pairs, stop - start)
+
+
 def _haar_amplitudes(mu: int, nu: int, key: tuple[int, int], start: int, stop: int) -> np.ndarray:
     """Normalized complex Gaussian vectors of samples start..stop-1."""
-    import numpy as np
-
     z = np.ascontiguousarray(_normals(key, start, stop, mu * nu).T).view(np.complex128)
     z /= np.linalg.norm(z, axis=-1, keepdims=True)
     return z
@@ -323,8 +304,6 @@ def _gram_negativity(gram: np.ndarray) -> np.ndarray:
     count as zero, and the rest give ((sum_i sqrt p_i)^2 - 1) / 2. eigvalsh
     reads the lower triangle only.
     """
-    import numpy as np
-
     p = np.linalg.eigvalsh(gram)
     p[p < SPECTRUM_CLIP] = 0.0
     return _root_sum_negativity(np.sqrt(p, out=p))
@@ -332,8 +311,6 @@ def _gram_negativity(gram: np.ndarray) -> np.ndarray:
 
 def _root_sum_negativity(s: np.ndarray) -> np.ndarray:
     """((sum_i s_i)^2 - 1) / 2 over the last axis of the Schmidt roots s_i, at least 0."""
-    import numpy as np
-
     total = s.sum(axis=-1)
     return np.maximum(0.0, (total * total - 1.0) / 2.0)
 
@@ -354,8 +331,6 @@ def _su2_from_uniforms(u: np.ndarray) -> np.ndarray:
     cos = (1 - t^2) / (1 + t^2) and sin = 2 t / (1 + t^2): no log, sin, cos
     or normalization. u is overwritten.
     """
-    import numpy as np
-
     x, t = u[..., 0, :], u[..., 1:, :]
     t -= 0.5
     t *= np.pi
@@ -387,8 +362,6 @@ def _su2_from_uniforms(u: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _cz_layer_diagonal(n_qubits: int) -> np.ndarray:
     """Diagonal (+-1) of the controlled-phase layer on the ring of qubits."""
-    import numpy as np
-
     edges = sorted({tuple(sorted((q, (q + 1) % n_qubits))) for q in range(n_qubits)})
     index = np.arange(2**n_qubits)
     diag = np.ones(2**n_qubits)
@@ -407,8 +380,6 @@ def _apply_single_qubit(psi: np.ndarray, gates: np.ndarray, qubit: int, out: np.
     run along the last axis, so each product broadcasts a gate column over
     contiguous rows of the batch.
     """
-    import numpy as np
-
     view = psi.reshape(2**qubit, 2, -1, psi.shape[-1])
     # Output row r is gates[r, 0] v0 + gates[r, 1] v1, both rows in each call.
     products = out.reshape(view.shape)
@@ -428,8 +399,6 @@ def _circuit_states(n_qubits: int, rounds: int, key: tuple[int, int], start: int
     most _CHUNK_ELEMENTS blocks (at least one round); the gates write to two
     state buffers in turn.
     """
-    import numpy as np
-
     batch = stop - start
     psi = np.zeros((2**n_qubits, batch), dtype=np.complex128)
     psi[0] = 1.0
@@ -470,8 +439,6 @@ def _bidiagonal_squares(m: int, n: int, key: tuple[int, int], start: int, stop: 
     so a sample takes m n uniforms. Returns the diagonal (m, batch) and the
     subdiagonal (m - 1, batch) squares, which sum to 1.
     """
-    import numpy as np
-
     logs = np.log(_uniforms(key, start, stop, m * n))
     degrees = np.array([*range(n, n - m, -1), *range(m - 1, 0, -1)])
     first = np.concatenate(([0], np.cumsum(degrees[:-1])))
@@ -491,8 +458,6 @@ def _bidiagonal_squares(m: int, n: int, key: tuple[int, int], start: int, stop: 
 
 def _haar_chunk(mu: int, nu: int, key: tuple[int, int], start: int, stop: int) -> np.ndarray:
     """Negativities of Haar samples start..stop-1, from the eigenvalues of the bidiagonal model's B^T B."""
-    import numpy as np
-
     m = min(mu, nu)
     diagonal, sub = _bidiagonal_squares(m, max(mu, nu), key, start, stop)
     # B^T B is tridiagonal: diagonal d[i] + e[i] and off-diagonal
@@ -520,10 +485,6 @@ def sample_negativities(batch: SampleBatch, threads: int = 1) -> np.ndarray:
     is one of the workers; a helper that cannot start leaves its chunks to
     the workers already running.
     """
-    import threading
-
-    import numpy as np
-
     if threads < 1:
         raise ValueError("threads must be at least 1")
     out = np.empty(batch.count)

@@ -1,9 +1,10 @@
 """Start-up cost: which heavy modules each entry point loads, and the lazy package namespace.
 
-numpy is imported inside the functions that use it, so the package,
-``--version``, the exact commands and ``verify`` start without it; the
-quadrature oracle behind ``verify`` runs on plain Python floats and imports
-no numpy at all. Floats are rounded
+sampling imports numpy when it runs, and only ``sample`` and ``compare``
+run it; distribution and bounds import numpy inside the functions that use
+it. So the package, ``--version``, the exact commands and ``verify`` start
+without it; the quadrature oracle behind ``verify`` runs on plain Python
+floats and imports no numpy at all. Floats are rounded
 by integer arithmetic, so no command loads mpmath; only
 ``SqrtPiPolynomial.evaluate_mpf`` does. Each start-up case runs in a fresh
 interpreter, because any earlier test in this process has loaded both.
@@ -199,6 +200,19 @@ class TestImportBudget:
         assert _fresh(code).strip() == "False True mpf"
 
 
+def test_only_sampling_imports_numpy_when_it_runs():
+    # Running a module executes its top level; the exact modules, and the two
+    # that import numpy inside their functions, must not load it there.
+    quiet = ("exactring", "laguerre", "quadrature", "moments", "selfcheck", "bounds", "distribution")
+    code = (
+        "import importlib, sys\n"
+        f"for name in {quiet + ('sampling',)!r}:\n"
+        "    vars(importlib.import_module('negmoments.' + name))  # runs a lazy module\n"
+        "    print(name, 'numpy' in sys.modules)"
+    )
+    assert _fresh(code).splitlines() == [f"{name} False" for name in quiet] + ["sampling True"]
+
+
 def test_cli_import_loads_what_the_benchmark_wraps():
     """perfbench/child.py ``instrument`` imports only ``negmoments.cli`` and then
     reads these modules from ``sys.modules`` by name and wraps
@@ -359,8 +373,8 @@ class TestPackageNamespace:
 
 
 def test_first_numpy_use_under_threads_matches_one_thread():
-    # numpy is first imported inside sample_negativities, in a process whose
-    # first sampled run uses two worker threads.
+    # numpy loads when the command preloads sampling, before any worker
+    # thread starts; the first sampled run of the process uses two workers.
     args = ["sample", "--mu", "4", "--samples", "3000", "--seed", "5"]
     two = _fresh_main(args + ["--threads", "2"])
     one = _fresh_main(args + ["--threads", "1"])

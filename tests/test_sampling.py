@@ -14,7 +14,6 @@ from negmoments.sampling import SPECTRUM_CLIP, SampleBatch, haar_pure_state, red
 from negmoments.sampling import (
     _apply_single_qubit,
     _bidiagonal_squares,
-    _box_muller,
     _circuit_chunk,
     _circuit_states,
     _cz_layer_diagonal,
@@ -610,14 +609,18 @@ class TestStream:
             with pytest.raises(ValueError):
                 haar_pure_state(2, 2, 5, index)
 
-    def test_box_muller_extremes_are_finite(self):
-        words = np.array([0, 1, 2**11, 2**63, 2**64 - 1], dtype=np.uint64)
-        x, y = np.meshgrid(words, words)
-        z0, z1 = np.empty(x.shape), np.empty(x.shape)
-        _box_muller(x.copy(), y.copy(), z0, z1)
-        assert np.all(np.isfinite(z0)) and np.all(np.isfinite(z1))
-        # u1 = 1 exactly at the largest word: the radius, and both normals, are 0.
-        assert np.all(z0[:, -1] == 0.0) and np.all(z1[:, -1] == 0.0)
+    def test_box_muller_extremes_are_finite(self, monkeypatch):
+        # _uniforms' extremes, 2**-53 and 1, and values between: u1 runs along
+        # the samples and u2 along the pairs.
+        u = np.array([2.0**-53, 2.0**-52, 0.5, 1.0 - 2.0**-53, 1.0])
+        uniforms = np.empty((2 * u.size, u.size))
+        uniforms[0::2] = u
+        uniforms[1::2] = u[:, np.newaxis]
+        monkeypatch.setattr(sampling, "_uniforms", lambda key, start, stop, count, first=0: uniforms.copy())
+        z = _normals(_stream_key(0), 0, u.size, u.size)
+        assert np.all(np.isfinite(z))
+        # u1 = 1 exactly: the radius, and both normals, are 0.
+        assert np.all(z[:, -1] == 0.0)
 
     def test_normals_moments(self):
         z = _normals(_stream_key(2024), 0, 1000, 500).ravel()
