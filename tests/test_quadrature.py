@@ -7,9 +7,9 @@ import pytest
 from negmoments.exactring import eval_float
 from negmoments.laguerre import laguerre_pair_integral
 from negmoments.quadrature import (
+    InsufficientNodesError,
     _NEWTON_CAP,
     _STEP_TOLERANCE,
-    InsufficientNodesError,
     _gauss_rule,
     _laguerre_sequence,
     laguerre_pair_integral_quadrature,
