@@ -23,11 +23,15 @@ __all__ = [
     "build_bounds_report",
 ]
 
-#: The source paper's value for the asymptotic ratio of the mean negativity
-#: of a large Haar-random equal bipartition to the maximal one. It lies
-#: 1.4e-4 below the spectral-density limit 64/(9 pi^2) = 0.7205062, which
-#: the engine's extrapolate_limit approaches (0.720538 from n <= 14 qubits).
+#: The source paper's value for the ratio of the mean negativity of a
+#: Haar-random equal bipartition to the maximal one. It is the ratio at
+#: n = 22 qubits, where the ratio's 1/mu law gives 0.7203698 (0.72023 at
+#: n = 20, 0.72044 at n = 24), not an estimate of the limit below.
 RATIO_PRESET = 0.72037
+
+#: The large-size limit of that ratio, 64/(9 pi^2) from the Marchenko-Pastur
+#: law, correctly rounded; the default ratio of the ``bounds`` command.
+RATIO_LIMIT = 0.7205061947899575
 
 #: Largest qubit count whose local dimension 2^(n/2) is a finite double
 #: (2^1023; 2^1024 overflows).

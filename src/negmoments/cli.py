@@ -86,7 +86,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="singlet-distance / fidelity / distillation bounds")
     p.add_argument("--n-qubits", type=int, required=True)
-    p.add_argument("--c", default=None, help="ratio constant, or 'preset'")
+    p.add_argument(
+        "--c", default=None, help="ratio constant, or 'preset' for the paper's 0.72037 (default: the limit 64/(9 pi^2))"
+    )
     _add_common(p)
 
     p = sub.add_parser("verify", help="run the internal identity suites")
@@ -175,8 +177,7 @@ def _cmd_bounds(args) -> int:
     if n < 2 or n % 2:
         raise UsageError("--n-qubits must be even and at least 2")
     if args.c is None:
-        rows = moments.generate_table(list(range(2, 14, 2)))
-        c = moments.extrapolate_limit(rows)
+        c = bounds.RATIO_LIMIT
     elif args.c == "preset":
         c = bounds.RATIO_PRESET
     else:
@@ -212,7 +213,7 @@ _COMMANDS = {
     "table": (_cmd_table, (moments, distribution)),
     "sample": (_cmd_sample, (moments, distribution, sampling)),
     "compare": (_cmd_sample, (moments, distribution, sampling)),
-    "bounds": (_cmd_bounds, (moments, bounds, distribution)),
+    "bounds": (_cmd_bounds, (bounds, distribution)),
     "verify": (_cmd_verify, (selfcheck,)),
 }
 
@@ -232,6 +233,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except OSError as exc:  # before the lookup below, which runs the lazy moments module
+        sys.stderr.write(f"i/o error: {exc}\n")
+        return EXIT_IO
     except moments.ResourceCeilingError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_RESOURCE
@@ -241,9 +245,6 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         sys.stderr.write(f"error: size out of range: {exc}\n")
         return EXIT_RESOURCE
-    except OSError as exc:
-        sys.stderr.write(f"i/o error: {exc}\n")
-        return EXIT_IO
 
 
 if __name__ == "__main__":

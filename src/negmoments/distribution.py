@@ -16,10 +16,11 @@ import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from .exactring import format_rational
-from .moments import MomentReport
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .moments import MomentReport
 
 __all__ = [
     "Histogram",

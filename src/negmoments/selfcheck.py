@@ -11,7 +11,8 @@ Each suite compares two routes; what each side runs:
 - quadrature: a Gauss-Laguerre rule against the term sum.
 - naive vs trace: every small determinant of the recurrence matrices
   (naive_det_moment_sum, below) against the power-sum trace expansion of
-  moments.det_moment_sum.
+  moments.det_moment_sum at mu <= 8; up to mu = 32, the triple and quad
+  sums against the same expansions on B = C H C^T and the closed form of A.
 - pair sum trace identity: det_moment_sum's pair sums against the
   factorisation B = C H C^T (weight 1/2) and the closed form
   mu^2 (mu-1)^2 (weight 1); neither route touches the recurrence or the
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from .exactring import SqrtPiPolynomial, eval_float
@@ -213,32 +215,54 @@ def check_quadrature(max_index: int) -> CheckResult:
 
 
 def check_naive_vs_trace(max_mu: int) -> CheckResult:
+    """Every determinant sum against the naive oracle at mu <= 8, where that
+    O(mu^4) oracle is affordable, and the triple and quad sums, which carry
+    tr B^3 and tr B^4, against their power-sum expansions on B = C H C^T
+    (_factored_triple_quad) at five sizes up to max_mu."""
+    name = "naive vs trace determinant sums"
     patterns = [("pair", {"beta": _HALF}), ("pair", {"beta": 1}), ("triple", {}), ("quad", {})]
-    for mu in range(1, max_mu + 1):
+    naive_max = min(max_mu, 8)
+    for mu in range(1, naive_max + 1):
         for pattern, kwargs in patterns:
             naive = naive_det_moment_sum(mu, pattern, **kwargs)
             trace = det_moment_sum(mu, pattern, **kwargs)
             if naive != trace:
-                return CheckResult("naive vs trace determinant sums", False, f"{pattern} differs at mu={mu}")
-    return CheckResult("naive vs trace determinant sums", True, f"mu <= {max_mu}")
+                return CheckResult(name, False, f"{pattern} differs at mu={mu}")
+    sizes = sorted({1, 2, 3, max(4, max_mu // 2), max_mu})
+    for mu in sizes:
+        triple, quad = _factored_triple_quad(mu)
+        for pattern, degree, value in (("triple", 2, triple), ("quad", 4, quad)):
+            if det_moment_sum(mu, pattern) != SqrtPiPolynomial({degree: value}):
+                return CheckResult(name, False, f"{pattern} differs from C H C^T at mu={mu}")
+    factored = ", ".join(map(str, sizes))
+    return CheckResult(name, True, f"naive mu <= {naive_max}; triple, quad on C H C^T at mu in {{{factored}}}")
 
 
-def _factored_pair_sum(mu: int) -> Fraction:
-    """t1^2 - t2 of B(mu) / sqrt(pi) from B = C H C^T, on integers.
+def _factors(mu: int) -> tuple[list[int], list[int]]:
+    """Numerators of the factors of B(mu) / sqrt(pi) = C H C^T.
 
     C is the lower-triangular Toeplitz matrix of the coefficients c_m of
-    (1-z)^(1/2) and H_j = (2j+1) C(2j, j) / 2^(2j+1). With G = C^T C,
-    t1 = tr B = sum_j H_j G_jj and t2 = tr B^2 = sum_ij H_i H_j G_ij^2; G is
-    built from its last row up by G_ij = G_{i+1,j+1} + c_{mu-1-i} c_{mu-1-j}.
-    Neither the recurrence nor the term sum is used. Every c_m (m < mu) is
-    an integer over 4^(mu-1) and every H_j one over 2^(2 mu - 1), so the
-    sums run on those numerators: t1 is an integer over 2^(6 mu - 5) and t2
-    one over its square.
+    (1-z)^(1/2) and H_j = (2j+1) C(2j, j) / 2^(2j+1). Neither the recurrence
+    nor the term sum is used. Returns c_m (m < mu) as integers over
+    4^(mu-1) and H_j as integers over 2^(2 mu - 1), so every product
+    c_k H_j c_l is an integer over 2^(6 mu - 5).
     """
     c = [1 << 2 * (mu - 1)]
     for m in range(1, mu):
         c.append(c[-1] * (2 * m - 3) // (2 * m))
     h = [(2 * j + 1) * math.comb(2 * j, j) << 2 * (mu - 1 - j) for j in range(mu)]
+    return c, h
+
+
+def _factored_pair_sum(mu: int) -> Fraction:
+    """t1^2 - t2 of B(mu) / sqrt(pi) from B = C H C^T, on integers.
+
+    With G = C^T C (C and H from _factors), t1 = tr B = sum_j H_j G_jj and
+    t2 = tr B^2 = sum_ij H_i H_j G_ij^2; G is built from its last row up by
+    G_ij = G_{i+1,j+1} + c_{mu-1-i} c_{mu-1-j}. t1 is an integer over
+    2^(6 mu - 5) and t2 one over its square.
+    """
+    c, h = _factors(mu)
     t1 = t2 = 0
     row = []  # G_{i+1, j} for j > i
     for i in reversed(range(mu)):
@@ -247,6 +271,37 @@ def _factored_pair_sum(mu: int) -> Fraction:
         t1 += h[i] * row[0]
         t2 += h[i] * (h[i] * row[0] ** 2 + 2 * sum(h_j * g * g for h_j, g in zip(h[i + 1 :], row[1:])))
     return Fraction(t1 * t1 - t2, 1 << 2 * (6 * mu - 5))
+
+
+def _factored_triple_quad(mu: int) -> tuple[Fraction, Fraction]:
+    """The triple and quad sums of moments.det_moment_sum, as coefficients of
+    pi and pi^2, by the same power-sum expansions on other matrices.
+
+    B / sqrt(pi) is built entry by entry as C H C^T from _factors, an
+    integer matrix over 2^(6 mu - 5), and squared in full; A is its closed
+    tridiagonal form, 2k + 1 on the diagonal and -(k+1) at (k, k+1).
+    Neither matrix comes from the recurrence or the term sum.
+    """
+    c, h = _factors(mu)
+    ch = [[c[k - m] * h[m] for m in range(k + 1)] for k in range(mu)]  # row k of C H
+    b = [[0] * mu for _ in range(mu)]
+    for k in range(mu):
+        for l in range(k, mu):
+            b[k][l] = b[l][k] = sum(map(mul, ch[k], reversed(c[l - k : l + 1])))
+    b_sq = [[sum(map(mul, row, col)) for col in b] for row in b]  # B is symmetric
+
+    def a_overlap(m) -> int:  # sum_kl A_kl M_kl for a symmetric M
+        return sum((2 * k + 1) * m[k][k] for k in range(mu)) - 2 * sum((k + 1) * m[k][k + 1] for k in range(mu - 1))
+
+    b1 = sum(b[k][k] for k in range(mu))
+    b2 = sum(b_sq[k][k] for k in range(mu))
+    b3 = sum(sum(map(mul, x, y)) for x, y in zip(b_sq, b))
+    b4 = sum(sum(map(mul, x, x)) for x in b_sq)
+    a1 = mu * mu
+    triple = a1 * b1 * b1 - a1 * b2 - 2 * b1 * a_overlap(b) + 2 * a_overlap(b_sq)
+    quad = b1**4 - 6 * b1 * b1 * b2 + 3 * b2 * b2 + 8 * b1 * b3 - 6 * b4
+    den = 1 << (6 * mu - 5)
+    return Fraction(triple, den**2), Fraction(quad, den**4)
 
 
 def check_pair_trace_identity(max_mu: int) -> CheckResult:
@@ -289,7 +344,7 @@ def run_all(max_mu: int = 16) -> list[CheckResult]:
         check_tridiagonal(min(max_mu, 64)),
         check_hyp3f2(min(max_mu, 32)),
         check_quadrature(min(max_mu, 20)),
-        check_naive_vs_trace(min(max_mu, 8)),
+        check_naive_vs_trace(min(max_mu, 32)),
         check_pair_trace_identity(min(max_mu, 32)),
         check_variance_identity(min(max_mu, 64)),
     ]

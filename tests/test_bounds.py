@@ -1,10 +1,12 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from negmoments.bounds import (
+    RATIO_LIMIT,
     RATIO_PRESET,
     asymptotic_singlet_distance,
     build_bounds_report,
@@ -14,6 +16,15 @@ from negmoments.bounds import (
 )
 from negmoments.cli import main
 from negmoments.sampling import SampleBatch, haar_pure_state, reduced_state_a, sample_negativities
+
+
+def test_ratio_limit_is_64_over_9_pi_squared_correctly_rounded():
+    # Both ends of a rational enclosure of 64/(9 pi^2), with no math.pi,
+    # round to the literal.
+    from negmoments.exactring import _pi_bracket
+
+    lo, hi = _pi_bracket(200)
+    assert float(Fraction(64, 9) / hi**2) == RATIO_LIMIT == float(Fraction(64, 9) / lo**2)
 
 
 class TestSingletDistance:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import negmoments
+from negmoments import bounds
 from negmoments.cli import main
 
 
@@ -260,7 +261,7 @@ class TestBoundsCommand:
         out = tmp_path / "b.json"
         assert main(["bounds", "--n-qubits", "4", "--output", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["c"] == pytest.approx(0.7205, abs=2e-3)
+        assert doc["c"] == bounds.RATIO_LIMIT
 
     def test_bad_ratio(self):
         assert main(["bounds", "--n-qubits", "8", "--c", "lots"]) == 2

@@ -176,7 +176,7 @@ class TestImportBudget:
             (["--version"], []),
             (["moments", "--mu", "8"], ["moments", "distribution", "exactring"]),
             (["table", "--n-max", "6", "--extrapolate"], ["moments", "distribution", "exactring"]),
-            (["bounds", "--n-qubits", "6"], ["bounds", "moments", "distribution", "exactring"]),
+            (["bounds", "--n-qubits", "6"], ["bounds", "distribution", "exactring"]),
             (["verify", "--max-mu", "4"], ["selfcheck", "moments", "laguerre", "quadrature", "exactring"]),
         ],
         ids=["--version", "moments --mu 8", "table --n-max 6 --extrapolate", "bounds --n-qubits 6", "verify --max-mu 4"],

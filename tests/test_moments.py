@@ -220,6 +220,22 @@ class TestDetMomentSums:
         result = selfcheck.check_naive_vs_trace(3)
         assert not result.passed and result.detail == "quad differs at mu=1"
 
+    def test_naive_suite_catches_a_t3_off_by_one_unit_beyond_the_naive_range(self, monkeypatch):
+        # tr(N^3) feeds the quad sum; past mu = 8 only the C H C^T route sees it.
+        from negmoments import selfcheck
+
+        square_sums = moments._square_sums
+
+        def off_by_one(mu):
+            diag, superdiag, t3, t4 = square_sums(mu)
+            return diag, superdiag, t3 + (mu > 8), t4
+
+        monkeypatch.setattr(moments, "_square_sums", off_by_one)
+        assert selfcheck.check_naive_vs_trace(8).passed
+        result = selfcheck.check_naive_vs_trace(16)
+        assert not result.passed and result.detail == "quad differs from C H C^T at mu=16"
+        assert [r.passed for r in selfcheck.run_all(16)].count(False) == 1
+
     def test_pair_suite_catches_a_wrong_entry_beyond_the_naive_range(self, monkeypatch):
         # Every reader of B sees the corrupted entries; the suite's
         # factorisation route does not read B.
