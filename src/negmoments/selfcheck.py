@@ -11,14 +11,19 @@ Each suite compares two routes; what each side runs:
 - quadrature: a Gauss-Laguerre rule against the term sum.
 - naive vs trace: every small determinant of the recurrence matrices
   (naive_det_moment_sum, below) against the power-sum trace expansion of
-  moments.det_moment_sum at mu <= 8; up to mu = 32, the triple and quad
-  sums against the same expansions on B = C H C^T and the closed form of A.
+  moments.det_moment_sum at mu <= 8; the triple and quad sums against the
+  same expansions on B = C H C^T and the closed form of A.
 - pair sum trace identity: det_moment_sum's pair sums against the
   factorisation B = C H C^T (weight 1/2) and the closed form
   mu^2 (mu-1)^2 (weight 1); neither route touches the recurrence or the
   term sum.
-- variance identity: variance_negativity against its assembly with the
-  closed-form pair product.
+- variance identity: variance_negativity against its assembly from the
+  closed-form pair product and the pair, triple and quad sums on
+  C H C^T; no term comes from det_moment_sum.
+
+The last three suites read one cached evaluation of C H C^T per size
+(_factored_sums), at mu in {1, 2, 3, max(4, m // 2), m} up to m; run_all
+caps m at 32.
 
 The naive oracle, naive_det_moment_sum, lives here rather than in the
 moment engine: it evaluates every small determinant of every ordered index
@@ -34,12 +39,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 from typing import NamedTuple
 
 from .exactring import SqrtPiPolynomial, eval_float
 from .laguerre import laguerre_pair_integral, laguerre_pair_integral_hyp3f2
-from .moments import build_pair_integral_matrix, det_moment_sum, mean_negativity, variance_negativity
+from .moments import build_pair_integral_matrix, det_moment_sum, variance_negativity
 from .quadrature import NodeConvergenceError, laguerre_pair_integral_quadrature
 
 __all__ = ["CheckResult", "naive_det_moment_sum", "run_all"]
@@ -218,7 +224,7 @@ def check_naive_vs_trace(max_mu: int) -> CheckResult:
     """Every determinant sum against the naive oracle at mu <= 8, where that
     O(mu^4) oracle is affordable, and the triple and quad sums, which carry
     tr B^3 and tr B^4, against their power-sum expansions on B = C H C^T
-    (_factored_triple_quad) at five sizes up to max_mu."""
+    (_factored_sums) at up to five sizes, none above max_mu."""
     name = "naive vs trace determinant sums"
     patterns = [("pair", {"beta": _HALF}), ("pair", {"beta": 1}), ("triple", {}), ("quad", {})]
     naive_max = min(max_mu, 8)
@@ -228,9 +234,9 @@ def check_naive_vs_trace(max_mu: int) -> CheckResult:
             trace = det_moment_sum(mu, pattern, **kwargs)
             if naive != trace:
                 return CheckResult(name, False, f"{pattern} differs at mu={mu}")
-    sizes = sorted({1, 2, 3, max(4, max_mu // 2), max_mu})
+    sizes = _factored_sizes(max_mu)
     for mu in sizes:
-        triple, quad = _factored_triple_quad(mu)
+        _, triple, quad = _factored_sums(mu)
         for pattern, degree, value in (("triple", 2, triple), ("quad", 4, quad)):
             if det_moment_sum(mu, pattern) != SqrtPiPolynomial({degree: value}):
                 return CheckResult(name, False, f"{pattern} differs from C H C^T at mu={mu}")
@@ -238,51 +244,29 @@ def check_naive_vs_trace(max_mu: int) -> CheckResult:
     return CheckResult(name, True, f"naive mu <= {naive_max}; triple, quad on C H C^T at mu in {{{factored}}}")
 
 
-def _factors(mu: int) -> tuple[list[int], list[int]]:
-    """Numerators of the factors of B(mu) / sqrt(pi) = C H C^T.
+def _factored_sizes(max_mu: int) -> list[int]:
+    """The sizes at which the three suites on C H C^T check, none above max_mu."""
+    return sorted(mu for mu in {1, 2, 3, max(4, max_mu // 2), max_mu} if mu <= max_mu)
 
-    C is the lower-triangular Toeplitz matrix of the coefficients c_m of
-    (1-z)^(1/2) and H_j = (2j+1) C(2j, j) / 2^(2j+1). Neither the recurrence
-    nor the term sum is used. Returns c_m (m < mu) as integers over
-    4^(mu-1) and H_j as integers over 2^(2 mu - 1), so every product
-    c_k H_j c_l is an integer over 2^(6 mu - 5).
+
+@lru_cache(maxsize=None)
+def _factored_sums(mu: int) -> tuple[Fraction, Fraction, Fraction]:
+    """The weight-1/2 pair, triple and quad sums of moments.det_moment_sum, as
+    coefficients of pi, pi and pi^2, by the same power-sum expansions on
+    other matrices (cached: three suites read it).
+
+    B / sqrt(pi) = C H C^T, with C the lower-triangular Toeplitz matrix of
+    the coefficients c_m of (1-z)^(1/2) and H_j = (2j+1) C(2j, j) / 2^(2j+1).
+    c_m is held as an integer over 4^(mu-1) and H_j over 2^(2 mu - 1), so B
+    is built entry by entry as an integer matrix over 2^(6 mu - 5) and
+    squared in full. A is its closed tridiagonal form, 2k + 1 on the
+    diagonal and -(k+1) at (k, k+1). Neither matrix comes from the
+    recurrence or the term sum.
     """
     c = [1 << 2 * (mu - 1)]
     for m in range(1, mu):
         c.append(c[-1] * (2 * m - 3) // (2 * m))
     h = [(2 * j + 1) * math.comb(2 * j, j) << 2 * (mu - 1 - j) for j in range(mu)]
-    return c, h
-
-
-def _factored_pair_sum(mu: int) -> Fraction:
-    """t1^2 - t2 of B(mu) / sqrt(pi) from B = C H C^T, on integers.
-
-    With G = C^T C (C and H from _factors), t1 = tr B = sum_j H_j G_jj and
-    t2 = tr B^2 = sum_ij H_i H_j G_ij^2; G is built from its last row up by
-    G_ij = G_{i+1,j+1} + c_{mu-1-i} c_{mu-1-j}. t1 is an integer over
-    2^(6 mu - 5) and t2 one over its square.
-    """
-    c, h = _factors(mu)
-    t1 = t2 = 0
-    row = []  # G_{i+1, j} for j > i
-    for i in reversed(range(mu)):
-        c_i = c[mu - 1 - i]
-        row = [g + c_i * c[mu - 1 - j] for j, g in enumerate(row + [0], start=i)]
-        t1 += h[i] * row[0]
-        t2 += h[i] * (h[i] * row[0] ** 2 + 2 * sum(h_j * g * g for h_j, g in zip(h[i + 1 :], row[1:])))
-    return Fraction(t1 * t1 - t2, 1 << 2 * (6 * mu - 5))
-
-
-def _factored_triple_quad(mu: int) -> tuple[Fraction, Fraction]:
-    """The triple and quad sums of moments.det_moment_sum, as coefficients of
-    pi and pi^2, by the same power-sum expansions on other matrices.
-
-    B / sqrt(pi) is built entry by entry as C H C^T from _factors, an
-    integer matrix over 2^(6 mu - 5), and squared in full; A is its closed
-    tridiagonal form, 2k + 1 on the diagonal and -(k+1) at (k, k+1).
-    Neither matrix comes from the recurrence or the term sum.
-    """
-    c, h = _factors(mu)
     ch = [[c[k - m] * h[m] for m in range(k + 1)] for k in range(mu)]  # row k of C H
     b = [[0] * mu for _ in range(mu)]
     for k in range(mu):
@@ -301,18 +285,18 @@ def _factored_triple_quad(mu: int) -> tuple[Fraction, Fraction]:
     triple = a1 * b1 * b1 - a1 * b2 - 2 * b1 * a_overlap(b) + 2 * a_overlap(b_sq)
     quad = b1**4 - 6 * b1 * b1 * b2 + 3 * b2 * b2 + 8 * b1 * b3 - 6 * b4
     den = 1 << (6 * mu - 5)
-    return Fraction(triple, den**2), Fraction(quad, den**4)
+    return Fraction(b1 * b1 - b2, den**2), Fraction(triple, den**2), Fraction(quad, den**4)
 
 
 def check_pair_trace_identity(max_mu: int) -> CheckResult:
     """Both pair sums against routes that share no code with the matrix builder.
 
-    Weight 1/2: the factorisation B = C H C^T (_factored_pair_sum). Weight 1:
+    Weight 1/2: the factorisation B = C H C^T (_factored_sums). Weight 1:
     the closed form mu^2 (mu-1)^2, which is mu^2 (mu^2+1) times Lubkin's
     <sum_{i!=j} p_i p_j> = (mu-1)^2/(mu^2+1).
     """
-    for mu in (1, 2, 3, max(4, max_mu // 2), max_mu):
-        routes = {_HALF: {2: _factored_pair_sum(mu)}, 1: {0: mu * mu * (mu - 1) ** 2}}
+    for mu in _factored_sizes(max_mu):
+        routes = {_HALF: {2: _factored_sums(mu)[0]}, 1: {0: mu * mu * (mu - 1) ** 2}}
         for beta, coeffs in routes.items():
             if det_moment_sum(mu, "pair", beta=beta) != SqrtPiPolynomial(coeffs):
                 return CheckResult("pair sum trace identity", False, f"mu={mu} beta={beta}")
@@ -320,16 +304,20 @@ def check_pair_trace_identity(max_mu: int) -> CheckResult:
 
 
 def check_variance_identity(max_mu: int) -> CheckResult:
-    """variance_negativity against P/2 + C + D/4 - <N>^2 with P in closed form.
+    """variance_negativity against P/2 + C + D/4 - <N>^2, each term from
+    routes that share no code with the moment engine.
 
     P = <sum_{i!=j} p_i p_j> = 1 - <purity> = (mu-1)^2/(mu^2+1) (Lubkin,
-    J. Math. Phys. 19, 1028, 1978) stands in for the weight-1 pair sum, so
-    the suite checks that sum and its scaling.
+    J. Math. Phys. 19, 1028, 1978) stands in for the weight-1 pair sum.
+    C + D/4 = (triple + quad/4) / (mu^2 (mu^2+1)) and <N> = pi pair / (2 mu^2)
+    take their sums from C H C^T (_factored_sums).
     """
-    for mu in sorted({1, 2, 3, 4, max(2, max_mu // 2), max_mu}):
-        mean = mean_negativity(mu)
-        c_and_d = (det_moment_sum(mu, "triple") + det_moment_sum(mu, "quad") / 4) / (mu * mu * (mu * mu + 1))
-        if variance_negativity(mu) != Fraction((mu - 1) ** 2, 2 * (mu * mu + 1)) + c_and_d - mean * mean:
+    for mu in _factored_sizes(max_mu):
+        pair, triple, quad = _factored_sums(mu)
+        deg2 = mu * mu * (mu * mu + 1)
+        mean = pair / (2 * mu * mu)
+        terms = {0: Fraction((mu - 1) ** 2, 2 * (mu * mu + 1)), 2: triple / deg2, 4: quad / (4 * deg2) - mean * mean}
+        if variance_negativity(mu) != SqrtPiPolynomial(terms):
             return CheckResult("variance moment identity", False, f"mu={mu}")
     return CheckResult("variance moment identity", True, f"mu <= {max_mu}")
 
@@ -346,5 +334,5 @@ def run_all(max_mu: int = 16) -> list[CheckResult]:
         check_quadrature(min(max_mu, 20)),
         check_naive_vs_trace(min(max_mu, 32)),
         check_pair_trace_identity(min(max_mu, 32)),
-        check_variance_identity(min(max_mu, 64)),
+        check_variance_identity(min(max_mu, 32)),
     ]

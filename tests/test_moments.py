@@ -221,7 +221,8 @@ class TestDetMomentSums:
         assert not result.passed and result.detail == "quad differs at mu=1"
 
     def test_naive_suite_catches_a_t3_off_by_one_unit_beyond_the_naive_range(self, monkeypatch):
-        # tr(N^3) feeds the quad sum; past mu = 8 only the C H C^T route sees it.
+        # tr(N^3) feeds the quad sum; past mu = 8 only the C H C^T routes see
+        # it, in the naive-vs-trace and the variance suites.
         from negmoments import selfcheck
 
         square_sums = moments._square_sums
@@ -234,7 +235,7 @@ class TestDetMomentSums:
         assert selfcheck.check_naive_vs_trace(8).passed
         result = selfcheck.check_naive_vs_trace(16)
         assert not result.passed and result.detail == "quad differs from C H C^T at mu=16"
-        assert [r.passed for r in selfcheck.run_all(16)].count(False) == 1
+        assert [r.passed for r in selfcheck.run_all(16)].count(False) == 2
 
     def test_pair_suite_catches_a_wrong_entry_beyond_the_naive_range(self, monkeypatch):
         # Every reader of B sees the corrupted entries; the suite's
@@ -500,6 +501,38 @@ class TestTable:
         # Limit of the normalized mean: (8 / (3 pi))^2, the squared mean of
         # sqrt(x) under the quarter-circle law.
         assert extrapolate_limit(rows) == pytest.approx(64 / (9 * math.pi**2), abs=2e-5)
+
+
+class TestPaperLimits:
+    # kappa^2 = (8 / (3 pi))^2 = 64 / (9 pi^2), the limit of the ratio, and
+    # sigma's limit 8 sqrt(2) / (9 pi^2); each band was fixed before the
+    # first run.
+    KAPPA_SQ = 64 / (9 * math.pi**2)
+    SIGMA_LIMIT = 8 * math.sqrt(2) / (9 * math.pi**2)
+
+    @pytest.mark.parametrize("mu", [32, 64, 128])
+    def test_sigma_tends_to_its_limit_within_a_log_band(self, mu):
+        gap = normalized_moments(mu).sigma_float - self.SIGMA_LIMIT
+        assert 0 < gap <= 0.05 * (math.log(mu) + 1) / mu**2
+
+    @classmethod
+    def ratio_law(cls, mu):
+        # r(mu) = k2 + (k2 - 1)/(mu - 1) + 2 (ln mu / (6 pi^2) + b) / (mu (mu - 1)),
+        # with c1 = k2 - 1 and b = 0.133453 guessed and checked, not derived.
+        k2, b = cls.KAPPA_SQ, 0.133453
+        return k2 + (k2 - 1) / (mu - 1) + 2 * (math.log(mu) / (6 * math.pi**2) + b) / (mu * (mu - 1))
+
+    def test_ratio_follows_the_one_over_mu_law(self):
+        residuals = []
+        for row in generate_table([8, 10, 12, 14, 16]):
+            residuals.append(row.ratio - self.ratio_law(row.mu))
+            assert 0 < residuals[-1] <= 0.005 * math.log(row.mu) / row.mu**3, row.mu
+        assert all(x > y for x, y in zip(residuals, residuals[1:]))
+
+    def test_the_papers_ratio_is_the_law_at_22_qubits(self):
+        from negmoments.bounds import RATIO_PRESET
+
+        assert [n for n in range(2, 41, 2) if round(self.ratio_law(2 ** (n // 2)), 5) == RATIO_PRESET] == [22]
 
 
 class TestExtrapolation:
