@@ -335,27 +335,31 @@ def _su2_from_uniforms(u: np.ndarray) -> np.ndarray:
     t -= 0.5
     t *= np.pi
     np.tan(t, out=t)
-    gates = np.empty(u.shape[:-2] + (2, 2) + u.shape[-1:], dtype=np.complex128)
-    re, im = gates.real, gates.imag
-    # Until the first row is written, the second holds 1 + t^2 and
-    # scale = r / (1 + t^2), for the moduli r = sqrt(x) and sqrt(1 - x) of
-    # a + ib and c + id: no buffer beyond the gates.
-    scale, square = re[..., 1, :, :], im[..., 1, :, :]
-    np.multiply(t, t, out=square)
+    # square = 1 + t^2 and scale = r / (1 + t^2), for the moduli r = sqrt(x)
+    # and sqrt(1 - x) of a + ib and c + id, in contiguous buffers.
+    square = np.multiply(t, t)
     square += 1.0
+    scale = np.empty_like(square)
     np.sqrt(x, out=scale[..., 0, :])
     np.subtract(1.0, x, out=scale[..., 1, :])
     np.sqrt(scale[..., 1, :], out=scale[..., 1, :])
     scale /= square
-    # First row: r (1 - t^2) / (1 + t^2) = scale (2 - square), and 2 t scale.
-    np.subtract(2.0, square, out=square)
-    np.multiply(scale, square, out=re[..., 0, :, :])
+    # First row: r (1 - t^2) / (1 + t^2) = scale (2 - square), and 2 t scale,
+    # which overwrites t. scale is freed before the gates are allocated.
+    real = np.subtract(2.0, square, out=square)
+    real *= scale
     t += t
-    np.multiply(scale, t, out=im[..., 0, :, :])
-    np.negative(re[..., 0, 1, :], out=re[..., 1, 0, :])
-    im[..., 1, 0, :] = im[..., 0, 1, :]
-    re[..., 1, 1, :] = re[..., 0, 0, :]
-    np.negative(im[..., 0, 0, :], out=im[..., 1, 1, :])
+    imag = np.multiply(scale, t, out=t)
+    del scale
+    # Each of the eight planes is written once, from the first row's values.
+    gates = np.empty(u.shape[:-2] + (2, 2) + u.shape[-1:], dtype=np.complex128)
+    re, im = gates.real, gates.imag
+    re[..., 0, :, :] = real
+    im[..., 0, :, :] = imag
+    np.negative(real[..., 1, :], out=re[..., 1, 0, :])
+    im[..., 1, 0, :] = imag[..., 1, :]
+    re[..., 1, 1, :] = real[..., 0, :]
+    np.negative(imag[..., 0, :], out=im[..., 1, 1, :])
     return gates
 
 
@@ -484,6 +488,14 @@ def sample_negativities(batch: SampleBatch, threads: int = 1) -> np.ndarray:
     for any thread count and any chunking of the work. The calling thread
     is one of the workers; a helper that cannot start leaves its chunks to
     the workers already running.
+
+    BLAS may run threads of its own beside the workers, on the same cores:
+    they spin after numpy loads and split large LAPACK calls. This function
+    leaves the environment alone, since BLAS reads its thread count once,
+    when numpy loads. A caller that wants one BLAS thread per worker, as
+    ``sample`` and ``compare`` have, sets OPENBLAS_NUM_THREADS (or its MKL,
+    OpenMP or Accelerate twin) to 1 before it imports numpy. The values do
+    not depend on it.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")

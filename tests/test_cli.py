@@ -442,6 +442,67 @@ class TestOptionSets:
         assert {name: self.options(sub) for name, sub in subparsers.choices.items()} == self.EXPECTED
 
 
+#: The thread-count variables of OpenBLAS, OpenMP, MKL and Accelerate.
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+#: Runs ``cli.main(argv)`` and reports its exit code, the BLAS variables and
+#: the process's OS thread count (None where /proc is missing).
+_BLAS_PROBE = """
+import contextlib, io, json, os, sys
+from negmoments import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(json.loads(sys.argv[1]))
+try:
+    with open("/proc/self/status") as status:
+        threads = int(status.read().split("Threads:")[1].split()[0])
+except FileNotFoundError:
+    threads = None
+print(json.dumps({"code": code, "threads": threads, "env": {k: os.environ.get(k) for k in json.loads(sys.argv[2])}}))
+"""
+
+
+def _blas_probe(args: list[str], **preset: str) -> dict:
+    """_BLAS_PROBE in a fresh interpreter whose environment sets no BLAS variable but those in preset."""
+    package_root = str(Path(negmoments.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _BLAS_PROBE, json.dumps(args), json.dumps(BLAS_VARIABLES)],
+        capture_output=True,
+        text=True,
+        env={**env, **preset},
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["code"] == 0
+    return report
+
+
+class TestBlasThreads:
+    """sample and compare run BLAS on one thread, unless a BLAS variable is preset."""
+
+    SAMPLE = ["sample", "--mu", "2", "--samples", "200"]
+
+    def test_sample_sets_all_four(self):
+        report = _blas_probe([*self.SAMPLE, "--threads", "2"])
+        assert report["env"] == dict.fromkeys(BLAS_VARIABLES, "1")
+
+    def test_preset_variable_wins(self):
+        report = _blas_probe([*self.SAMPLE, "--threads", "2"], OPENBLAS_NUM_THREADS="3")
+        assert report["env"] == {**dict.fromkeys(BLAS_VARIABLES), "OPENBLAS_NUM_THREADS": "3"}
+
+    def test_exact_command_sets_none(self):
+        assert _blas_probe(["moments", "--mu", "4"])["env"] == dict.fromkeys(BLAS_VARIABLES)
+
+    def test_blas_starts_no_thread_pool(self):
+        # OpenBLAS starts its pool when numpy loads; one worker leaves the main thread alone.
+        report = _blas_probe([*self.SAMPLE, "--threads", "1"])
+        if report["threads"] is None:
+            pytest.skip("no /proc/self/status")
+        assert report["threads"] == 1
+
+
 class TestEntryPoints:
     def test_module_invocation(self):
         # The child imports the package this process imported, also when
