@@ -47,7 +47,6 @@ class BoundsReport(NamedTuple):
     singlet_distance_lb: float
     fidelity_ub: float
     distillable_ub_ebits: float
-    log_neg_mean: float
 
 
 def asymptotic_singlet_distance(c: float) -> float:
@@ -117,5 +116,4 @@ def build_bounds_report(n_qubits: int, c: float) -> BoundsReport:
         singlet_distance_lb=asymptotic_singlet_distance(c),
         fidelity_ub=c,
         distillable_ub_ebits=distillable_upper(n_qubits, c),
-        log_neg_mean=log_negativity(mean),
     )

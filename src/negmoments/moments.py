@@ -45,11 +45,14 @@ power-sum traces,
     triple : a1 b1^2 - a1 tr(B^2) - 2 b1 tr(AB) + 2 tr(A B^2)
     quad   : b1^4 - 6 b1^2 b2 + 3 b2^2 + 8 b1 b3 - 6 b4,
 
-and evaluates them on the integer numerators: B^2 is formed once per mu and
-shared by triple and quad, A is read only on its band, and each sum becomes
-a rational once, at the end. B^2 multiplies B's numerators with their
-known powers of two split off (see _square_sums). The naive oracle, which
-evaluates every small determinant explicitly, lives in selfcheck.py
+and evaluates them on the integer numerators: A is read only on its band,
+and each sum becomes a rational once, at the end. B^2 is never multiplied
+out. The recurrence above says B Q - Q B + beta B is a rank-one matrix
+(Q = Z - diag(0, .., mu-1), Z_{l+1,l} = l+1: B has displacement rank one,
+Kailath, Kung and Morf 1979), so B^2 obeys the same recurrence with 2 beta
+and one rank-one term. It is generated row by row in O(mu^2) integer
+steps and shared by triple and quad (see _square_sums). The naive oracle,
+which evaluates every small determinant explicitly, lives in selfcheck.py
 (naive_det_moment_sum) and is run by ``verify``.
 
 Every moment is exact at every size, and every float in a MomentReport or
@@ -89,11 +92,10 @@ __all__ = [
 ]
 
 #: Largest mu that normalized_moments(exact=True) (the CLI's moments --exact)
-#: accepts. Larger sizes are still exact without it; the cap only bounds the
-#: time of a run that asks for exactness: the variance's integer square of B
-#: costs O(mu^3) products of numerators over 2^(4 mu - 3) that reach 513
-#: bits at mu = 128 (about 246 bits on average once their known powers of
-#: two are split off).
+#: accepts. Larger sizes are still exact without it, and cost little more: the
+#: variance generates B^2 from B's recurrence and its rank-one term in
+#: O(mu^2) integer steps (_square_sums), so moments --mu 256 runs in well
+#: under a second. The cap only keeps the option's documented limit.
 EXACT_MODE_CEILING = 128
 
 _HALF = Fraction(1, 2)
@@ -190,35 +192,54 @@ def _band_overlap(a, diag, superdiag) -> int:
 
 @lru_cache(maxsize=None)
 def _square_sums(mu: int) -> tuple:
-    """Power sums of N = numerators of B(mu) that need N^2.
+    """Power sums of N = numerators of B(mu) that need X = N^2.
 
-    Returns the diagonal and first superdiagonal of N^2, tr(N^3) and
-    tr(N^4). N^2 is formed once, upper triangle only, and not kept; the
-    triple and quad sums share the result.
+    Returns the diagonal and first superdiagonal of X, tr(N^3) and tr(N^4).
+    X is never multiplied out. The builder's recurrence says, with
+    Q = Z - diag(0, .., mu-1) and Z_{l+1,l} = l+1, that
 
-    N_ik = 2^(a_i + a_k) O_ik with a_i = 2 (mu-1-i) and O_ik = 2^(2i+2k+1)
-    B_ik an integer (_build_matrix_cached), so each entry of N^2 is
-    2^(a_i + a_j) sum_k O_ik (O_jk << 2 a_k), one shifted row j at a time:
-    the O(mu^3) products run on about half the bits.
+        B Q - Q B + beta B = -E,
+
+    where E is zero but for its last column, E_{k,mu-1} = e_k = mu J(k, mu):
+    B has displacement rank one (Kailath, Kung and Morf, J. Math. Anal.
+    Appl. 68, 395 (1979)). Hence B^2 Q - Q B^2 + 2 beta B^2 = -(BE + EB),
+    which is the builder's recurrence with 2 beta and a rank-one term,
+
+        (l+1) X_{k,l+1} = (l-k-1) X_kl + k X_{k-1,l} - (e2_k N_{mu-1,l}) / 2,
+
+    run on the integers with beta = 1/2. Here e2_k = 2 D e_k =
+    (2mu-3-2k) N_{k,mu-1} + 2k N_{k-1,mu-1}, D = 2^(4 mu - 3), which is the
+    recurrence at l = mu-1, so no J(k, mu) is built. N_{mu-1,l} carries
+    2^(2 (mu-1-l)), so the halving is exact for l < mu-1, and so is each
+    division by l+1. Each row starts from X_{k,k-1} = X_{k-1,k} (X_00 =
+    sum_m N_0m^2) and is folded into tr(N^3) = sum X_ij N_ij and
+    tr(N^4) = sum X_ij^2 as it comes; only the previous row is kept. That is
+    O(mu^2) integer steps; the triple and quad sums share the result.
     """
-    b = build_pair_integral_matrix(mu, _HALF).numerators
-    a = [2 * (mu - 1 - i) for i in range(mu)]
-    o = [[x >> (a_i + a_k) for x, a_k in zip(row, a)] for row, a_i in zip(b, a)]
+    n = build_pair_integral_matrix(mu, _HALF).numerators
+    half_last = [x >> 1 for x in n[mu - 1]]
     diag, superdiag = [], []
     t3 = t4 = 0
-    for j, row_j in enumerate(o):
-        shifted = [x << 2 * a_k for x, a_k in zip(row_j, a)]
-        for i in range(j + 1):
-            s = sum(map(mul, o[i], shifted)) << (a[i] + a[j])
-            if i == j:
-                diag.append(s)
-                t3 += s * b[i][i]
-                t4 += s * s
-            else:
-                if i == j - 1:
-                    superdiag.append(s)
-                t3 += 2 * s * b[i][j]
-                t4 += 2 * s * s
+    row: list[int] = []
+    for k, n_k in enumerate(n):
+        prev = row
+        e2 = (2 * mu - 3 - 2 * k) * n_k[mu - 1] + 2 * k * n[k - 1][mu - 1]
+        if k:
+            cur, row, first = prev[1], [], k - 1  # X_{k,k-1} = X_{k-1,k}
+        else:
+            cur = sum(map(mul, n_k, n_k))
+            row, first = [cur], 0
+        for l in range(first, mu - 1):
+            num = (l - k - 1) * cur - e2 * half_last[l]
+            if k:
+                num += k * prev[l - k + 1]
+            cur = num // (l + 1)
+            row.append(cur)
+        # row is X_{k,k..mu-1}; the strict upper part counts twice in each trace
+        diag.append(row[0])
+        superdiag.extend(row[1:2])
+        t3 += 2 * sum(map(mul, row, n_k[k:])) - row[0] * n_k[k]
+        t4 += 2 * sum(map(mul, row, row)) - row[0] * row[0]
     return tuple(diag), tuple(superdiag), t3, t4
 
 

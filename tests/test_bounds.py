@@ -139,7 +139,6 @@ class TestBoundsReport:
         assert report.singlet_distance_lb == pytest.approx(0.55926, abs=1e-5)
         assert report.fidelity_ub == pytest.approx(0.72037, abs=1e-5)
         assert report.distillable_ub_ebits <= 11.0
-        assert report.log_neg_mean == report.distillable_ub_ebits
 
     def test_invariants(self):
         for n in (4, 8, 16):
@@ -164,7 +163,7 @@ class TestBoundsReport:
     def test_fields_are_the_unclamped_formulas(self, capsys):
         # For c in (0, 1] the bounds need no clamping, and the CLI's "raw"
         # block repeats them.
-        header = "n_qubits,c,mean_negativity,singlet_distance_lb,fidelity_ub,distillable_ub_ebits,log_neg_mean"
+        header = "n_qubits,c,mean_negativity,singlet_distance_lb,fidelity_ub,distillable_ub_ebits"
         for n in (2, 4, 22, 80, 2046):
             for c in (RATIO_PRESET, 1.0, 0.3, 1e-300):
                 report = build_bounds_report(n, c=c)
@@ -172,7 +171,6 @@ class TestBoundsReport:
                 assert report.singlet_distance_lb == 2.0 * (1.0 - c)
                 assert report.fidelity_ub == c
                 assert report.distillable_ub_ebits == distillable_upper(n, c)
-                assert report.log_neg_mean == log_negativity(c * (2 ** (n // 2) - 1) / 2.0)
                 args = ["bounds", "--n-qubits", str(n), "--c", repr(c)]
                 assert main(args) == 0
                 raw = json.loads(capsys.readouterr().out)["raw"]

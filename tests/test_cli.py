@@ -582,6 +582,7 @@ EXACT_STDOUT_SHA256 = {
     "moments --mu 96 --format csv": "897086d597e96cb7c7cea8c4eb624ab1c4b28b011960b4e03001fe6fbf97d503",
     "moments --mu 127 --format json": "88adadc3c038676b28b3c6b1824d1c65e23a3876c2b297c614961b02f6af2fd5",
     "moments --mu 128 --format json": "86509cca3a36ed47d1c4b4816177e820918939a8ea9ab5228bf9308a4e3dd162",
+    "moments --mu 256": "bcd358ed21edaea13efeec9e2189d38eaf9d97055781a53c1d4ba768870201c2",
     "table --n-max 16 --extrapolate --format json": "fa3669b655917a8d106f9c9e41abf02d12ec46890584f44f29b049301dd90401",
     "table --n-max 16 --extrapolate --format csv": "10de68966d9619cd0ddec6c79fbcc1e74810be0466b3bbb475c36e42b91f8942",
 }

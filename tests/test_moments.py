@@ -121,11 +121,24 @@ class TestDyadicKernel:
         t4 = sum(sq[i][j] * sq[j][i] for i in range(mu) for j in range(mu))
         return diag, superdiag, t3, t4
 
-    @pytest.mark.parametrize("mu", [*range(1, 41), 96])
+    @pytest.mark.parametrize("mu", [*range(1, 41), 64, 96, 128])
     def test_square_sums_match_plain_products(self, mu):
         from negmoments.moments import _square_sums
 
         assert _square_sums(mu) == self.square_sums_reference(mu)
+
+    def test_rank_one_term_is_the_next_column(self):
+        # _square_sums reads e_k = mu J(k, mu) off the last column of B(mu)
+        # through the recurrence at l = mu-1, as e2_k = 2 D e_k with
+        # D = 2^(4 mu - 3). The mu + 1 matrix holds J(k, mu) itself.
+        from negmoments.moments import _build_matrix_cached
+
+        for mu in range(1, 65):
+            n = _build_matrix_cached(mu, 1).numerators
+            big = _build_matrix_cached(mu + 1, 1).rows
+            for k in range(mu):
+                e2 = (2 * mu - 3 - 2 * k) * n[k][mu - 1] + (2 * k * n[k - 1][mu - 1] if k else 0)
+                assert Fraction(e2, 2 << (4 * mu - 3)) == mu * big[k][mu], (mu, k)
 
     @pytest.mark.parametrize("beta_twice", [1, 2])
     def test_builder_matches_the_factorial_scale(self, beta_twice):
@@ -152,8 +165,9 @@ class TestDyadicKernel:
     def test_denominators_are_powers_of_two_and_the_split_is_tight(self):
         # B is stored over 2^(4 mu - 3) = 2^(a_k + a_l + 2k + 2l + 1), with
         # a_i = 2 (mu-1-i). So 2^(a_k + a_l) divides the numerator N_kl
-        # exactly when 2^(2k+2l+1) B_kl is an integer, and then the split
-        # N_kl = 2^(a_k + a_l) O_kl of _square_sums is exact. A is integral.
+        # exactly when 2^(2k+2l+1) B_kl is an integer; then N_{mu-1,l} is
+        # even for l < mu-1, and the halving in _square_sums is exact. A is
+        # integral.
         from negmoments.moments import _build_matrix_cached
 
         for mu in range(1, 129):
