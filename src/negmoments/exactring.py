@@ -20,8 +20,10 @@ number, imports mpmath.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Rational
 from typing import Mapping
 
 __all__ = [
@@ -65,16 +67,20 @@ _ZERO = Fraction(0)
 def _coerce_rational(value) -> Fraction:
     if type(value) is Fraction:
         return value
-    if isinstance(value, float):
-        raise TypeError("exact ring does not accept floats")
-    return Fraction(value.numerator, value.denominator) if not isinstance(value, int) else Fraction(value)
+    if isinstance(value, int):
+        return Fraction(value)
+    if not isinstance(value, Rational):
+        raise TypeError(f"exact ring needs rational coefficients, not {type(value).__name__}")
+    return Fraction(value.numerator, value.denominator)
 
 
 class SqrtPiPolynomial:
     """Finite map degree -> rational coefficient of sqrt(pi)**degree.
 
-    Degrees are nonnegative integers, zero coefficients are never stored, and
-    all arithmetic is exact.
+    Degrees are nonnegative integers and coefficients are rationals; a
+    degree or coefficient of another type, such as the float 1.5, raises
+    TypeError. Zero coefficients are never stored, and all arithmetic is
+    exact.
     """
 
     __slots__ = ("_coeffs",)
@@ -83,11 +89,12 @@ class SqrtPiPolynomial:
         cleaned = {}
         if coeffs:
             for degree, value in coeffs.items():
+                degree = operator.index(degree)
                 if degree < 0:
                     raise ValueError("polynomial degrees must be nonnegative")
                 value = _coerce_rational(value)
                 if value != 0:
-                    cleaned[int(degree)] = value
+                    cleaned[degree] = value
         self._coeffs = cleaned
 
     @classmethod

@@ -31,12 +31,13 @@ J(0, l) = (-1)^l Gamma(beta+1)^2 / (l! Gamma(beta+1-l))), on the upper
 triangle only and in Python integers. A is an integer matrix, and B is
 dyadic: B = C H C^T, with C the lower-triangular Toeplitz matrix of the
 coefficients of (1-z)^(1/2) (c_0 = 1, c_m = -Catalan(m-1) / 2^(2m-1)) and
-H_j = (2j+1) C(2j, j) / 2^(2j+1), so 2^(2k+2l+1) B_kl is an integer. The
-recurrence for B therefore runs on those integers, and A's on A itself;
-each step divides exactly by l+1. Each entry is then shifted onto one
-common denominator, 2^(4 mu - 3) for B and 1 for A, and each matrix is
-cached once per (mu, beta) as integer numerators over it, in one pass. The
-term sum in laguerre.py is the oracle for this builder.
+H_j = (2j+1) C(2j, j) / 2^(2j+1), so 2^(2k+2l+1) B_kl is an integer. One
+row generator (_recurrence_rows) runs the recurrence, for B on those
+integers and for A on A itself, each step dividing exactly by 2 (l+1).
+Each entry is then shifted onto one common denominator, 2^(4 mu - 3) for
+B and 1 for A, and each matrix is cached once per (mu, beta) as integer
+numerators over it, in one pass. The term sum in laguerre.py is the
+oracle for this builder.
 
 Each determinant sum is evaluated by expanding its permutation sum into
 power-sum traces,
@@ -50,8 +51,9 @@ and each sum becomes a rational once, at the end. B^2 is never multiplied
 out. The recurrence above says B Q - Q B + beta B is a rank-one matrix
 (Q = Z - diag(0, .., mu-1), Z_{l+1,l} = l+1: B has displacement rank one,
 Kailath, Kung and Morf 1979), so B^2 obeys the same recurrence with 2 beta
-and one rank-one term. It is generated row by row in O(mu^2) integer
-steps and shared by triple and quad (see _square_sums). The naive oracle,
+and one rank-one term: the same generator gives it row by row, with no
+halving, in O(mu^2) integer steps shared by triple and quad (see
+_square_sums). The naive oracle,
 which evaluates every small determinant explicitly, lives in selfcheck.py
 (naive_det_moment_sum) and is run by ``verify``.
 
@@ -68,6 +70,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -128,28 +131,38 @@ class PairIntegralMatrix(NamedTuple):
         return SqrtPiPolynomial({self.power: Fraction(self.numerators[k][l], self.denominator)})
 
 
+def _recurrence_rows(mu: int, beta_twice: int, shift: int, corner: int, r=(), s=()):
+    """Row k of a symmetric integer matrix M from column k on, for k < mu, by
+
+        2 (l+1) M_{k,l+1} = 2^shift (2 (l-k) - 2 beta) M_kl + 4^shift 2k M_{k-1,l} - r_k s_l
+
+    from M_00 = corner (no rank-one term r s^T if r is empty). Row k starts
+    from M_{k,k-1} = M_{k-1,k}; only the previous row is kept. Every
+    division is exact for the matrices run here.
+    """
+    row = zeros = [0] * mu  # M_{-1,l} = 0
+    r, s = r or zeros, s or zeros
+    for k in range(mu):
+        prev = row
+        cur, row, first = (prev[1], [], k - 1) if k else (corner, [corner], 0)
+        up, r_k = 2 * k << 2 * shift, r[k]
+        coefs = count((2 * (first - k) - beta_twice) << shift, 2 << shift)  # from l = first on
+        for c, d, above, s_l in zip(coefs, range(2 * first + 2, 2 * mu, 2), prev, s[first:]):
+            cur = (c * cur + up * above - r_k * s_l) // d
+            row.append(cur)
+        yield row
+
+
 @lru_cache(maxsize=None)
 def _build_matrix_cached(mu: int, beta_twice: int) -> PairIntegralMatrix:
-    # The recurrence runs on the integers M_kl = 2^(s (k+l) + e) J(k, l, beta):
-    # s = e = 0 for the integral A, s = 2 and e = 1 for B (module docstring).
-    # M_00 = 1, and each step
-    #     (l+1) M_{k,l+1} = 2^(s-1) (2 (l-k) - 2 beta) M_kl + 4^s k M_{k-1,l}
-    # divides exactly. Entry (k, l) is shifted by a_k + a_l, a_i = s (mu-1-i),
-    # onto the common denominator 2^(2 s (mu-1) + e).
+    # The rows are M_kl = 2^(shift (k+l) + e) J(k, l, beta), M_00 = 1: shift = e = 0
+    # for the integral A, shift = 2 and e = 1 for B (module docstring). Entry (k, l)
+    # is shifted by a_k + a_l, a_i = shift (mu-1-i), onto 2^(2 shift (mu-1) + e).
     shift = 2 if beta_twice == 1 else 0
     denominator = 1 << (2 * shift * (mu - 1) + beta_twice % 2)  # before any row, so a huge mu fails at once
     a = [shift * (mu - 1 - i) for i in range(mu)]
     nums = [[0] * mu for _ in range(mu)]
-    row: list[int] = []
-    for k in range(mu):
-        prev = row
-        cur, row, first = (prev[1], [], k - 1) if k else (1, [1], 0)  # M_{k,k-1} = M_{k-1,k}
-        for l in range(first, mu - 1):
-            num = ((2 * (l - k) - beta_twice) << shift) // 2 * cur
-            if k:
-                num += (k << 2 * shift) * prev[l - k + 1]
-            cur = num // (l + 1)
-            row.append(cur)
+    for k, row in enumerate(_recurrence_rows(mu, beta_twice, shift, 1)):
         for l, value in enumerate(row, start=k):
             nums[k][l] = nums[l][k] = value << (a[k] + a[l])
     return PairIntegralMatrix(mu, beta_twice, beta_twice % 2, tuple(map(tuple, nums)), denominator)
@@ -203,38 +216,22 @@ def _square_sums(mu: int) -> tuple:
     where E is zero but for its last column, E_{k,mu-1} = e_k = mu J(k, mu):
     B has displacement rank one (Kailath, Kung and Morf, J. Math. Anal.
     Appl. 68, 395 (1979)). Hence B^2 Q - Q B^2 + 2 beta B^2 = -(BE + EB),
-    which is the builder's recurrence with 2 beta and a rank-one term,
+    which is the builder's recurrence with 2 beta = 2 and a rank-one term,
 
-        (l+1) X_{k,l+1} = (l-k-1) X_kl + k X_{k-1,l} - (e2_k N_{mu-1,l}) / 2,
+        2 (l+1) X_{k,l+1} = (2 (l-k) - 2) X_kl + 2k X_{k-1,l} - e2_k N_{mu-1,l},
 
-    run on the integers with beta = 1/2. Here e2_k = 2 D e_k =
-    (2mu-3-2k) N_{k,mu-1} + 2k N_{k-1,mu-1}, D = 2^(4 mu - 3), which is the
-    recurrence at l = mu-1, so no J(k, mu) is built. N_{mu-1,l} carries
-    2^(2 (mu-1-l)), so the halving is exact for l < mu-1, and so is each
-    division by l+1. Each row starts from X_{k,k-1} = X_{k-1,k} (X_00 =
-    sum_m N_0m^2) and is folded into tr(N^3) = sum X_ij N_ij and
-    tr(N^4) = sum X_ij^2 as it comes; only the previous row is kept. That is
-    O(mu^2) integer steps; the triple and quad sums share the result.
+    run by _recurrence_rows at shift 0 from X_00 = sum_m N_0m^2. Here
+    e2_k = 2 D e_k = (2mu-3-2k) N_{k,mu-1} + 2k N_{k-1,mu-1}, D = 2^(4 mu - 3),
+    which is the recurrence at l = mu-1, so no J(k, mu) is built. Each row is
+    folded into tr(N^3) = sum X_ij N_ij and tr(N^4) = sum X_ij^2 as it comes:
+    O(mu^2) integer steps, which the triple and quad sums share.
     """
     n = build_pair_integral_matrix(mu, _HALF).numerators
-    half_last = [x >> 1 for x in n[mu - 1]]
+    e2 = [(2 * mu - 3 - 2 * k) * n_k[mu - 1] + 2 * k * n[k - 1][mu - 1] for k, n_k in enumerate(n)]
     diag, superdiag = [], []
     t3 = t4 = 0
-    row: list[int] = []
-    for k, n_k in enumerate(n):
-        prev = row
-        e2 = (2 * mu - 3 - 2 * k) * n_k[mu - 1] + 2 * k * n[k - 1][mu - 1]
-        if k:
-            cur, row, first = prev[1], [], k - 1  # X_{k,k-1} = X_{k-1,k}
-        else:
-            cur = sum(map(mul, n_k, n_k))
-            row, first = [cur], 0
-        for l in range(first, mu - 1):
-            num = (l - k - 1) * cur - e2 * half_last[l]
-            if k:
-                num += k * prev[l - k + 1]
-            cur = num // (l + 1)
-            row.append(cur)
+    rows = _recurrence_rows(mu, 2, 0, sum(map(mul, n[0], n[0])), e2, n[mu - 1])
+    for k, (n_k, row) in enumerate(zip(n, rows)):
         # row is X_{k,k..mu-1}; the strict upper part counts twice in each trace
         diag.append(row[0])
         superdiag.extend(row[1:2])
@@ -342,6 +339,9 @@ def variance_negativity(mu: int) -> SqrtPiPolynomial:
 
 def max_negativity(mu: int):
     """Largest negativity attainable on a mu x mu bipartition, (mu-1)/2."""
+    mu = operator.index(mu)
+    if mu < 1:
+        raise ValueError("dimension must be at least 1")
     return Fraction(mu - 1, 2)
 
 

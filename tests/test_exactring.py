@@ -2,8 +2,10 @@ import contextlib
 import math
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -82,6 +84,12 @@ class TestMonomial:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             SqrtPiPolynomial({1: 0.5})
+        # Nor any other coefficient that is not rational.
+        for value in ("1/2", Decimal("0.5"), None, 1j):
+            with pytest.raises(TypeError):
+                SqrtPiPolynomial({1: value})
+            with pytest.raises(TypeError):
+                mono(1, power=1) / value
 
     @settings(max_examples=80, deadline=None)
     @given(x=rationals, y=rationals, z=rationals, p=st.integers(0, 4), q=st.integers(0, 4), r=st.integers(0, 4))
@@ -144,6 +152,12 @@ class TestPolynomialRing:
     def test_degree_validation(self):
         with pytest.raises(ValueError):
             SqrtPiPolynomial({-1: Fraction(1)})
+        # A degree that is not an integer is refused, not truncated: {1: 1,
+        # 1.5: 2} would otherwise be 2 sqrt(pi) and lose its first term.
+        for degree in (1.5, Fraction(3, 2), 2.0, "2"):
+            with pytest.raises(TypeError):
+                SqrtPiPolynomial({1: 1, degree: 2})
+        assert SqrtPiPolynomial({np.int64(1): 1, 2: 3}) == SqrtPiPolynomial({1: 1, 2: 3})
 
     def test_hash_agrees_with_equality(self):
         for scalar in (0, 3, Fraction(-7, 5)):

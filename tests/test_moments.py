@@ -108,7 +108,8 @@ class TestPairIntegralMatrix:
 
 
 class TestDyadicKernel:
-    """B(mu) has power-of-two denominators; the builder and _square_sums state them."""
+    """B(mu) has power-of-two denominators. One generator, _recurrence_rows,
+    runs the recurrence for B on its scaled integers and for X = N^2."""
 
     @staticmethod
     def square_sums_reference(mu):
@@ -140,6 +141,29 @@ class TestDyadicKernel:
                 e2 = (2 * mu - 3 - 2 * k) * n[k][mu - 1] + (2 * k * n[k - 1][mu - 1] if k else 0)
                 assert Fraction(e2, 2 << (4 * mu - 3)) == mu * big[k][mu], (mu, k)
 
+    def test_one_generator_runs_b_and_its_square(self, monkeypatch):
+        # With one step of _recurrence_rows one unit off, both the builder
+        # and _square_sums go wrong: neither runs a recurrence of its own.
+        from negmoments.moments import _build_matrix_cached, _square_sums
+
+        mu = 8
+        correct = build_pair_integral_matrix(mu, HALF)  # cached before the patch
+        reference = self.square_sums_reference(mu)
+        term_sum = tuple(tuple(laguerre_pair_integral(k, l, HALF).coefficient(1) for l in range(mu)) for k in range(mu))
+        assert correct.rows == term_sum
+        generator = moments._recurrence_rows
+
+        def off_by_one(*args):
+            for k, row in enumerate(generator(*args)):
+                if k == 2:
+                    row[1] += 1  # M_23, which the next row's steps read
+                yield row
+
+        monkeypatch.setattr(moments, "_recurrence_rows", off_by_one)
+        assert _build_matrix_cached.__wrapped__(mu, 1).rows != term_sum
+        assert build_pair_integral_matrix(mu, HALF) is correct
+        assert _square_sums.__wrapped__(mu) != reference
+
     @pytest.mark.parametrize("beta_twice", [1, 2])
     def test_builder_matches_the_factorial_scale(self, beta_twice):
         # The recurrence on integers scaled by 4^128 (127!)^2, a multiple of
@@ -165,9 +189,8 @@ class TestDyadicKernel:
     def test_denominators_are_powers_of_two_and_the_split_is_tight(self):
         # B is stored over 2^(4 mu - 3) = 2^(a_k + a_l + 2k + 2l + 1), with
         # a_i = 2 (mu-1-i). So 2^(a_k + a_l) divides the numerator N_kl
-        # exactly when 2^(2k+2l+1) B_kl is an integer; then N_{mu-1,l} is
-        # even for l < mu-1, and the halving in _square_sums is exact. A is
-        # integral.
+        # exactly when 2^(2k+2l+1) B_kl is an integer; the generator runs B
+        # on those integers. A is integral.
         from negmoments.moments import _build_matrix_cached
 
         for mu in range(1, 129):
@@ -469,8 +492,8 @@ class TestNormalizedMoments:
 @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
 @pytest.mark.parametrize(
     "entry",
-    [lambda mu: build_pair_integral_matrix(mu, HALF), mean_negativity, mean_pair_product, normalized_moments],
-    ids=["build_pair_integral_matrix", "mean_negativity", "mean_pair_product", "normalized_moments"],
+    [lambda mu: build_pair_integral_matrix(mu, HALF), mean_negativity, mean_pair_product, normalized_moments, max_negativity],
+    ids=["build_pair_integral_matrix", "mean_negativity", "mean_pair_product", "normalized_moments", "max_negativity"],
 )
 def test_float_mu_rejected(entry, warm):
     # A warm cache must not answer a float: lru_cache keys (2, 1) and
@@ -483,6 +506,14 @@ def test_float_mu_rejected(entry, warm):
     with pytest.raises(TypeError):
         entry(2.0)
     assert entry(np.int64(2)) == entry(2)
+
+
+@pytest.mark.parametrize("mu", [0, -3])
+def test_max_negativity_needs_a_dimension(mu):
+    # (mu-1)/2 would read -1/2 at mu = 0: no bipartition has that size.
+    with pytest.raises(ValueError, match="^dimension must be at least 1$"):
+        max_negativity(mu)
+    assert max_negativity(1) == 0
 
 
 class TestTable:
