@@ -22,22 +22,20 @@ Unrestricted index sums are used throughout: repeated indices duplicate
 determinant rows and contribute exact zeros, so no distinct-index
 bookkeeping is needed.
 
-Both matrices are built by the two-term recurrence
+Both matrices obey the two-term recurrence
 
     (l+1) J(k, l+1) = (l-k-beta) J(k, l) + k J(k-1, l),
 
-seeded by J(0, 0) = Gamma(beta+1) (the k = 0 row is then
-J(0, l) = (-1)^l Gamma(beta+1)^2 / (l! Gamma(beta+1-l))), on the upper
-triangle only and in Python integers. A is an integer matrix, and B is
-dyadic: B = C H C^T, with C the lower-triangular Toeplitz matrix of the
+from J(0, 0) = Gamma(beta+1). A is an integer matrix, and B is dyadic:
+B = C H C^T, with C the lower-triangular Toeplitz matrix of the
 coefficients of (1-z)^(1/2) (c_0 = 1, c_m = -Catalan(m-1) / 2^(2m-1)) and
 H_j = (2j+1) C(2j, j) / 2^(2j+1), so 2^(2k+2l+1) B_kl is an integer. One
-row generator (_recurrence_rows) runs the recurrence, for B on those
-integers and for A on A itself, each step dividing exactly by 2 (l+1).
-Each entry is then shifted onto one common denominator, 2^(4 mu - 3) for
-B and 1 for A, and each matrix is cached once per (mu, beta) as integer
-numerators over it, in one pass. The term sum in laguerre.py is the
-oracle for this builder.
+row generator (_recurrence_rows) runs the recurrence on the upper triangle
+in Python integers, for B on those integers and for A on A itself, each
+step dividing exactly by 2 (l+1); entries are then shifted onto one common
+denominator D, 2^(4 mu - 3) for B and 1 for A (_scale).
+build_pair_integral_matrix stores every numerator, for verify and library
+callers; the term sum in laguerre.py is its oracle.
 
 Each determinant sum is evaluated by expanding its permutation sum into
 power-sum traces,
@@ -46,16 +44,22 @@ power-sum traces,
     triple : a1 b1^2 - a1 tr(B^2) - 2 b1 tr(AB) + 2 tr(A B^2)
     quad   : b1^4 - 6 b1^2 b2 + 3 b2^2 + 8 b1 b3 - 6 b4,
 
-and evaluates them on the integer numerators: A is read only on its band,
-and each sum becomes a rational once, at the end. B^2 is never multiplied
-out. The recurrence above says B Q - Q B + beta B is a rank-one matrix
-(Q = Z - diag(0, .., mu-1), Z_{l+1,l} = l+1: B has displacement rank one,
-Kailath, Kung and Morf 1979), so B^2 obeys the same recurrence with 2 beta
-and one rank-one term: the same generator gives it row by row, with no
-halving, in O(mu^2) integer steps shared by triple and quad (see
-_square_sums). The naive oracle,
-which evaluates every small determinant explicitly, lives in selfcheck.py
-(naive_det_moment_sum) and is run by ``verify``.
+on the integer numerators N = D M, each sum becoming a rational once, at
+the end. No moment builds a matrix. For M = A or B the recurrence reads
+
+    M Q - Q M + beta M = -E,   Q = Z - diag(0, .., mu-1), Z_{l+1,l} = l+1,
+
+with E zero but for its last column, e_k = mu J(k, mu) (displacement rank
+one: Kailath, Kung and Morf, J. Math. Anal. Appl. 68, 395 (1979)). Times
+M^p and traced, the commutator drops out: the border identity
+
+    2 beta tr(N^(p+1)) = -sum_k e2_k (N^p)_{k,mu-1},   e2_k = 2 D e_k,
+
+with e2 read off N's last column (_rank_one_column). At p = 1 it gives t2;
+at p = 2 it gives tr(B^3) from the last column of B^2, whose rows the same
+generator yields (_square_sums). So the engine reads only the diagonal,
+superdiagonal, row 0 and last column of A and B, from one cached generator
+pass per (mu, beta) (_border): O(mu^2) integer steps, O(mu) integers kept.
 
 Every moment is exact at every size, and every float in a MomentReport or
 a TableRow is one exact sqrt(pi) polynomial (a normalized value is divided
@@ -95,14 +99,11 @@ __all__ = [
 ]
 
 #: Largest mu that normalized_moments(exact=True) (the CLI's moments --exact)
-#: accepts. Larger sizes are still exact without it, and cost little more: the
-#: variance generates B^2 from B's recurrence and its rank-one term in
-#: O(mu^2) integer steps (_square_sums), so moments --mu 256 runs in well
-#: under a second. The cap only keeps the option's documented limit.
+#: accepts. Larger sizes are still exact without it, and cost little more:
+#: every moment keeps O(mu) border integers of A and B and runs O(mu^2)
+#: integer steps, so moments --mu 256 takes about 0.2 s and table --n-max 22
+#: (mu = 2048) a few seconds. The cap only keeps the option's documented limit.
 EXACT_MODE_CEILING = 128
-
-_HALF = Fraction(1, 2)
-
 
 class ResourceCeilingError(RuntimeError):
     """Exact evaluation was forced beyond the configured size ceiling."""
@@ -131,6 +132,23 @@ class PairIntegralMatrix(NamedTuple):
         return SqrtPiPolynomial({self.power: Fraction(self.numerators[k][l], self.denominator)})
 
 
+def _dimension(mu) -> int:
+    mu = operator.index(mu)
+    if mu < 1:
+        raise ValueError("dimension must be at least 1")
+    return mu
+
+
+def _weight_twice(beta) -> int:
+    try:
+        twice = _twice(beta)
+    except ValueError:
+        twice = None
+    if twice not in (1, 2):
+        raise ValueError("weight exponent must be 1/2 or 1")
+    return twice
+
+
 def _recurrence_rows(mu: int, beta_twice: int, shift: int, corner: int, r=(), s=()):
     """Row k of a symmetric integer matrix M from column k on, for k < mu, by
 
@@ -153,14 +171,20 @@ def _recurrence_rows(mu: int, beta_twice: int, shift: int, corner: int, r=(), s=
         yield row
 
 
+def _scale(mu: int, beta_twice: int) -> tuple:
+    """shift, a and D of the pair matrix of weight beta: the generator's rows,
+    M_kl = 2^(shift (k+l) + e) J(k, l, beta) from M_00 = 1 (shift = e = 0 for
+    A, shift = 2 and e = 1 for B), are shifted by a_k + a_l, a_i = shift
+    (mu-1-i), onto D = 2^(2 shift (mu-1) + e). D comes first, so a huge mu
+    fails before any row."""
+    shift = 2 if beta_twice == 1 else 0
+    denominator = 1 << (2 * shift * (mu - 1) + beta_twice % 2)
+    return shift, [shift * (mu - 1 - i) for i in range(mu)], denominator
+
+
 @lru_cache(maxsize=None)
 def _build_matrix_cached(mu: int, beta_twice: int) -> PairIntegralMatrix:
-    # The rows are M_kl = 2^(shift (k+l) + e) J(k, l, beta), M_00 = 1: shift = e = 0
-    # for the integral A, shift = 2 and e = 1 for B (module docstring). Entry (k, l)
-    # is shifted by a_k + a_l, a_i = shift (mu-1-i), onto 2^(2 shift (mu-1) + e).
-    shift = 2 if beta_twice == 1 else 0
-    denominator = 1 << (2 * shift * (mu - 1) + beta_twice % 2)  # before any row, so a huge mu fails at once
-    a = [shift * (mu - 1 - i) for i in range(mu)]
+    shift, a, denominator = _scale(mu, beta_twice)
     nums = [[0] * mu for _ in range(mu)]
     for k, row in enumerate(_recurrence_rows(mu, beta_twice, shift, 1)):
         for l, value in enumerate(row, start=k):
@@ -170,16 +194,7 @@ def _build_matrix_cached(mu: int, beta_twice: int) -> PairIntegralMatrix:
 
 def build_pair_integral_matrix(mu: int, beta) -> PairIntegralMatrix:
     """Shared symmetric matrix of J(k, l, beta) for k, l < mu (cached)."""
-    mu = operator.index(mu)
-    if mu < 1:
-        raise ValueError("dimension must be at least 1")
-    try:
-        twice = _twice(beta)
-    except ValueError:
-        twice = None
-    if twice not in (1, 2):
-        raise ValueError("weight exponent must be 1/2 or 1")
-    return _build_matrix_cached(mu, twice)
+    return _build_matrix_cached(_dimension(mu), _weight_twice(beta))
 
 
 # ---------------------------------------------------------------------------
@@ -187,91 +202,82 @@ def build_pair_integral_matrix(mu: int, beta) -> PairIntegralMatrix:
 # ---------------------------------------------------------------------------
 
 
-# The trace path works on the integer numerators N of each matrix, so every
-# power sum is a plain int; the common denominator D is applied once at the
-# end (a degree-d power sum of N is D^d times that of the matrix).
+@lru_cache(maxsize=None)
+def _border(mu: int, beta_twice: int) -> tuple:
+    """The numerators N of the pair matrix of weight beta, as far as the
+    engine reads them: diagonal, superdiagonal, row 0, last column, and
+    their common denominator, in one pass of _recurrence_rows (cached)."""
+    shift, a, denominator = _scale(mu, beta_twice)
+    diag, superdiag, last = [], [], []
+    for k, row in enumerate(_recurrence_rows(mu, beta_twice, shift, 1)):
+        if not k:
+            first = [x << (a[0] + a_l) for x, a_l in zip(row, a)]
+        diag.append(row[0] << 2 * a[k])
+        superdiag.extend(x << (a[k] + a[k + 1]) for x in row[1:2])
+        last.append(row[-1] << (a[k] + a[-1]))
+    return diag, superdiag, first, last, denominator
 
 
-def _int_trace(nums) -> int:
-    return sum(nums[i][i] for i in range(len(nums)))
+def _rank_one_column(last, beta_twice: int) -> list:
+    # e2_k = 2 D mu J(k, mu) by the recurrence at l = mu-1, so no J(k, mu) is built
+    mu = len(last)
+    return [(2 * (mu - 1 - k) - beta_twice) * x + 2 * k * last[k - 1] for k, x in enumerate(last)]
 
 
-def _band_overlap(a, diag, superdiag) -> int:
-    # sum_ij A_ij M_ij for the tridiagonal A and a symmetric M given by its
-    # diagonal and first superdiagonal
-    total = sum(a[i][i] * x for i, x in enumerate(diag))
-    return total + 2 * sum(a[i][i + 1] * x for i, x in enumerate(superdiag))
+def _band_overlap(a_diag, a_superdiag, diag, superdiag) -> int:
+    # sum_ij A_ij M_ij for the tridiagonal A and a symmetric M, each given by
+    # its diagonal and first superdiagonal
+    return sum(map(mul, a_diag, diag)) + 2 * sum(map(mul, a_superdiag, superdiag))
 
 
 @lru_cache(maxsize=None)
 def _square_sums(mu: int) -> tuple:
-    """Power sums of N = numerators of B(mu) that need X = N^2.
+    """Power sums of N = numerators of B(mu) that need X = N^2: the diagonal
+    and superdiagonal of X, tr(N^3) and tr(N^4). By the displacement
+    equation, B^2 Q - Q B^2 + 2 beta B^2 = -(BE + EB), so _recurrence_rows
+    yields X row by row at shift 0 from X_00 = sum_m N_0m^2,
 
-    Returns the diagonal and first superdiagonal of X, tr(N^3) and tr(N^4).
-    X is never multiplied out. The builder's recurrence says, with
-    Q = Z - diag(0, .., mu-1) and Z_{l+1,l} = l+1, that
+        2 (l+1) X_{k,l+1} = (2 (l-k) - 2) X_kl + 2k X_{k-1,l} - e2_k N_{mu-1,l}.
 
-        B Q - Q B + beta B = -E,
-
-    where E is zero but for its last column, E_{k,mu-1} = e_k = mu J(k, mu):
-    B has displacement rank one (Kailath, Kung and Morf, J. Math. Anal.
-    Appl. 68, 395 (1979)). Hence B^2 Q - Q B^2 + 2 beta B^2 = -(BE + EB),
-    which is the builder's recurrence with 2 beta = 2 and a rank-one term,
-
-        2 (l+1) X_{k,l+1} = (2 (l-k) - 2) X_kl + 2k X_{k-1,l} - e2_k N_{mu-1,l},
-
-    run by _recurrence_rows at shift 0 from X_00 = sum_m N_0m^2. Here
-    e2_k = 2 D e_k = (2mu-3-2k) N_{k,mu-1} + 2k N_{k-1,mu-1}, D = 2^(4 mu - 3),
-    which is the recurrence at l = mu-1, so no J(k, mu) is built. Each row is
-    folded into tr(N^3) = sum X_ij N_ij and tr(N^4) = sum X_ij^2 as it comes:
-    O(mu^2) integer steps, which the triple and quad sums share.
+    Each row is folded into tr(N^4) = sum X_ij^2, and its last entry into
+    tr(N^3) = -sum_k e2_k X_{k,mu-1} (the border identity at p = 2).
     """
-    n = build_pair_integral_matrix(mu, _HALF).numerators
-    e2 = [(2 * mu - 3 - 2 * k) * n_k[mu - 1] + 2 * k * n[k - 1][mu - 1] for k, n_k in enumerate(n)]
-    diag, superdiag = [], []
-    t3 = t4 = 0
-    rows = _recurrence_rows(mu, 2, 0, sum(map(mul, n[0], n[0])), e2, n[mu - 1])
-    for k, (n_k, row) in enumerate(zip(n, rows)):
-        # row is X_{k,k..mu-1}; the strict upper part counts twice in each trace
+    _, _, first, last, _ = _border(mu, 1)
+    e2 = _rank_one_column(last, 1)
+    diag, superdiag, t3, t4 = [], [], 0, 0
+    for e2_k, row in zip(e2, _recurrence_rows(mu, 2, 0, sum(map(mul, first, first)), e2, last)):
+        # row is X_{k,k..mu-1}; the strict upper part counts twice in tr(N^4)
         diag.append(row[0])
         superdiag.extend(row[1:2])
-        t3 += 2 * sum(map(mul, row, n_k[k:])) - row[0] * n_k[k]
+        t3 -= e2_k * row[-1]
         t4 += 2 * sum(map(mul, row, row)) - row[0] * row[0]
     return tuple(diag), tuple(superdiag), t3, t4
 
 
-def _pair_trace(mat: PairIntegralMatrix):
-    # N is symmetric: t2 = sum_k N_kk^2 + 2 sum_{k<l} N_kl^2, one row at a time.
-    nums = mat.numerators
-    t1 = t2 = 0
-    for k, row in enumerate(nums):
-        upper = row[k + 1 :]
-        t1 += row[k]
-        t2 += row[k] * row[k] + 2 * sum(map(mul, upper, upper))
-    return Fraction(t1 * t1 - t2, mat.denominator**2)
+def _pair_trace(mu: int, beta_twice: int):
+    # t1^2 - t2, with 2 beta t2 = -sum_k e2_k N_{k,mu-1} (the border identity at p = 1)
+    diag, _, _, last, denominator = _border(mu, beta_twice)
+    t1, t2 = sum(diag), -sum(map(mul, _rank_one_column(last, beta_twice), last)) // beta_twice
+    return Fraction(t1 * t1 - t2, denominator**2)
 
 
 def _triple_trace(mu: int):
-    a = build_pair_integral_matrix(mu, 1)
-    b = build_pair_integral_matrix(mu, _HALF)
-    a_nums, b_nums = a.numerators, b.numerators
+    a_diag, a_superdiag, _, _, a_den = _border(mu, 2)
+    b_diag, b_superdiag, _, _, b_den = _border(mu, 1)
     sq_diag, sq_superdiag, _, _ = _square_sums(mu)
-    a1 = _int_trace(a_nums)
-    b1 = _int_trace(b_nums)
-    b2 = sum(sq_diag)
-    ab = _band_overlap(a_nums, [b_nums[i][i] for i in range(mu)], [b_nums[i][i + 1] for i in range(mu - 1)])
-    ab2 = _band_overlap(a_nums, sq_diag, sq_superdiag)
+    a1, b1, b2 = sum(a_diag), sum(b_diag), sum(sq_diag)
+    ab = _band_overlap(a_diag, a_superdiag, b_diag, b_superdiag)
+    ab2 = _band_overlap(a_diag, a_superdiag, sq_diag, sq_superdiag)
     num = a1 * b1 * b1 - a1 * b2 - 2 * b1 * ab + 2 * ab2
-    return Fraction(num, a.denominator * b.denominator**2)
+    return Fraction(num, a_den * b_den**2)
 
 
 def _quad_trace(mu: int):
-    b = build_pair_integral_matrix(mu, _HALF)
+    b_diag, _, _, _, b_den = _border(mu, 1)
     sq_diag, _, t3, t4 = _square_sums(mu)
-    b1 = _int_trace(b.numerators)
-    t2 = sum(sq_diag)
+    b1, t2 = sum(b_diag), sum(sq_diag)
     num = b1**4 - 6 * b1 * b1 * t2 + 3 * t2 * t2 + 8 * b1 * t3 - 6 * t4
-    return Fraction(num, b.denominator**4)
+    return Fraction(num, b_den**4)
 
 
 def det_moment_sum(mu: int, pattern: str, beta=None) -> SqrtPiPolynomial:
@@ -287,14 +293,14 @@ def det_moment_sum(mu: int, pattern: str, beta=None) -> SqrtPiPolynomial:
     if pattern == "pair":
         if beta is None:
             raise ValueError("pair pattern requires beta")
-        mat = build_pair_integral_matrix(mu, beta)
-        return SqrtPiPolynomial({2 * mat.power: _pair_trace(mat)})
+        mu, twice = _dimension(mu), _weight_twice(beta)
+        return SqrtPiPolynomial({2 * (twice % 2): _pair_trace(mu, twice)})
     if beta is not None:
         raise ValueError(f"{pattern} pattern does not take beta")
     if pattern == "triple":
-        return SqrtPiPolynomial({2: _triple_trace(mu)})
+        return SqrtPiPolynomial({2: _triple_trace(_dimension(mu))})
     if pattern == "quad":
-        return SqrtPiPolynomial({4: _quad_trace(mu)})
+        return SqrtPiPolynomial({4: _quad_trace(_dimension(mu))})
     raise ValueError(f"unknown pattern {pattern!r}")
 
 
@@ -310,17 +316,13 @@ def mean_negativity(mu: int) -> SqrtPiPolynomial:
     The cache is typed, so a float mu never finds the entry of an equal int
     and fails in operator.index.
     """
-    mu = operator.index(mu)
-    if mu < 1:
-        raise ValueError("dimension must be at least 1")
+    mu = _dimension(mu)
     return det_moment_sum(mu, "pair", beta=Fraction(1, 2)) / (2 * mu * mu)
 
 
 def mean_pair_product(mu: int) -> SqrtPiPolynomial:
     """Exact average of sum_{i != j} p_i p_j over the Schmidt simplex."""
-    mu = operator.index(mu)
-    if mu < 1:
-        raise ValueError("dimension must be at least 1")
+    mu = _dimension(mu)
     return det_moment_sum(mu, "pair", beta=1) / (mu * mu * (mu * mu + 1))
 
 
@@ -339,10 +341,7 @@ def variance_negativity(mu: int) -> SqrtPiPolynomial:
 
 def max_negativity(mu: int):
     """Largest negativity attainable on a mu x mu bipartition, (mu-1)/2."""
-    mu = operator.index(mu)
-    if mu < 1:
-        raise ValueError("dimension must be at least 1")
-    return Fraction(mu - 1, 2)
+    return Fraction(_dimension(mu) - 1, 2)
 
 
 # ---------------------------------------------------------------------------

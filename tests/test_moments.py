@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -129,17 +130,17 @@ class TestDyadicKernel:
         assert _square_sums(mu) == self.square_sums_reference(mu)
 
     def test_rank_one_term_is_the_next_column(self):
-        # _square_sums reads e_k = mu J(k, mu) off the last column of B(mu)
-        # through the recurrence at l = mu-1, as e2_k = 2 D e_k with
-        # D = 2^(4 mu - 3). The mu + 1 matrix holds J(k, mu) itself.
-        from negmoments.moments import _build_matrix_cached
+        # _rank_one_column reads e_k = mu J(k, mu) off the last column of the
+        # numerators N through the recurrence at l = mu-1, as e2_k = 2 D e_k.
+        # The mu + 1 matrix holds J(k, mu) itself.
+        from negmoments.moments import _build_matrix_cached, _rank_one_column
 
-        for mu in range(1, 65):
-            n = _build_matrix_cached(mu, 1).numerators
-            big = _build_matrix_cached(mu + 1, 1).rows
-            for k in range(mu):
-                e2 = (2 * mu - 3 - 2 * k) * n[k][mu - 1] + (2 * k * n[k - 1][mu - 1] if k else 0)
-                assert Fraction(e2, 2 << (4 * mu - 3)) == mu * big[k][mu], (mu, k)
+        for beta_twice in (1, 2):
+            for mu in range(1, 65):
+                mat = _build_matrix_cached(mu, beta_twice)
+                big = _build_matrix_cached(mu + 1, beta_twice).rows
+                e2 = _rank_one_column([row[mu - 1] for row in mat.numerators], beta_twice)
+                assert e2 == [2 * mat.denominator * mu * big[k][mu] for k in range(mu)], (beta_twice, mu)
 
     def test_one_generator_runs_b_and_its_square(self, monkeypatch):
         # With one step of _recurrence_rows one unit off, both the builder
@@ -161,6 +162,7 @@ class TestDyadicKernel:
 
         monkeypatch.setattr(moments, "_recurrence_rows", off_by_one)
         assert _build_matrix_cached.__wrapped__(mu, 1).rows != term_sum
+        assert moments._border.__wrapped__(mu, 1)[0] != [correct.numerators[k][k] for k in range(mu)]
         assert build_pair_integral_matrix(mu, HALF) is correct
         assert _square_sums.__wrapped__(mu) != reference
 
@@ -210,6 +212,83 @@ class TestDyadicKernel:
         for k in range(mu):
             for l in range(k + 1):
                 assert rows[k][l] == sum(c[k - j] * c[l - j] * h[j] for j in range(l + 1)), (k, l)
+
+
+class TestBorderIdentity:
+    """B Q - Q B + beta B = -E (TestDyadicKernel) times B^p, traced: the
+    commutator term has trace zero, so on the numerators N over D
+
+        2 beta tr(N^(p+1)) = -sum_k e2_k (N^p)_{k,mu-1},   e2_k = 2 D mu J(k, mu).
+
+    The same holds for A (beta = 1, D = 1). The moment engine rests on it:
+    it reads only the band, row 0 and the last column of each matrix."""
+
+    @pytest.mark.parametrize("beta_twice", [1, 2])
+    def test_identity_on_plain_products(self, beta_twice):
+        beta = Fraction(beta_twice, 2)
+        for mu in range(1, 41):
+            mat = build_pair_integral_matrix(mu, beta)
+            n, den = mat.numerators, mat.denominator
+            big = build_pair_integral_matrix(mu + 1, beta).rows  # J(k, mu) itself
+            e2 = [2 * den * mu * big[k][mu] for k in range(mu)]
+            assert all(x.denominator == 1 for x in e2)
+            sq = [[sum(map(mul, row, col)) for col in n] for row in n]  # N is symmetric
+            traces = [
+                sum(n[i][i] for i in range(mu)),
+                sum(sq[i][i] for i in range(mu)),
+                sum(sum(map(mul, x, y)) for x, y in zip(sq, n)),
+                sum(sum(map(mul, x, x)) for x in sq),
+            ]
+            column = [int(k == mu - 1) for k in range(mu)]  # (N^p)_{k,mu-1} from p = 0 on
+            for p, trace in enumerate(traces):
+                assert beta_twice * trace == -sum(map(mul, e2, column)), (mu, p)
+                column = [sum(map(mul, row, column)) for row in n]
+
+    @pytest.mark.parametrize("beta_twice", [1, 2])
+    def test_border_is_the_matrix_border(self, beta_twice):
+        for mu in [*range(1, 41), 64]:
+            mat = build_pair_integral_matrix(mu, Fraction(beta_twice, 2))
+            n = mat.numerators
+            diag, superdiag, first, last, den = moments._border.__wrapped__(mu, beta_twice)
+            assert diag == [n[k][k] for k in range(mu)]
+            assert superdiag == [n[k][k + 1] for k in range(mu - 1)]
+            assert first == list(n[0]) and last == [row[mu - 1] for row in n]
+            assert den == mat.denominator
+
+
+def _cold_caches():
+    for cached in (moments.mean_negativity, moments._border, moments._square_sums, moments._build_matrix_cached):
+        cached.cache_clear()
+
+
+class TestNoMatrixInTheMoments:
+    """No moment builds or caches a mu x mu matrix, so large tables run in
+    bounded memory. The 4 MiB bound on the traced peak was fixed before the
+    first run; a cached B(512) alone is tens of MiB."""
+
+    @pytest.mark.parametrize("moment,mu", [(mean_negativity, 512), (variance_negativity, 256)])
+    def test_traced_peak_from_cold_caches(self, moment, mu):
+        import tracemalloc
+
+        _cold_caches()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            moment(mu)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_moments_run_without_the_builder(self, monkeypatch):
+        def refuse(mu, beta_twice):
+            raise AssertionError(f"built the {mu} x {mu} matrix")
+
+        _cold_caches()
+        monkeypatch.setattr(moments, "_build_matrix_cached", refuse)
+        assert normalized_moments(64).mu == 64
+        assert len(generate_table(range(2, 16, 2))) == 7
 
 
 class TestDetMomentSums:
@@ -275,22 +354,22 @@ class TestDetMomentSums:
         assert [r.passed for r in selfcheck.run_all(16)].count(False) == 2
 
     def test_pair_suite_catches_a_wrong_entry_beyond_the_naive_range(self, monkeypatch):
-        # Every reader of B sees the corrupted entries; the suite's
-        # factorisation route does not read B.
+        # Every reader of B sees the corrupted entry, which the next rows'
+        # steps read; the suite's factorisation route does not read B.
+        from functools import lru_cache
+
         from negmoments import selfcheck
 
-        build = moments._build_matrix_cached
+        generator = moments._recurrence_rows
 
-        def corrupted(mu, beta_twice):
-            mat = build(mu, beta_twice)
-            if beta_twice != 1 or mu <= 20:
-                return mat
-            nums = [list(row) for row in mat.numerators]
-            nums[17][20] += 1
-            nums[20][17] += 1
-            return mat._replace(numerators=tuple(map(tuple, nums)))
+        def corrupted(mu, beta_twice, *args):
+            for k, row in enumerate(generator(mu, beta_twice, *args)):
+                if beta_twice == 1 and mu > 20 and k == 17:
+                    row[20 - k] += 1  # M_{17,20}
+                yield row
 
-        monkeypatch.setattr(moments, "_build_matrix_cached", corrupted)
+        monkeypatch.setattr(moments, "_recurrence_rows", corrupted)
+        monkeypatch.setattr(moments, "_border", lru_cache(maxsize=None)(moments._border.__wrapped__))  # a cache of its own
         result = selfcheck.check_pair_trace_identity(32)
         assert result.name == "pair sum trace identity"
         assert not result.passed and result.detail == "mu=32 beta=1/2"
@@ -325,6 +404,9 @@ class TestDetMomentSums:
             det_moment_sum(2, "quad", beta=1)
         with pytest.raises(ValueError):
             det_moment_sum(2, "pentuple")
+        for pattern, kwargs in (("pair", {"beta": HALF}), ("pair", {"beta": 1}), ("triple", {}), ("quad", {})):
+            with pytest.raises(ValueError, match="^dimension must be at least 1$"):
+                det_moment_sum(0, pattern, **kwargs)
         with pytest.raises(ValueError):
             naive_det_moment_sum(2, "pair")
         with pytest.raises(ValueError):
@@ -375,14 +457,14 @@ class TestExactMoments:
         traced = []
         pair_trace = moments._pair_trace
 
-        def counting(mat):
-            traced.append(mat.beta_twice)
-            return pair_trace(mat)
+        def counting(mu, beta_twice):
+            traced.append((mu, beta_twice))
+            return pair_trace(mu, beta_twice)
 
         monkeypatch.setattr(moments, "_pair_trace", counting)
         moments.mean_negativity.cache_clear()
         normalized_moments(11)
-        assert sorted(traced) == [1, 2]  # B (beta = 1/2) once, A (beta = 1) once
+        assert sorted(traced) == [(11, 1), (11, 2)]  # B (beta = 1/2) once, A (beta = 1) once
 
     def test_variance_suite_catches_a_wrong_pair_product(self, monkeypatch):
         # The suite takes the pair product in closed form, so a wrong matrix
