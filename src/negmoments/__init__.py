@@ -103,7 +103,7 @@ def _lazy(name: str):
     return module
 
 
-globals().update({name: _lazy(name) for name in (*_EXPORTS, "selfcheck")})
+globals().update({name: _lazy(name) for name in (*_EXPORTS, "selfcheck", "_writer")})
 
 
 def __getattr__(name: str):

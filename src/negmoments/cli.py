@@ -34,7 +34,7 @@ import argparse
 import os
 import sys
 
-from . import __version__, bounds, distribution, moments, sampling, selfcheck
+from . import __version__, _writer, bounds, distribution, moments, sampling, selfcheck
 
 __all__ = ["main"]
 
@@ -125,7 +125,7 @@ def _resolve_size(args) -> tuple[int, int | None]:
 
 def _emit(args, doc: dict, header, rows) -> int:
     """Write doc as JSON, or header and rows as CSV, to stdout or --output."""
-    text = distribution.render_json(doc) if args.format == "json" else distribution._csv_text(header, rows)
+    text = _writer.render_json(doc) if args.format == "json" else _writer.render_rows(header, rows)
     if args.output == "-":
         sys.stdout.write(text)
     else:
@@ -139,7 +139,7 @@ def _cmd_moments(args) -> int:
     report = moments.normalized_moments(mu, exact=args.exact)
     header = ["mu", "n_qubits", "mean_float", "sigma_float", "mean_normalized", "sigma_normalized"]
     row = [report.mu, n, report.mean_float, report.sigma_float, report.mean_normalized, report.sigma_normalized]
-    return _emit(args, distribution.build_document(report, n_qubits=n), header, [row])
+    return _emit(args, _writer.moments_document(report, n), header, [row])
 
 
 def _cmd_table(args) -> int:
@@ -147,14 +147,11 @@ def _cmd_table(args) -> int:
         raise UsageError("qubit counts must be even, n-min >= 2, n-max >= n-min")
     rows = moments.generate_table(list(range(args.n_min, args.n_max + 1, 2)))
     limit = moments.extrapolate_limit(rows) if args.extrapolate else None
-    doc = {
-        "rows": [{"n_qubits": r.n_qubits, "mu": r.mu, "ratio": r.ratio, "delta": r.delta} for r in rows],
-        "extrapolated_limit": limit,
-    }
-    csv_rows = [[r.n_qubits, r.mu, r.ratio, r.delta] for r in rows]
+    doc = {"rows": [r._asdict() for r in rows], "extrapolated_limit": limit}
+    csv_rows = [tuple(r) for r in rows]
     if limit is not None:
-        csv_rows.append(["limit", "", limit, ""])
-    return _emit(args, doc, ["n_qubits", "mu", "ratio", "delta"], csv_rows)
+        csv_rows.append(("limit", "", limit, ""))
+    return _emit(args, doc, moments.TableRow._fields, csv_rows)
 
 
 def _cmd_sample(args) -> int:
@@ -183,7 +180,7 @@ def _cmd_sample(args) -> int:
     doc["sampler"] = {
         "generator": batch.generator, "stream": sampling.STREAM_ID, "master_seed": batch.master_seed, "count": batch.count
     }
-    return _emit(args, doc, distribution._HISTOGRAM_COLUMNS, distribution._histogram_rows(hist, ref))
+    return _emit(args, doc, distribution.HISTOGRAM_COLUMNS, distribution.histogram_rows(hist, ref))
 
 
 def _cmd_bounds(args) -> int:
@@ -223,11 +220,11 @@ def _cmd_verify(args) -> int:
 #: access, and compiling them after numpy has loaded raises the peak memory.
 #: So sampling, which imports numpy, comes last.
 _COMMANDS = {
-    "moments": (_cmd_moments, (moments, distribution)),
-    "table": (_cmd_table, (moments, distribution)),
-    "sample": (_cmd_sample, (moments, distribution, sampling)),
-    "compare": (_cmd_sample, (moments, distribution, sampling)),
-    "bounds": (_cmd_bounds, (bounds, distribution)),
+    "moments": (_cmd_moments, (moments, _writer)),
+    "table": (_cmd_table, (moments, _writer)),
+    "sample": (_cmd_sample, (moments, _writer, distribution, sampling)),
+    "compare": (_cmd_sample, (moments, _writer, distribution, sampling)),
+    "bounds": (_cmd_bounds, (bounds, _writer)),
     "verify": (_cmd_verify, (selfcheck,)),
 }
 

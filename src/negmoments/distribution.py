@@ -4,18 +4,16 @@ The reference density is the two-cumulant (Gaussian) approximation with the
 engine's normalized mean and standard deviation. Agreement is quantified by
 a one-sample Kolmogorov-Smirnov statistic computed from the binned empirical
 CDF, the z-score of the sample mean against the analytic one, and the
-relative error of the sample standard deviation.
+relative error of the sample standard deviation. The sample and compare
+documents are the moments document of _writer plus these figures.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .exactring import format_rational
+from ._writer import moments_document, render_json, render_rows  # noqa: F401 (render_json is re-exported)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -56,6 +54,8 @@ class Histogram(_HistogramFields):
         counts = np.asarray(counts, dtype=np.int64)
         if edges.ndim != 1 or edges.size < 2:
             raise ValueError("need at least one bin")
+        if not np.all(np.isfinite(edges)):
+            raise ValueError("bin edges must be finite")
         if np.any(np.diff(edges) <= 0):
             raise ValueError("bin edges must be strictly ascending")
         if counts.shape != (edges.size - 1,):
@@ -97,7 +97,8 @@ class Histogram(_HistogramFields):
 def build_histogram(values, bins: int) -> Histogram:
     """Equal-width histogram over [min, max] padded by one width.
 
-    Constant values get the unit window around them.
+    Constant values get the unit window around them; a nan or infinite
+    value raises ValueError.
     """
     import numpy as np
 
@@ -108,9 +109,13 @@ def build_histogram(values, bins: int) -> Histogram:
         raise ValueError("need at least one bin")
     lo = float(values.min())
     hi = float(values.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):  # min and max are nan if any value is
+        raise ValueError("cannot histogram non-finite values")
     pad = (hi - lo) / bins if hi > lo else 0.5
     lo, hi = lo - pad, hi + pad
     width = (hi - lo) / bins
+    if not math.isfinite(width):
+        raise ValueError("the sample's range overflows a double")
     # One sample-sized buffer: each value's bin position, floored and then
     # cast to int64 in place (the cast reads each element before writing it).
     position = np.subtract(values, lo)
@@ -199,10 +204,6 @@ def compare(hist: Histogram, ref: GaussianReference) -> ComparisonReport:
 # ---------------------------------------------------------------------------
 
 
-def _poly_json(poly) -> dict:
-    return {"pi_half_coeffs": poly.coeff_strings()}
-
-
 def build_document(
     report: MomentReport,
     n_qubits: int | None = None,
@@ -210,22 +211,8 @@ def build_document(
     reference: GaussianReference | None = None,
     comparison: ComparisonReport | None = None,
 ) -> dict:
-    """The shared JSON document for moments / sampling / comparison output."""
-    doc = {
-        "mu": report.mu,
-        "n_qubits": n_qubits,
-        "mean_exact": _poly_json(report.mean_exact),
-        "variance_exact": _poly_json(report.variance_exact),
-        "mean_float": report.mean_float,
-        "sigma_float": report.sigma_float,
-        "normalized": {
-            "mean": report.mean_normalized,
-            "sigma": report.sigma_normalized,
-        },
-        "n_max": format_rational(report.n_max),
-        "histogram": None,
-        "comparison": None,
-    }
+    """The moments document, plus the histogram, reference and agreement figures given."""
+    doc = moments_document(report, n_qubits)
     if histogram is not None:
         doc["histogram"] = {
             "bin_edges": [float(e) for e in histogram.bin_edges],
@@ -239,11 +226,11 @@ def build_document(
     return doc
 
 
-#: One CSV row per bin; _histogram_rows yields them in this order.
-_HISTOGRAM_COLUMNS = ("bin_left", "bin_right", "count", "density", "gaussian_density")
+#: One CSV row per bin; histogram_rows yields them in this order.
+HISTOGRAM_COLUMNS = ("bin_left", "bin_right", "count", "density", "gaussian_density")
 
 
-def _histogram_rows(hist: Histogram, ref: GaussianReference):
+def histogram_rows(hist: Histogram, ref: GaussianReference):
     densities = hist.densities()
     gauss = ref.density(hist.midpoints())
     for i in range(hist.counts.size):
@@ -258,17 +245,4 @@ def _histogram_rows(hist: Histogram, ref: GaussianReference):
 
 def render_csv(hist: Histogram, ref: GaussianReference) -> str:
     """The histogram as CSV, one ``bin_left,bin_right,count,density,gaussian_density`` row per bin."""
-    return _csv_text(_HISTOGRAM_COLUMNS, _histogram_rows(hist, ref))
-
-
-def _csv_text(header, rows) -> str:
-    """A header line and the rows as CSV; None is written as an empty field."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
-
-
-def render_json(document: dict) -> str:
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    return render_rows(HISTOGRAM_COLUMNS, histogram_rows(hist, ref))

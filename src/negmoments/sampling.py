@@ -78,7 +78,8 @@ class SampleBatch:
     count or evaluation order. A haar batch is sized by dims alone, a
     circuit batch by an even n_qubits alone. count, j, n_qubits and both
     dims must be integers (numpy integers included), master_seed a
-    nonnegative one. A sample may draw at most 2**32 Philox blocks
+    nonnegative one. dims, any sequence of two, is kept as a tuple of
+    ints. A sample may draw at most 2**32 Philox blocks
     (ceil(dims[0] * dims[1] / 2), or 3 n_qubits j / 2); OverflowError
     beyond that.
     """
@@ -91,12 +92,16 @@ class SampleBatch:
     j: int = 40
 
     def __post_init__(self):
-        for value in (self.count, self.j, 0 if self.n_qubits is None else self.n_qubits, *(self.dims or ())):
+        if self.dims is not None:  # so that equal batches compare and hash equal
+            object.__setattr__(self, "dims", tuple(map(operator.index, self.dims)))
+        for value in (self.count, self.j, 0 if self.n_qubits is None else self.n_qubits):
             operator.index(value)  # TypeError for a float, as for the seed in _stream_key
         circuit = self.generator == "circuit"
         if (self.dims is None) != circuit or (self.n_qubits is None) == circuit:
             raise ValueError("a haar batch takes dims and a circuit batch takes n_qubits")
-        if self.dims is not None and not (len(self.dims) == 2 and min(self.dims) >= 1):
+        if self.dims is not None and len(self.dims) != 2:
+            raise ValueError("dims must be a pair (mu, nu)")
+        if self.dims is not None and min(self.dims) < 1:
             raise ValueError("dimensions must be at least 1")
         if self.count < 0:
             raise ValueError("count must be nonnegative")

@@ -588,12 +588,38 @@ EXACT_STDOUT_SHA256 = {
 }
 
 
+#: SHA-256 of stdout for bounds and the samplers' documents, recorded before
+#: every command's output format moved into one writer module. bounds takes
+#: its floats from math.log2, and the sampled histograms from numpy's log,
+#: sqrt and LAPACK, so these are pinned for one platform (numpy 2.4, x86-64).
+PLATFORM_STDOUT_SHA256 = {
+    "bounds --n-qubits 22 --format json": "b7f646b4866d69fd06d04a5c01a5e57c921d89dbad95299ba6f34474a533a6c6",
+    "bounds --n-qubits 22 --format csv": "8f7bfc0c79203f491004977caf8ef48cfd1081198933b6cedd8a95e116a1fec2",
+    "bounds --n-qubits 4 --c preset": "0f2cf5540e9b9f5da1dcf8464f42395e7a73516845adcfbecf6574a12a73db2f",
+    "compare --mu 2 --samples 2000 --seed 5 --threads 1 --format json": (
+        "588cefe98ad8264d47e9de9cd2d35fac781cbfa5cde67b13f2921fc267ee9744"
+    ),
+    "compare --mu 2 --samples 2000 --seed 5 --threads 1 --format csv": (
+        "01a576a0ed6a581308952adf0ba03e3253f4419ba087c0bff0e9e9bfcaed0205"
+    ),
+    "sample --n-qubits 4 --generator circuit --j 6 --samples 500 --seed 3 --threads 1 --format csv": (
+        "bf9ea7603a63d80bc68293ffea2aab05e469cfcada6c6981d5849f14bfe87e95"
+    ),
+}
+
+
 class TestExactBytePins:
     @pytest.mark.parametrize("command", list(EXACT_STDOUT_SHA256))
     def test_stdout_bytes(self, command, capsys):
         assert main(command.split()) == 0
         stdout = capsys.readouterr().out
         assert hashlib.sha256(stdout.encode()).hexdigest() == EXACT_STDOUT_SHA256[command]
+
+    @pytest.mark.parametrize("command", list(PLATFORM_STDOUT_SHA256))
+    def test_platform_stdout_bytes(self, command, capsys):
+        assert main(command.split()) == 0
+        stdout = capsys.readouterr().out
+        assert hashlib.sha256(stdout.encode()).hexdigest() == PLATFORM_STDOUT_SHA256[command]
 
 
 def _readme_commands() -> list[list[str]]:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from negmoments import _writer, distribution
 from negmoments.distribution import (
     GaussianReference,
     Histogram,
@@ -47,6 +48,17 @@ class TestBuildHistogram:
             build_histogram([], 10)
         with pytest.raises(ValueError):
             build_histogram([1.0], 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="^cannot histogram non-finite values$"):
+            build_histogram([0.1, bad, 0.3], 4)
+        with pytest.raises(ValueError, match="^cannot histogram non-finite values$"):
+            build_histogram(np.full(200, bad), 4)
+
+    def test_range_beyond_the_doubles_rejected(self):
+        with pytest.raises(ValueError, match="^the sample's range overflows a double$"):
+            build_histogram([-1e308, 1e308], 2)
 
     def test_bins_match_the_array_expression(self):
         # The bin of each value as one expression, a temporary per step.
@@ -99,6 +111,17 @@ class TestHistogramInvariants:
         assert hist._replace(counts=[1, 2], bin_edges=[0, 1, 2]).counts.dtype == np.int64
         with pytest.raises(ValueError):
             hist._replace(total=4)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [[0.0, math.nan, 1.0], [math.nan, 1.0, 2.0], [0.0, 1.0, math.inf], [-math.inf, 0.0, 1.0]],
+        ids=["nan-inside", "nan-first", "inf-last", "minus-inf-first"],
+    )
+    def test_non_finite_edges_rejected(self, edges):
+        with pytest.raises(ValueError, match="^bin edges must be finite$"):
+            Histogram(edges, [1, 1], 2)
+        with pytest.raises(ValueError, match="^bin edges must be finite$"):
+            Histogram([0.0, 1.0, 2.0], [1, 1], 2)._replace(bin_edges=edges)
 
 
 class TestGaussianReference:
@@ -199,3 +222,8 @@ class TestExport:
         assert doc["normalized"]["mean"] == pytest.approx(0.589049, abs=5e-7)
         text = render_json(doc)
         assert json.loads(text)["mu"] == 2
+
+    def test_moments_fields_come_from_the_writer(self):
+        report = normalized_moments(3)
+        assert build_document(report, n_qubits=None) == _writer.moments_document(report, None)
+        assert distribution.render_json is _writer.render_json

@@ -174,9 +174,9 @@ class TestImportBudget:
         "args,needed",
         [
             (["--version"], []),
-            (["moments", "--mu", "8"], ["moments", "distribution", "exactring"]),
-            (["table", "--n-max", "6", "--extrapolate"], ["moments", "distribution", "exactring"]),
-            (["bounds", "--n-qubits", "6"], ["bounds", "distribution", "exactring"]),
+            (["moments", "--mu", "8"], ["moments", "exactring", "_writer"]),
+            (["table", "--n-max", "6", "--extrapolate"], ["moments", "exactring", "_writer"]),
+            (["bounds", "--n-qubits", "6"], ["bounds", "_writer"]),
             (["verify", "--max-mu", "4"], ["selfcheck", "moments", "laguerre", "quadrature", "exactring"]),
         ],
         ids=["--version", "moments --mu 8", "table --n-max 6 --extrapolate", "bounds --n-qubits 6", "verify --max-mu 4"],
@@ -187,6 +187,32 @@ class TestImportBudget:
         report = json.loads(_fresh(_RAN, json.dumps(args)))
         assert report["code"] == 0
         assert set(report["ran"]) == {"cli", *needed}
+
+    @pytest.mark.parametrize(
+        "args,unused",
+        [
+            (["moments", "--mu", "8"], ["csv"]),
+            (["table", "--n-max", "6", "--extrapolate"], ["csv"]),
+            (["bounds", "--n-qubits", "22"], ["csv", "fractions"]),
+            (["bounds", "--n-qubits", "4", "--c", "preset"], ["csv", "fractions"]),
+        ],
+        ids=" ".join,
+    )
+    def test_writer_loads_csv_only_for_csv_output(self, args, unused):
+        # bounds does no exact arithmetic, so it loads no fractions either.
+        code = (
+            "import contextlib, io, json, sys\n"
+            "from negmoments import cli\n"
+            "for argv in (json.loads(sys.argv[1]), json.loads(sys.argv[1]) + ['--format', 'csv']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0\n"
+            "    print(json.dumps([m for m in ('csv', 'fractions') if m in sys.modules]))"
+        )
+        json_loaded, csv_loaded = map(json.loads, _fresh(code, json.dumps(args)).splitlines())
+        assert not set(json_loaded) & set(unused)
+        assert "csv" in csv_loaded  # the probe can see it
+        if "fractions" in unused:
+            assert "fractions" not in csv_loaded
 
     def test_evaluate_mpf_loads_mpmath(self):
         # The probe above can see mpmath: the adapter imports it.
@@ -203,7 +229,7 @@ class TestImportBudget:
 def test_only_sampling_imports_numpy_when_it_runs():
     # Running a module executes its top level; the exact modules, and the two
     # that import numpy inside their functions, must not load it there.
-    quiet = ("exactring", "laguerre", "quadrature", "moments", "selfcheck", "bounds", "distribution")
+    quiet = ("exactring", "laguerre", "quadrature", "moments", "selfcheck", "bounds", "_writer", "distribution")
     code = (
         "import importlib, sys\n"
         f"for name in {quiet + ('sampling',)!r}:\n"

@@ -502,9 +502,22 @@ class TestSampleBatches:
             SampleBatch(master_seed=0, count=10, dims=(2, 2), generator="magic")
         with pytest.raises(ValueError):
             sample_negativities(SampleBatch(master_seed=0, count=4, dims=(2, 2)), threads=0)
-        for dims in ((0, 3), (-1, 2), (2,), (2, 2, 2)):
-            with pytest.raises(ValueError, match="dimensions must be at least 1"):
+        for dims in ((0, 3), (-1, 2)):
+            with pytest.raises(ValueError, match="^dimensions must be at least 1$"):
                 SampleBatch(master_seed=0, count=4, dims=dims)
+        for dims in ((), (2,), (2, 2, 2), (2, 2, 3), [0, 2, 2]):
+            with pytest.raises(ValueError, match="^dims must be a pair \\(mu, nu\\)$"):
+                SampleBatch(master_seed=0, count=4, dims=dims)
+
+    def test_dims_is_a_tuple_of_ints(self):
+        batch = SampleBatch(1, 5, dims=(2, 3))
+        for dims in ([2, 3], np.array([2, 3]), (np.int64(2), np.int32(3)), iter((2, 3))):
+            same = SampleBatch(1, 5, dims=dims)
+            assert same == batch and hash(same) == hash(batch)
+            assert type(same.dims) is tuple and all(type(d) is int for d in same.dims)
+        assert len({batch, SampleBatch(1, 5, dims=[2, 3]), SampleBatch(1, 5, dims=(3, 2))}) == 2
+        with pytest.raises(TypeError):
+            SampleBatch(1, 5, dims=(2.0, 3))
 
     def test_block_counter_limit(self):
         # Block b is one 32-bit counter word: block 2**32 is block 0 again.
